@@ -68,6 +68,11 @@ def _emit(lines: list[dict], args, fieldnames: list[str]) -> None:
             out.close()
 
 
+def _exit_code(args, nonconverged: bool) -> int:
+    """Exit status of a solving command: 2 on non-convergence under --strict."""
+    return EXIT_NONCONVERGED if args.strict and nonconverged else EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 
 def _cmd_width(args) -> int:
@@ -173,13 +178,13 @@ def _cmd_lambda_min(args) -> int:
     return EXIT_OK
 
 
-def _result_record(res: solve.RecoveryResult, rel: float | None) -> dict:
+def _emit_result(args, res: solve.RecoveryResult, rel: float) -> int:
     rec = {"objective": f"{res.objective:.6e}",
            "residual": f"{res.residual_norm:.3e}",
-           "iterations": res.iterations, "converged": res.converged}
-    if rel is not None:
-        rec["rel_error"] = f"{rel:.3e}"
-    return rec
+           "iterations": res.iterations, "converged": res.converged,
+           "rel_error": f"{rel:.3e}"}
+    _emit([rec], args, list(rec))
+    return _exit_code(args, not res.converged)
 
 
 def _cmd_recover(args) -> int:
@@ -196,11 +201,7 @@ def _cmd_recover(args) -> int:
     y = measure.measure_with_noise(op, x, noise_norm=eta, seed=seed + 2)
     res = solve.recover_constrained(L1Norm(d=d), op, y, eta)
     rel = float(np.linalg.norm(res.estimate - x) / np.linalg.norm(x))
-    _emit([_result_record(res, rel)], args,
-          ["objective", "residual", "iterations", "converged", "rel_error"])
-    if args.strict and not res.converged:
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return _emit_result(args, res, rel)
 
 
 def _cmd_phaselift(args) -> int:
@@ -215,11 +216,7 @@ def _cmd_phaselift(args) -> int:
     y = measure.apply(op, np.outer(x, x))
     res = solve.phase_retrieval_sdp(op, y)
     rel = float(np.linalg.norm(res.estimate - np.outer(x, x)))
-    _emit([_result_record(res, rel)], args,
-          ["objective", "residual", "iterations", "converged", "rel_error"])
-    if args.strict and not res.converged:
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return _emit_result(args, res, rel)
 
 
 def _parse_problem(cfg: dict) -> harness.Problem:
@@ -256,15 +253,8 @@ def _cmd_sweep(args) -> int:
         seed=int(_merged(args, cfg, "seed", 0)),
     )
     result = harness.run_phase_transition(config)
-    text = harness.sweep_csv_text(result)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.strict and any(r.nonconverged for r in result.rows):
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    harness.emit_csv(result, args.out or sys.stdout)
+    return _exit_code(args, any(r.nonconverged for r in result.rows))
 
 
 def _cmd_error_curve(args) -> int:
@@ -287,9 +277,11 @@ def _cmd_error_curve(args) -> int:
     rows = harness.run_error_curve(config, [float(e) for e in eta_grid],
                                    int(m))
     recs = [{"eta": f"{r.eta:.6g}", "mean_error": f"{r.mean_error:.6e}",
-             "bound": f"{r.bound:.6e}"} for r in rows]
-    _emit(recs, args, ["eta", "mean_error", "bound"])
-    return EXIT_OK
+             "bound": f"{r.bound:.6e}", "violations": r.violations,
+             "nonconverged": r.nonconverged} for r in rows]
+    _emit(recs, args, ["eta", "mean_error", "bound", "violations",
+                       "nonconverged"])
+    return _exit_code(args, any(r.nonconverged for r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,8 @@ class ExperimentConfig:
     eta: float = 0.0
     success_threshold: float = 1e-4
     seed: int = 0
-    ensemble: str = "gaussian"  # "gaussian" | "lifted-gaussian"
     margin: float = 3.0         # C in the sample-complexity threshold
     solver: solve.SolverOptions = field(default_factory=solve.SolverOptions)
-    output_path: str | None = None
 
     def __post_init__(self):
         grid = tuple(int(m) for m in self.m_grid)
@@ -72,8 +70,7 @@ class ExperimentConfig:
             "problem": [type(self.problem).__name__, asdict(self.problem)],
             "m_grid": list(self.m_grid), "trials": self.trials,
             "eta": self.eta, "success_threshold": self.success_threshold,
-            "seed": self.seed, "ensemble": self.ensemble,
-            "margin": self.margin,
+            "seed": self.seed, "margin": self.margin,
         }, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -216,14 +213,16 @@ class ErrorCurveRow:
     eta: float
     mean_error: float
     bound: float
-    violations: int  # observed error above a certified bound
+    violations: int    # observed error above a certified bound
+    nonconverged: int  # trials whose solve stopped unconverged
 
 
 def run_error_curve(config: ExperimentConfig, eta_grid, m: int,
                     lambda_hat: float | None = None,
                     lambda_certified: bool = False,
                     t: float = 2.0) -> list[ErrorCurveRow]:
-    """Mean observed error and the 2*eta/lambda bound per noise level.
+    """Mean observed error over all trials, converged or not, and the
+    2*eta/lambda bound per noise level.
 
     When ``lambda_hat`` is omitted, the Gordon prediction
     sqrt(m-1) - w - t with the closed-form width bound stands in (then the
@@ -236,17 +235,20 @@ def run_error_curve(config: ExperimentConfig, eta_grid, m: int,
     rows = []
     for ei, eta in enumerate(eta_grid):
         errors = []
+        nonconv = 0
         for trial in range(config.trials):
-            _, rel, _, _ = _run_cell(
+            _, rel, _, conv = _run_cell(
                 config.problem, m, _cell_seed(config.seed, 10_000 + ei, trial),
                 float(eta), config.success_threshold, config.solver)
             errors.append(rel)
+            nonconv += not conv
         bound = (2.0 * float(eta) / lambda_hat if lambda_hat > 0
                  else float("inf"))
         mean_err = float(np.mean(errors))
         violations = (sum(e > bound + 1e-12 for e in errors)
                       if lambda_certified else 0)
-        rows.append(ErrorCurveRow(float(eta), mean_err, bound, violations))
+        rows.append(ErrorCurveRow(float(eta), mean_err, bound, violations,
+                                  nonconv))
     return rows
 
 

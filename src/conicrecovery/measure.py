@@ -197,15 +197,28 @@ def lifted_phase_ensemble(m: int, d: int, seed: int,
 # ---------------------------------------------------------------------------
 # action
 
+def _forward(op: MeasurementOperator, x: np.ndarray) -> np.ndarray:
+    """Phi(x) for a flat signal x."""
+    if op.kind is OperatorKind.DENSE:
+        return op.rows @ x
+    psi = op.vectors  # <X, psi psi^t> = psi^t X psi: row sums of (Psi X) o Psi
+    return np.einsum("ij,ij->i", psi @ x.reshape(op.signal_shape), psi)
+
+
+def _adjoint(op: MeasurementOperator, v: np.ndarray) -> np.ndarray:
+    """Phi^*(v) as a flat signal; lifted: Psi^t diag(v) Psi, symmetrized."""
+    if op.kind is OperatorKind.DENSE:
+        return op.rows.T @ v
+    out = (op.vectors.T * v) @ op.vectors
+    return (0.5 * (out + out.T)).ravel()
+
+
 def apply(op: MeasurementOperator, x: np.ndarray) -> np.ndarray:
     """Apply the operator to a signal (vector or matrix per op.signal_shape)."""
     x = np.asarray(x, dtype=float)
     if x.shape != op.signal_shape:
         raise ValueError(f"signal shape {x.shape} != operator shape {op.signal_shape}")
-    if op.kind is OperatorKind.DENSE:
-        return op.rows @ x.ravel()
-    # <X, psi psi^t> = psi^t X psi
-    return np.einsum("id,de,ie->i", op.vectors, x, op.vectors)
+    return _forward(op, x.ravel())
 
 
 def adjoint(op: MeasurementOperator, v: np.ndarray) -> np.ndarray:
@@ -213,10 +226,14 @@ def adjoint(op: MeasurementOperator, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (op.m,):
         raise ValueError(f"expected vector of length {op.m}")
+    return _adjoint(op, v).reshape(op.signal_shape)
+
+
+def gram(op: MeasurementOperator) -> np.ndarray:
+    """The m x m Gram matrix Phi Phi^*: A A^t, or (Psi Psi^t)^2 entrywise."""
     if op.kind is OperatorKind.DENSE:
-        return (op.rows.T @ v).reshape(op.signal_shape)
-    out = np.einsum("i,id,ie->de", v, op.vectors, op.vectors)
-    return 0.5 * (out + out.T)
+        return op.rows @ op.rows.T
+    return (op.vectors @ op.vectors.T) ** 2
 
 
 def measure_with_noise(op: MeasurementOperator, x: np.ndarray,

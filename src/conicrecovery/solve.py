@@ -4,8 +4,9 @@ Both programs -- norm minimization over a residual ball, and trace
 minimization over the PSD cone with affine data constraints -- are solved
 by Douglas-Rachford splitting between the regularizer's prox and an exact
 projection onto the data-consistency set.  The ball projection reduces to
-a 1-D root-find on the Lagrange multiplier in the operator's SVD basis;
-the affine (eta = 0) projection is the pseudo-inverse correction.
+a 1-D root-find on the Lagrange multiplier in the eigenbasis of the Gram
+matrix G = Phi Phi^*; the affine (eta = 0) projection is the pseudo-inverse
+correction.  It needs only Phi, Phi^* and G, so both operator kinds share it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .measure import MeasurementOperator, OperatorKind
+from .measure import MeasurementOperator, OperatorKind, _adjoint, _forward, gram
 from .reg import Regularizer, TracePSD
 
 
@@ -26,7 +27,6 @@ class SolverOptions:
     tol_primal: float = 1e-8
     tol_dual: float = 1e-8
     penalty: float = 1.0
-    seed: int = 0
     record_history: bool = False
 
     def __post_init__(self):
@@ -47,65 +47,65 @@ class RecoveryResult:
     history: np.ndarray | None = field(default=None, compare=False)
 
 
-class _BallProjector:
-    """Exact Euclidean projection onto {x : ||A x - y|| <= eta}."""
+# eigh resolves the eigenvalues of G only to about m * eps * lambda_max;
+# smaller ones are taken as zero (rank-deficient operator)
+_EIG_CUT = 10.0 * np.finfo(float).eps
 
-    def __init__(self, a: np.ndarray, y: np.ndarray, eta: float):
-        self.a, self.y, self.eta = a, y, eta
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        keep = s > s[0] * 1e-13 if s.size else s > 0
-        self.u, self.s, self.vt = u[:, keep], s[keep], vt[keep]
-        self.y_range = self.u.T @ y          # coords of y in range(A)
-        y_perp = y - self.u @ self.y_range
+
+def _excess(mu: float, c: np.ndarray, lam: np.ndarray, offset: float) -> float:
+    """Squared residual minus eta^2 after a shrink with multiplier mu."""
+    return float(np.sum((c / (1.0 + mu * lam)) ** 2) + offset)
+
+
+class _BallProjector:
+    """Exact Euclidean projection onto {x : ||Phi x - y|| <= eta}: with
+    G = Q diag(lam) Q^t and c = Q^t (Phi p - y), it is
+    p - Phi^*(Q (mu c / (1 + mu lam))) for the multiplier mu >= 0."""
+
+    def __init__(self, op: MeasurementOperator, y: np.ndarray, eta: float):
+        self.op, self.y, self.eta = op, y, eta
+        lam, q = np.linalg.eigh(gram(op))
+        keep = lam > _EIG_CUT * op.m * np.max(lam, initial=0.0)
+        self.lam, self.q = lam[keep], q[:, keep]
+        y_perp = y - self.q @ (self.q.T @ y)  # part of y outside range(Phi)
         self.y_perp_sq = float(np.dot(y_perp, y_perp))
         ynorm = float(np.linalg.norm(y))
         self.infeasible = math.sqrt(self.y_perp_sq) > max(eta, 1e-10 * max(1.0, ynorm))
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
-        r = self.a @ p - self.y
-        rnorm = np.linalg.norm(r)
-        if rnorm <= self.eta:
-            return p
-        c = self.s * (self.vt @ p) - self.y_range  # range-space residual coords
+        c = self.q.T @ (_forward(self.op, p) - self.y)  # range-space residual coords
         if self.eta == 0.0:
-            return p - self.vt.T @ ((self.vt @ p) - self.y_range / self.s)
-
-        def excess(lam: float) -> float:
-            return float(np.sum((c / (1.0 + lam * self.s ** 2)) ** 2)
-                         + self.y_perp_sq - self.eta ** 2)
-
+            return p - _adjoint(self.op, self.q @ (c / self.lam))
+        args = (c, self.lam, self.y_perp_sq - self.eta ** 2)
+        if _excess(0.0, *args) <= 0:
+            return p
         hi = 1.0
-        while excess(hi) > 0 and hi < 1e18:
+        while _excess(hi, *args) > 0 and hi < 1e18:
             hi *= 4.0
-        if excess(hi) > 0:
-            lam = hi  # empty constraint set; best-effort shrink, flagged upstream
+        if _excess(hi, *args) > 0:
+            mu = hi  # empty constraint set; best-effort shrink, flagged upstream
         else:
-            lam = brentq(excess, 0.0, hi, xtol=1e-14, rtol=1e-14)
-        shrink = lam * self.s / (1.0 + lam * self.s ** 2)
-        return p - self.vt.T @ (shrink * c)
+            mu = brentq(_excess, 0.0, hi, args=args, xtol=1e-14, rtol=1e-14)
+        return p - _adjoint(self.op, self.q @ (mu * c / (1.0 + mu * self.lam)))
 
 
-def _lifted_design(op: MeasurementOperator) -> np.ndarray:
-    """m x d^2 matrix whose rows are vec(psi_i psi_i^t)."""
-    return np.einsum("id,ie->ide", op.vectors, op.vectors).reshape(op.m, -1)
-
-
-def _douglas_rachford(prox_f, proj_c, n: int, scale: float,
+def _douglas_rachford(f: Regularizer, proj: _BallProjector, shape, scale: float,
                       opts: SolverOptions, feas_fn):
-    """DR iteration on f + indicator(C); returns (x_feas, v_prox, iters, conv).
+    """DR iteration on f + indicator(C) over flat signals of the given shape;
+    returns (x_feas, v_prox, iters, conv), never converged when C is empty.
 
     ``feas_fn(v)`` measures the constraint violation of the prox iterate,
     used with the primal residual ||v - x|| for stopping.
     """
-    w = np.zeros(n)
+    w = np.zeros(math.prod(shape))
     t = opts.penalty
     x = v = w
     converged = False
     it = 0
     history = [] if opts.record_history else None
     for it in range(1, opts.max_iters + 1):
-        x = proj_c(w)
-        v = prox_f(2.0 * x - w, t)
+        x = proj(w)
+        v = f.prox((2.0 * x - w).reshape(shape), t).ravel()
         step = v - x
         w = w + step
         if history is not None:
@@ -120,7 +120,7 @@ def _douglas_rachford(prox_f, proj_c, n: int, scale: float,
                 converged = True
                 break
     hist = None if history is None else np.asarray(history)
-    return x, v, it, converged, hist
+    return x, v, it, converged and not proj.infeasible, hist
 
 
 def recover_constrained(f: Regularizer, op: MeasurementOperator,
@@ -130,27 +130,21 @@ def recover_constrained(f: Regularizer, op: MeasurementOperator,
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     opts = opts or SolverOptions()
-    a = op.rows
     if op.kind is not OperatorKind.DENSE:
         raise ValueError("constrained recovery needs a dense operator; "
                          "use phase_retrieval_sdp for lifted ensembles")
     y = np.asarray(y, dtype=float)
-    proj = _BallProjector(a, y, eta)
+    proj = _BallProjector(op, y, eta)
     shape = op.signal_shape
     scale = max(1.0, float(np.linalg.norm(y)))
 
-    def prox_flat(z, t):
-        return f.prox(z.reshape(shape), t).ravel()
-
     def feas(vflat):
-        return max(0.0, float(np.linalg.norm(a @ vflat - y)) - eta)
+        return max(0.0, float(np.linalg.norm(_forward(op, vflat) - y)) - eta)
 
     x, v, iters, converged, hist = _douglas_rachford(
-        prox_flat, proj, a.shape[1], scale, opts, feas)
-    if proj.infeasible:
-        converged = False
+        f, proj, shape, scale, opts, feas)
     estimate = x.reshape(shape)  # projection output: feasible by construction
-    residual = float(np.linalg.norm(a @ x - y))
+    residual = float(np.linalg.norm(_forward(op, x) - y))
     return RecoveryResult(estimate, f.value(estimate), residual, iters,
                           converged, infeasible=proj.infeasible, history=hist)
 
@@ -171,24 +165,17 @@ def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray,
         raise ValueError("phase retrieval measurements are magnitudes (y >= 0)")
     opts = opts or SolverOptions()
     d = op.signal_shape[0]
-    a = _lifted_design(op)
-    proj = _BallProjector(a, y, 0.0)
-    reg = TracePSD(d=d)
+    proj = _BallProjector(op, y, 0.0)
     scale = max(1.0, float(np.max(np.abs(y))))
 
-    def prox_flat(z, t):
-        return reg.prox(z.reshape(d, d), t).ravel()
-
     def feas(vflat):
-        return float(np.max(np.abs(a @ vflat - y))) if op.m else 0.0
+        return float(np.max(np.abs(_forward(op, vflat) - y))) if op.m else 0.0
 
     x, v, iters, converged, hist = _douglas_rachford(
-        prox_flat, proj, d * d, scale, opts, feas)
-    if proj.infeasible:
-        converged = False
+        TracePSD(d=d), proj, (d, d), scale, opts, feas)
     estimate = v.reshape(d, d)   # prox output: PSD by construction
     estimate = 0.5 * (estimate + estimate.T)
-    violation = float(np.max(np.abs(a @ estimate.ravel() - y)))
+    violation = float(np.max(np.abs(_forward(op, estimate.ravel()) - y)))
     return RecoveryResult(estimate, float(np.trace(estimate)), violation,
                           iters, converged, infeasible=proj.infeasible,
                           history=hist)

@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, config handling, exit codes,
 output formats, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
-from conicrecovery import __version__
+from conicrecovery import __version__, harness
 from conicrecovery.cli import main
 
 
@@ -151,7 +152,29 @@ class TestSweepCommand:
             json.dump(cfg, fh)
         code, out, _ = run(capsys, "error-curve", "--config", path)
         assert code == 0
-        assert out.startswith("eta,mean_error,bound")
+        assert out.startswith("eta,mean_error,bound,violations,nonconverged\n")
+
+    def test_error_curve_strict_nonconvergence(self, capsys, tmp_path,
+                                               monkeypatch):
+        # the CLI has no iteration-budget flag; cap it under the harness
+        run_curve = harness.run_error_curve
+
+        def capped(config, *args, **kwargs):
+            config = dataclasses.replace(
+                config, solver=dataclasses.replace(config.solver, max_iters=3))
+            return run_curve(config, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_error_curve", capped)
+        cfg = {"problem": {"kind": "sparse", "s": 1, "d": 8},
+               "eta_grid": [0.1], "m": 4, "trials": 2, "seed": 3}
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code, out, _ = run(capsys, "error-curve", "--config", path)
+        assert code == 0
+        assert out.strip().split("\n")[1].endswith(",0,2")
+        code, _, _ = run(capsys, "error-curve", "--config", path, "--strict")
+        assert code == 2
 
 
 class TestUsage:

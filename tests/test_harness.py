@@ -18,6 +18,7 @@ from conicrecovery.harness import (
     run_phase_transition,
     sweep_csv_text,
 )
+from conicrecovery.solve import SolverOptions
 
 
 def small_config(**kw):
@@ -104,6 +105,15 @@ class TestErrorCurve:
                                lambda_certified=True)
         assert rows[0].mean_error <= 1e-4
         assert rows[0].violations == 0
+        assert rows[0].nonconverged == 0
+
+    def test_nonconverged_trials_counted(self):
+        # a 3-iteration budget stops every solve short of convergence
+        cfg = ExperimentConfig(problem=SparseL1(s=1, d=16), m_grid=(8,),
+                               trials=3, seed=5,
+                               solver=SolverOptions(max_iters=3))
+        rows = run_error_curve(cfg, [0.0, 0.1], m=8)
+        assert [r.nonconverged for r in rows] == [3, 3]
 
     def test_bound_doubles_with_eta(self):
         cfg = ExperimentConfig(problem=SparseL1(s=1, d=16), m_grid=(16,),

@@ -129,6 +129,13 @@ class TestLiftedEnsemble:
             lifted_phase_ensemble(2, 2, seed=0, vectors=np.ones((3, 2)))
 
 
+def assert_gram_matches_columns(op):
+    """G = Phi Phi^*, column j built as Phi(Phi^*(e_j))."""
+    cols = [apply(op, adjoint(op, e)) for e in np.eye(op.m)]
+    np.testing.assert_allclose(measure.gram(op), np.stack(cols, axis=1),
+                               rtol=1e-12, atol=1e-12)
+
+
 class TestApplyAdjoint:
     def test_identity_like(self):
         op = measure.MeasurementOperator(OperatorKind.DENSE, 2, (2,),
@@ -144,6 +151,7 @@ class TestApplyAdjoint:
             lhs = float(apply(op, x) @ v)
             rhs = float(np.sum(x * adjoint(op, v)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+        assert_gram_matches_columns(op)
 
     def test_adjoint_identity_matrix_signals(self):
         op = gaussian_matrix_ensemble(6, 3, 4, seed=2)
@@ -154,6 +162,7 @@ class TestApplyAdjoint:
             lhs = float(apply(op, x) @ v)
             rhs = float(np.sum(x * adjoint(op, v)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+        assert_gram_matches_columns(op)
 
     def test_adjoint_identity_lifted(self):
         op = lifted_phase_ensemble(6, 4, seed=3)
@@ -165,6 +174,7 @@ class TestApplyAdjoint:
             lhs = float(apply(op, x) @ v)
             rhs = float(np.sum(x * adjoint(op, v)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+        assert_gram_matches_columns(op)
 
     def test_lifted_adjoint_all_ones(self):
         op = lifted_phase_ensemble(1, 2, seed=0, vectors=np.array([[1.0, 1.0]]))

@@ -3,6 +3,7 @@ trace-minimization program, checked against brute-force oracles."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conicrecovery.rng import generator
 from conicrecovery.solve import (
     RecoveryResult,
     SolverOptions,
+    _BallProjector,
     extract_rank1,
     phase_retrieval_sdp,
     recover_constrained,
@@ -61,6 +63,156 @@ def phase_linear_oracle(op, y):
         [p[0] ** 2, 2 * p[0] * p[1], p[1] ** 2] for p in psis])
     sol = np.linalg.solve(rows, y)
     return np.array([[sol[0], sol[1]], [sol[1], sol[2]]])
+
+
+def explicit_design(op):
+    """The operator as an explicit m x n matrix: its rows when dense, the
+    vectorized rank-one matrices psi_i psi_i^t when lifted."""
+    if op.kind is OperatorKind.DENSE:
+        return np.asarray(op.rows)
+    return np.einsum("id,ie->ide", op.vectors, op.vectors).reshape(op.m, -1)
+
+
+def ball_projection_oracle(a, y, eta, p):
+    """Projection of p onto {x : ||A x - y|| <= eta} from the SVD of A.
+
+    eta = 0 is the minimum-norm least-squares correction; eta > 0 shrinks
+    along the right singular vectors with the multiplier found by
+    bisection on the residual norm, which decreases in the multiplier.
+    """
+    if eta == 0.0:
+        return p - np.linalg.lstsq(a, a @ p - y, rcond=None)[0]
+    if np.linalg.norm(a @ p - y) <= eta:
+        return p
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > s[0] * 1e-10
+    u, s, vt = u[:, keep], s[keep], vt[keep]
+    c = u.T @ (a @ p - y)
+    perp_sq = float(np.sum((y - u @ (u.T @ y)) ** 2))
+
+    def shrunk(mu):
+        return p - vt.T @ (mu * s * c / (1.0 + mu * s ** 2))
+
+    def resid_sq(mu):
+        return float(np.sum((c / (1.0 + mu * s ** 2)) ** 2)) + perp_sq
+
+    lo, hi = 0.0, 1.0
+    while resid_sq(hi) > eta ** 2:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if resid_sq(mid) > eta ** 2 else (lo, mid)
+    return shrunk(hi)
+
+
+def _lift(x):
+    return np.outer(x, x)
+
+
+def ill_conditioned_op(m, n, cond, seed):
+    """Dense m x n operator (m <= n) with singular values log-spaced from
+    1 down to 1/cond."""
+    rng = generator(seed)
+    u = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    return dense_op(u @ np.diag(np.logspace(0, -math.log10(cond), m)) @ v.T)
+
+
+# (operator, signal drawn for consistent data); the first has a Gram
+# condition number of 1e6, the last four a singular Gram matrix: dense
+# with m > n, lifted with m > d(d+1)/2
+PROJECTOR_CASES = {
+    "dense-cond-1e3": lambda: (ill_conditioned_op(6, 10, 1e3, seed=29),
+                               generator(28).standard_normal(10)),
+    "dense-6x10": lambda: (gaussian_ensemble(6, 10, seed=30),
+                           generator(31).standard_normal(10)),
+    "dense-matrix-10x(3x4)": lambda: (gaussian_matrix_ensemble(10, 3, 4, seed=32),
+                                      generator(33).standard_normal((3, 4))),
+    "lifted-d5-m12": lambda: (lifted_phase_ensemble(12, 5, seed=34),
+                              _lift(generator(35).standard_normal(5))),
+    "dense-12x5": lambda: (gaussian_ensemble(12, 5, seed=36),
+                           generator(37).standard_normal(5)),
+    "dense-40x8": lambda: (gaussian_ensemble(40, 8, seed=38),
+                           generator(39).standard_normal(8)),
+    "lifted-d2-m4": lambda: (lifted_phase_ensemble(4, 2, seed=40),
+                             _lift(generator(41).standard_normal(2))),
+    "lifted-d4-m30": lambda: (lifted_phase_ensemble(30, 4, seed=42),
+                              _lift(generator(43).standard_normal(4))),
+}
+SINGULAR_CASES = ["dense-12x5", "dense-40x8", "lifted-d2-m4", "lifted-d4-m30"]
+
+
+class TestBallProjector:
+    @pytest.mark.parametrize("case", PROJECTOR_CASES)
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    def test_matches_svd_oracle(self, case, eta):
+        op, x = PROJECTOR_CASES[case]()
+        a = explicit_design(op)
+        rng = generator(44)
+        ys = [apply(op, x)]
+        if eta:  # also data off range(Phi) but inside the ball
+            e = rng.standard_normal(op.m)
+            ys.append(ys[0] + 0.5 * eta * e / np.linalg.norm(e))
+        for y in ys:
+            proj = _BallProjector(op, y, eta)
+            assert not proj.infeasible
+            for _ in range(5):
+                p = 3.0 * rng.standard_normal(op.signal_shape).ravel()
+                got = proj(p)
+                want = ball_projection_oracle(a, y, eta, p)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+                assert np.linalg.norm(a @ got - y) <= eta + 1e-8
+
+    @pytest.mark.parametrize("case", SINGULAR_CASES)
+    def test_singular_gram_consistent_data(self, case):
+        # the affine set {X : Phi X = y} meets the signal space (symmetric
+        # matrices, for lifted operators) in the one point x
+        op, x = PROJECTOR_CASES[case]()
+        proj = _BallProjector(op, apply(op, x), 0.0)
+        assert not proj.infeasible
+        assert np.linalg.matrix_rank(explicit_design(op)) == proj.lam.size
+        p = generator(45).standard_normal(op.signal_shape)
+        if op.kind is OperatorKind.LIFTED:
+            p = 0.5 * (p + p.T)
+        assert np.linalg.norm(proj(p.ravel()) - x.ravel()) <= 1e-8
+
+    @pytest.mark.parametrize("case", SINGULAR_CASES)
+    def test_singular_gram_off_range_infeasible(self, case):
+        op, x = PROJECTOR_CASES[case]()
+        a = explicit_design(op)
+        u = np.linalg.svd(a)[0][:, np.linalg.matrix_rank(a):]
+        y = apply(op, x) + u.sum(axis=1)   # unit steps off range(Phi)
+        for eta in (0.0, 0.5):
+            assert _BallProjector(op, y, eta).infeasible
+
+    @pytest.mark.parametrize("case", SINGULAR_CASES)
+    def test_singular_gram_solvers(self, case):
+        op, x = PROJECTOR_CASES[case]()
+        if op.kind is OperatorKind.LIFTED:
+            solve = phase_retrieval_sdp
+        else:
+            def solve(op, y, opts=None):
+                return recover_constrained(L1Norm(d=x.size), op, y, 0.0, opts)
+        y = apply(op, x)
+        res = solve(op, y)
+        assert res.converged and not res.infeasible
+        assert np.linalg.norm(res.estimate - x) <= 1e-8 * np.linalg.norm(x)
+        # y + 1 stays a valid magnitude vector and leaves range(Phi)
+        bad = solve(op, y + 1.0, SolverOptions(max_iters=50))
+        assert bad.infeasible and not bad.converged
+
+    def test_lifted_memory_stays_below_design(self):
+        # the m x d^2 lifted design alone would take m * d^2 * 8 bytes
+        d, m = 64, 512
+        op = lifted_phase_ensemble(m, d, seed=46)
+        y = apply(op, _lift(generator(47).standard_normal(d)))
+        tracemalloc.start()
+        try:
+            phase_retrieval_sdp(op, y, SolverOptions(max_iters=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * d * d * 8
 
 
 class TestConstrainedRecovery:
