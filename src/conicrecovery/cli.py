@@ -12,6 +12,8 @@ non-convergence under --strict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -20,7 +22,6 @@ import numpy as np
 
 from . import __version__, harness, measure, smallball, solve, width
 from .conic import FullSpace, Subspace, lambda_min_empirical
-from .reg import L1Norm, Schatten1Norm
 from .rng import generator
 
 EXIT_OK = 0
@@ -44,28 +45,14 @@ def _load_config(path: str | None) -> dict:
 def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None):
     """Flag value if given, else config value, else default."""
     val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    return cfg.get(key, default)
+    if val is None:
+        val = cfg.get(key)
+    return default if val is None else val
 
 
-def _emit(lines: list[dict], args, fieldnames: list[str]) -> None:
-    out = sys.stdout
-    close = False
-    if getattr(args, "out", None):
-        out = open(args.out, "w")
-        close = True
-    try:
-        if args.format == "json-lines":
-            for rec in lines:
-                out.write(json.dumps(rec, sort_keys=True) + "\n")
-        else:
-            out.write(",".join(fieldnames) + "\n")
-            for rec in lines:
-                out.write(",".join(str(rec[k]) for k in fieldnames) + "\n")
-    finally:
-        if close:
-            out.close()
+def _emit(records: list[dict], args, fieldnames: list[str]) -> None:
+    harness.write_records(records, fieldnames, args.out or sys.stdout,
+                          args.format)
 
 
 def _exit_code(args, nonconverged: bool) -> int:
@@ -75,51 +62,39 @@ def _exit_code(args, nonconverged: bool) -> int:
 
 # ---------------------------------------------------------------------------
 
+_PROBLEMS = {"sparse": harness.SparseL1, "lowrank": harness.LowRankS1,
+             "phase": harness.PhaseRetrieval}
+_WIDTH_PROBLEMS = {"sparse": harness.SparseL1, "lowrank": harness.LowRankS1}
+
+
+def _build(cls, field_value):
+    """``cls`` from its integer dataclass fields, read by field_value(name)."""
+    return cls(*(int(field_value(f.name)) for f in dataclasses.fields(cls)))
+
+
 def _cmd_width(args) -> int:
     cfg = _load_config(args.config)
-    problem = _merged(args, cfg, "problem", "sparse")
+    kind = _merged(args, cfg, "problem", "sparse")
     seed = int(_merged(args, cfg, "seed", 0))
     trials = _merged(args, cfg, "trials")
-    recs = []
-    if problem == "sparse":
-        s, d = int(_merged(args, cfg, "s", 1)), int(_merged(args, cfg, "d", 1))
-        bound = width.sparse_width_bound(s, d)
-        recs.append({"value": f"{bound:.6f}", "std_error": 0.0, "trials": 0,
-                     "method": "closed-form-bound"})
-        if trials:
-            x = np.zeros(d)
-            x[:s] = 1.0
-            est = width.mc_width_sq_descent(L1Norm(x), int(trials), seed)
-            recs.append({"value": f"{est.value:.6f}",
-                         "std_error": f"{est.std_error:.6f}",
-                         "trials": est.trials, "method": est.method.value})
-    elif problem == "lowrank":
-        r = int(_merged(args, cfg, "r", 1))
-        d1 = int(_merged(args, cfg, "d1", 1))
-        d2 = int(_merged(args, cfg, "d2", 1))
-        bound = width.rank_width_bound(r, d1, d2)
-        recs.append({"value": f"{bound:.6f}", "std_error": 0.0, "trials": 0,
-                     "method": "closed-form-bound"})
-        if trials:
-            x = np.zeros((d1, d2))
-            np.fill_diagonal(x[:r, :r], 1.0)
-            est = width.mc_width_sq_descent(Schatten1Norm(x), int(trials), seed)
-            recs.append({"value": f"{est.value:.6f}",
-                         "std_error": f"{est.std_error:.6f}",
-                         "trials": est.trials, "method": est.method.value})
-    elif problem == "subspace":
+    if kind == "subspace":
         k = int(_merged(args, cfg, "k", 0))
-        recs.append({"value": f"{width.subspace_width_sq(k):.6f}",
-                     "std_error": 0.0, "trials": 0,
-                     "method": "closed-form-bound"})
-        if trials:
-            est = width.mc_subspace_width_sq(k, int(trials), seed)
-            recs.append({"value": f"{est.value:.6f}",
-                         "std_error": f"{est.std_error:.6f}",
-                         "trials": est.trials, "method": est.method.value})
+        bound = width.subspace_width_sq(k)
+        estimate = functools.partial(width.mc_subspace_width_sq, k)
+    elif str(kind) in _WIDTH_PROBLEMS:
+        problem = _build(_WIDTH_PROBLEMS[str(kind)],
+                         lambda name: _merged(args, cfg, name, 1))
+        bound, estimate = problem.width_sq(), problem.mc_width_sq
     else:
-        print(f"error: unknown width problem {problem!r}", file=sys.stderr)
+        print(f"error: unknown width problem {kind!r}", file=sys.stderr)
         return EXIT_CONFIG
+    recs = [{"value": f"{bound:.6f}", "std_error": 0.0, "trials": 0,
+             "method": "closed-form-bound"}]
+    if trials:
+        est = estimate(int(trials), seed)
+        recs.append({"value": f"{est.value:.6f}",
+                     "std_error": f"{est.std_error:.6f}",
+                     "trials": est.trials, "method": est.method.value})
     _emit(recs, args, ["value", "std_error", "trials", "method"])
     return EXIT_OK
 
@@ -131,7 +106,7 @@ def _cmd_smallball(args) -> int:
     m = int(_merged(args, cfg, "m", 50))
     xi = float(_merged(args, cfg, "xi", 0.25))
     t = float(_merged(args, cfg, "t", 1.0))
-    trials = int(_merged(args, cfg, "trials", 500) or 500)
+    trials = int(_merged(args, cfg, "trials", 500))
     seed = int(_merged(args, cfg, "seed", 0))
 
     basis = np.eye(d)[:, :k]
@@ -178,7 +153,14 @@ def _cmd_lambda_min(args) -> int:
     return EXIT_OK
 
 
-def _emit_result(args, res: solve.RecoveryResult, rel: float) -> int:
+def _solve_one(args, cfg: dict, problem: harness.Problem, m: int,
+               eta: float) -> int:
+    """Draw one signal from --seed, measure it with seed + 1 (noise from
+    seed + 2) and recover it."""
+    seed = int(_merged(args, cfg, "seed", 0))
+    x = problem.draw(generator(seed))
+    res, rel = harness.solve_instance(problem, m, x, seed + 1, eta, seed + 2,
+                                      solve.SolverOptions())
     rec = {"objective": f"{res.objective:.6e}",
            "residual": f"{res.residual_norm:.3e}",
            "iterations": res.iterations, "converged": res.converged,
@@ -189,34 +171,16 @@ def _emit_result(args, res: solve.RecoveryResult, rel: float) -> int:
 
 def _cmd_recover(args) -> int:
     cfg = _load_config(args.config)
-    s = int(_merged(args, cfg, "s", 4))
-    d = int(_merged(args, cfg, "d", 32))
-    m = int(_merged(args, cfg, "m", 20))
-    eta = float(_merged(args, cfg, "eta", 0.0))
-    seed = int(_merged(args, cfg, "seed", 0))
-    rng = generator(seed)
-    x = np.zeros(d)
-    x[rng.choice(d, size=s, replace=False)] = rng.choice([-1.0, 1.0], size=s)
-    op = measure.gaussian_ensemble(m, d, seed=seed + 1)
-    y = measure.measure_with_noise(op, x, noise_norm=eta, seed=seed + 2)
-    res = solve.recover_constrained(L1Norm(d=d), op, y, eta)
-    rel = float(np.linalg.norm(res.estimate - x) / np.linalg.norm(x))
-    return _emit_result(args, res, rel)
+    problem = harness.SparseL1(int(_merged(args, cfg, "s", 4)),
+                               int(_merged(args, cfg, "d", 32)))
+    return _solve_one(args, cfg, problem, int(_merged(args, cfg, "m", 20)),
+                      float(_merged(args, cfg, "eta", 0.0)))
 
 
 def _cmd_phaselift(args) -> int:
     cfg = _load_config(args.config)
-    d = int(_merged(args, cfg, "d", 2))
-    m = int(_merged(args, cfg, "m", 3))
-    seed = int(_merged(args, cfg, "seed", 0))
-    rng = generator(seed)
-    x = rng.standard_normal(d)
-    x /= np.linalg.norm(x)
-    op = measure.lifted_phase_ensemble(m, d, seed=seed + 1)
-    y = measure.apply(op, np.outer(x, x))
-    res = solve.phase_retrieval_sdp(op, y)
-    rel = float(np.linalg.norm(res.estimate - np.outer(x, x)))
-    return _emit_result(args, res, rel)
+    problem = harness.PhaseRetrieval(int(_merged(args, cfg, "d", 2)))
+    return _solve_one(args, cfg, problem, int(_merged(args, cfg, "m", 3)), 0.0)
 
 
 def _parse_problem(cfg: dict) -> harness.Problem:
@@ -224,18 +188,13 @@ def _parse_problem(cfg: dict) -> harness.Problem:
     if not isinstance(prob, dict) or "kind" not in prob:
         raise SystemExit("error: config needs problem.kind "
                          "(sparse | lowrank | phase)")
-    kind = prob["kind"]
+    cls = _PROBLEMS.get(str(prob["kind"]))
+    if cls is None:
+        raise SystemExit(f"error: unknown problem kind {prob['kind']!r}")
     try:
-        if kind == "sparse":
-            return harness.SparseL1(int(prob["s"]), int(prob["d"]))
-        if kind == "lowrank":
-            return harness.LowRankS1(int(prob["r"]), int(prob["d1"]),
-                                     int(prob["d2"]))
-        if kind == "phase":
-            return harness.PhaseRetrieval(int(prob["d"]))
+        return _build(cls, prob.__getitem__)
     except KeyError as exc:
         raise SystemExit(f"error: problem spec missing field {exc}")
-    raise SystemExit(f"error: unknown problem kind {kind!r}")
 
 
 def _cmd_sweep(args) -> int:
@@ -247,13 +206,13 @@ def _cmd_sweep(args) -> int:
     config = harness.ExperimentConfig(
         problem=problem,
         m_grid=tuple(cfg.get("m_grid", [])),
-        trials=int(_merged(args, cfg, "trials", 25) or 25),
+        trials=int(_merged(args, cfg, "trials", 25)),
         eta=float(cfg.get("eta", 0.0)),
         success_threshold=float(cfg.get("success_threshold", 1e-4)),
         seed=int(_merged(args, cfg, "seed", 0)),
     )
     result = harness.run_phase_transition(config)
-    harness.emit_csv(result, args.out or sys.stdout)
+    harness.emit_csv(result, args.out or sys.stdout, args.format)
     return _exit_code(args, any(r.nonconverged for r in result.rows))
 
 
@@ -271,7 +230,7 @@ def _cmd_error_curve(args) -> int:
         return EXIT_CONFIG
     config = harness.ExperimentConfig(
         problem=problem, m_grid=(int(m),),
-        trials=int(_merged(args, cfg, "trials", 10) or 10),
+        trials=int(_merged(args, cfg, "trials", 10)),
         seed=int(_merged(args, cfg, "seed", 0)),
     )
     rows = harness.run_error_curve(config, [float(e) for e in eta_grid],

@@ -1,5 +1,5 @@
-"""Declarative experiments: phase-transition sweeps, error-vs-noise curves,
-and CSV emission.
+"""Declarative experiments: the problem table, phase-transition sweeps,
+error-vs-noise curves, and record output.
 
 Every (m, trial) cell gets its own derived Philox stream, so sweeps are
 reproducible byte-for-byte from (config, seed) and cells could run in any
@@ -8,6 +8,7 @@ order; reduction happens in index order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -22,25 +23,106 @@ from .reg import L1Norm, Schatten1Norm
 from .rng import generator
 
 
+# ---------------------------------------------------------------------------
+# problem table: signal, operator, width bound and regularizer of each class
+
 @dataclass(frozen=True)
 class SparseL1:
+    """s-sparse sign vectors in R^d, recovered by l1 minimization."""
+
     s: int
     d: int
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        x = np.zeros(self.d)
+        support = rng.choice(self.d, size=self.s, replace=False)
+        x[support] = rng.choice([-1.0, 1.0], size=self.s)
+        return x
+
+    def width_sq(self) -> float:
+        return width.sparse_width_bound(self.s, self.d)
+
+    def mc_width_sq(self, trials: int, seed: int) -> width.WidthEstimate:
+        """Monte Carlo squared width at the reference signal e_1 + ... + e_s."""
+        x = np.zeros(self.d)
+        x[:self.s] = 1.0
+        return width.mc_width_sq_descent(L1Norm(x), trials, seed)
+
+    def operator(self, m: int, seed: int) -> measure.MeasurementOperator:
+        return measure.gaussian_ensemble(m, self.d, seed=seed)
+
+    def regularizer(self) -> L1Norm:
+        return L1Norm(d=self.d)
 
 
 @dataclass(frozen=True)
 class LowRankS1:
+    """Rank-r d1 x d2 matrices G1 G2^t, recovered by Schatten-1 minimization."""
+
     r: int
     d1: int
     d2: int
 
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        g1 = rng.standard_normal((self.d1, self.r))
+        g2 = rng.standard_normal((self.d2, self.r))
+        return g1 @ g2.T
+
+    def width_sq(self) -> float:
+        return width.rank_width_bound(self.r, self.d1, self.d2)
+
+    def mc_width_sq(self, trials: int, seed: int) -> width.WidthEstimate:
+        """Monte Carlo squared width at the reference signal diag(1_r, 0)."""
+        x = np.zeros((self.d1, self.d2))
+        np.fill_diagonal(x[:self.r, :self.r], 1.0)
+        return width.mc_width_sq_descent(Schatten1Norm(x), trials, seed)
+
+    def operator(self, m: int, seed: int) -> measure.MeasurementOperator:
+        return measure.gaussian_matrix_ensemble(m, self.d1, self.d2, seed=seed)
+
+    def regularizer(self) -> Schatten1Norm:
+        return Schatten1Norm(shape=(self.d1, self.d2))
+
 
 @dataclass(frozen=True)
 class PhaseRetrieval:
+    """Unit vectors in R^d seen through |<psi_i, x>|^2, recovered by PhaseLift."""
+
     d: int
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        x = rng.standard_normal(self.d)
+        return x / np.linalg.norm(x)
+
+    def width_sq(self) -> float:
+        # the width bound scales like d; no closed-form constant
+        return float(self.d)
+
+    def operator(self, m: int, seed: int) -> measure.MeasurementOperator:
+        return measure.lifted_phase_ensemble(m, self.d, seed=seed)
 
 
 Problem = SparseL1 | LowRankS1 | PhaseRetrieval
+
+
+def solve_instance(problem: Problem, m: int, x: np.ndarray, op_seed: int,
+                   eta: float, noise_seed: int, opts: solve.SolverOptions):
+    """Measure ``x`` with m draws of the problem's ensemble and recover it.
+
+    Returns (result, rel_error): ||x_hat - x|| / ||x|| for the norm problems,
+    ||X_hat - x x^t|| / ||x||^2 for PhaseLift, whose measurements carry no
+    noise (``eta`` and ``noise_seed`` are unused).
+    """
+    op = problem.operator(m, op_seed)
+    if isinstance(problem, PhaseRetrieval):
+        x_lift = np.outer(x, x)
+        y = measure.apply(op, x_lift)
+        res = solve.phase_retrieval_sdp(op, y, opts)
+        return res, float(np.linalg.norm(res.estimate - x_lift)
+                          / np.linalg.norm(x) ** 2)
+    y = measure.measure_with_noise(op, x, noise_norm=eta, seed=noise_seed)
+    res = solve.recover_constrained(problem.regularizer(), op, y, eta, opts)
+    return res, float(np.linalg.norm(res.estimate - x) / np.linalg.norm(x))
 
 
 @dataclass(frozen=True)
@@ -115,32 +197,7 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# instance generation
-
-def _draw_signal(problem: Problem, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(problem, SparseL1):
-        x = np.zeros(problem.d)
-        support = rng.choice(problem.d, size=problem.s, replace=False)
-        x[support] = rng.choice([-1.0, 1.0], size=problem.s)
-        return x
-    if isinstance(problem, LowRankS1):
-        g1 = rng.standard_normal((problem.d1, problem.r))
-        g2 = rng.standard_normal((problem.d2, problem.r))
-        return g1 @ g2.T
-    if isinstance(problem, PhaseRetrieval):
-        x = rng.standard_normal(problem.d)
-        return x / np.linalg.norm(x)
-    raise TypeError(f"unknown problem: {problem!r}")
-
-
-def _predicted_width_sq(problem: Problem) -> float:
-    if isinstance(problem, SparseL1):
-        return width.sparse_width_bound(problem.s, problem.d)
-    if isinstance(problem, LowRankS1):
-        return width.rank_width_bound(problem.r, problem.d1, problem.d2)
-    # phase retrieval: the width bound scales like d; no closed-form constant
-    return float(problem.d)
-
+# sweeps
 
 def _cell_seed(root: int, m_index: int, trial: int) -> int:
     # stable per-cell seed derivation independent of evaluation order
@@ -152,32 +209,12 @@ def _run_cell(problem: Problem, m: int, cell_seed: int, eta: float,
               threshold: float, opts: solve.SolverOptions):
     """Solve one instance; returns (success, rel_error, iters, converged)."""
     rng = generator(cell_seed)
-    x_true = _draw_signal(problem, rng)
+    x_true = problem.draw(rng)
     op_seed = int(rng.integers(0, 2 ** 62))
     noise_seed = int(rng.integers(0, 2 ** 62))
-
-    if isinstance(problem, PhaseRetrieval):
-        op = measure.lifted_phase_ensemble(m, problem.d, seed=op_seed)
-        x_lift = np.outer(x_true, x_true)
-        y = measure.apply(op, x_lift)
-        res = solve.phase_retrieval_sdp(op, y, opts)
-        rel = float(np.linalg.norm(res.estimate - x_lift)
-                    / np.linalg.norm(x_true) ** 2)
-    else:
-        if isinstance(problem, SparseL1):
-            op = measure.gaussian_ensemble(m, problem.d, seed=op_seed)
-            f = L1Norm(d=problem.d)
-        else:
-            op = measure.gaussian_matrix_ensemble(m, problem.d1, problem.d2,
-                                                  seed=op_seed)
-            f = Schatten1Norm(shape=(problem.d1, problem.d2))
-        y = measure.measure_with_noise(op, x_true, noise_norm=eta,
-                                       seed=noise_seed)
-        res = solve.recover_constrained(f, op, y, eta, opts)
-        rel = float(np.linalg.norm(res.estimate - x_true)
-                    / np.linalg.norm(x_true))
-    success = res.converged and rel <= threshold
-    return success, rel, res.iterations, res.converged
+    res, rel = solve_instance(problem, m, x_true, op_seed, eta, noise_seed,
+                              opts)
+    return res.converged and rel <= threshold, rel, res.iterations, res.converged
 
 
 def run_phase_transition(config: ExperimentConfig) -> SweepResult:
@@ -200,7 +237,7 @@ def run_phase_transition(config: ExperimentConfig) -> SweepResult:
                              successes / config.trials,
                              float(np.mean(rels)), float(np.mean(iters)),
                              nonconv))
-    w_sq = _predicted_width_sq(config.problem)
+    w_sq = config.problem.width_sq()
     m_pred = width.sample_complexity_gaussian(math.sqrt(w_sq), config.margin)
     return SweepResult(tuple(rows), config.digest(), config.seed, w_sq, m_pred)
 
@@ -229,7 +266,7 @@ def run_error_curve(config: ExperimentConfig, eta_grid, m: int,
     bound is probabilistic, not certified).
     """
     if lambda_hat is None:
-        w = math.sqrt(_predicted_width_sq(config.problem))
+        w = math.sqrt(config.problem.width_sq())
         lambda_hat = max(width.gordon_lower_bound(m, w, t), 0.0)
         lambda_certified = False
     rows = []
@@ -253,33 +290,51 @@ def run_error_curve(config: ExperimentConfig, eta_grid, m: int,
 
 
 # ---------------------------------------------------------------------------
-# CSV emission
+# record output
 
-def emit_csv(result: SweepResult, path_or_file) -> None:
-    """Write a sweep as RFC-4180 CSV with '#' metadata comment lines.
+def write_records(records, fieldnames, out, fmt: str = "csv",
+                  meta: dict | None = None) -> None:
+    """Write dict records to a path or an open text file.
 
-    Output is deterministic: no timestamps, rows in grid order.
+    ``fmt="csv"``: an optional ``# k=v ...`` line from ``meta``, the header,
+    then one RFC-4180 row per record in ``fieldnames`` order.
+    ``fmt="json-lines"``: ``meta`` as the first object, then one object per
+    record, keys sorted.  Output is deterministic: no timestamps, records in
+    the order given.
     """
-    own = isinstance(path_or_file, str)
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
+    if fmt not in ("csv", "json-lines"):
+        raise ValueError(f"unknown record format {fmt!r}")
     try:
-        fh.write(f"# config_digest={result.config_digest} seed={result.seed} "
-                 f"predicted_width_sq={result.predicted_width_sq:.6f} "
-                 f"predicted_m={result.predicted_m}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["m", "successes", "trials", "success_rate",
-                         "mean_rel_error", "mean_solve_iters", "nonconverged"])
-        for row in result.rows:
-            writer.writerow([row.m, row.successes, row.trials,
-                             f"{row.success_rate:.6f}",
-                             f"{row.mean_rel_error:.6e}",
-                             f"{row.mean_solve_iters:.1f}",
-                             row.nonconverged])
+        with (open(out, "w", newline="") if isinstance(out, str)
+              else contextlib.nullcontext(out)) as fh:
+            if fmt == "json-lines":
+                for rec in ([meta] if meta else []) + list(records):
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                return
+            if meta:
+                fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items())
+                         + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(fieldnames)
+            writer.writerows([rec[k] for k in fieldnames] for rec in records)
     except OSError as exc:
-        raise OSError(f"failed writing sweep CSV to {path_or_file!r}: {exc}") from exc
-    finally:
-        if own:
-            fh.close()
+        raise OSError(f"failed writing records to {out!r}: {exc}") from exc
+
+
+def emit_csv(result: SweepResult, path_or_file, fmt: str = "csv") -> None:
+    """Write a sweep's rows in grid order, headed by its metadata (config
+    digest, seed, predicted width^2 and m); see ``write_records``."""
+    meta = {"config_digest": result.config_digest, "seed": result.seed,
+            "predicted_width_sq": f"{result.predicted_width_sq:.6f}",
+            "predicted_m": result.predicted_m}
+    records = [{"m": row.m, "successes": row.successes, "trials": row.trials,
+                "success_rate": f"{row.success_rate:.6f}",
+                "mean_rel_error": f"{row.mean_rel_error:.6e}",
+                "mean_solve_iters": f"{row.mean_solve_iters:.1f}",
+                "nonconverged": row.nonconverged} for row in result.rows]
+    write_records(records, ["m", "successes", "trials", "success_rate",
+                            "mean_rel_error", "mean_solve_iters",
+                            "nonconverged"], path_or_file, fmt, meta)
 
 
 def sweep_csv_text(result: SweepResult) -> str:

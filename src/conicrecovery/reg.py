@@ -218,15 +218,3 @@ class TracePSD(Regularizer):
     def _min_subgrad_norm(self):
         return 1.0
 
-
-def make_regularizer(kind: str, x_ref=None, **dims) -> Regularizer:
-    """Construct a regularizer by CLI name: 'l1', 's1', or 'trace-psd'."""
-    kind = kind.lower()
-    if kind == "l1":
-        return L1Norm(x_ref=x_ref, d=dims.get("d"))
-    if kind == "s1":
-        shape = (dims["d1"], dims["d2"]) if "d1" in dims else None
-        return Schatten1Norm(x_ref=x_ref, shape=shape)
-    if kind == "trace-psd":
-        return TracePSD(x_ref=x_ref, d=dims.get("d"))
-    raise ValueError(f"unknown regularizer kind: {kind}")

@@ -12,7 +12,7 @@ correction.  It needs only Phi, Phi^* and G, so both operator kinds share it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,17 +23,20 @@ from .reg import Regularizer, TracePSD
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """``max_iters`` caps the DR iterations.  ``tol`` is the relative
+    stopping tolerance: a solve converges once both the DR step ||v - x||
+    and the constraint violation of the prox iterate v are at most
+    ``tol * scale``, with scale = max(1, ||y||) (max(1, max |y_i|) for
+    PhaseLift)."""
+
     max_iters: int = 20_000
-    tol_primal: float = 1e-8
-    tol_dual: float = 1e-8
-    penalty: float = 1.0
-    record_history: bool = False
+    tol: float = 1e-8
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol_primal <= 0 or self.tol_dual <= 0 or self.penalty <= 0:
-            raise ValueError("tolerances and penalty must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,6 @@ class RecoveryResult:
     iterations: int
     converged: bool
     infeasible: bool = False
-    history: np.ndarray | None = field(default=None, compare=False)
 
 
 # eigh resolves the eigenvalues of G only to about m * eps * lambda_max;
@@ -98,29 +100,20 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector, shape, scale: float,
     used with the primal residual ||v - x|| for stopping.
     """
     w = np.zeros(math.prod(shape))
-    t = opts.penalty
     x = v = w
     converged = False
     it = 0
-    history = [] if opts.record_history else None
+    gate = opts.tol * scale
     for it in range(1, opts.max_iters + 1):
         x = proj(w)
-        v = f.prox((2.0 * x - w).reshape(shape), t).ravel()
+        v = f.prox((2.0 * x - w).reshape(shape), 1.0).ravel()
         step = v - x
         w = w + step
-        if history is not None:
-            # diagnostic envelope: best constraint violation achieved so
-            # far, which is nonincreasing by construction (the raw
-            # per-iteration violation oscillates under this splitting)
-            cur = feas_fn(v)
-            history.append(cur if not history else min(history[-1], cur))
         if it % 10 == 0 or it == opts.max_iters:
-            primal = np.linalg.norm(step)
-            if primal <= opts.tol_primal * scale and feas_fn(v) <= opts.tol_dual * scale:
+            if np.linalg.norm(step) <= gate and feas_fn(v) <= gate:
                 converged = True
                 break
-    hist = None if history is None else np.asarray(history)
-    return x, v, it, converged and not proj.infeasible, hist
+    return x, v, it, converged and not proj.infeasible
 
 
 def recover_constrained(f: Regularizer, op: MeasurementOperator,
@@ -141,12 +134,11 @@ def recover_constrained(f: Regularizer, op: MeasurementOperator,
     def feas(vflat):
         return max(0.0, float(np.linalg.norm(_forward(op, vflat) - y)) - eta)
 
-    x, v, iters, converged, hist = _douglas_rachford(
-        f, proj, shape, scale, opts, feas)
+    x, v, iters, converged = _douglas_rachford(f, proj, shape, scale, opts, feas)
     estimate = x.reshape(shape)  # projection output: feasible by construction
     residual = float(np.linalg.norm(_forward(op, x) - y))
     return RecoveryResult(estimate, f.value(estimate), residual, iters,
-                          converged, infeasible=proj.infeasible, history=hist)
+                          converged, infeasible=proj.infeasible)
 
 
 def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray,
@@ -171,14 +163,13 @@ def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray,
     def feas(vflat):
         return float(np.max(np.abs(_forward(op, vflat) - y))) if op.m else 0.0
 
-    x, v, iters, converged, hist = _douglas_rachford(
+    x, v, iters, converged = _douglas_rachford(
         TracePSD(d=d), proj, (d, d), scale, opts, feas)
     estimate = v.reshape(d, d)   # prox output: PSD by construction
     estimate = 0.5 * (estimate + estimate.T)
     violation = float(np.max(np.abs(_forward(op, estimate.ravel()) - y)))
     return RecoveryResult(estimate, float(np.trace(estimate)), violation,
-                          iters, converged, infeasible=proj.infeasible,
-                          history=hist)
+                          iters, converged, infeasible=proj.infeasible)
 
 
 def extract_rank1(x_mat: np.ndarray) -> tuple[np.ndarray, float]:

@@ -7,13 +7,32 @@ import json
 import pytest
 
 from conicrecovery import __version__, harness
-from conicrecovery.cli import main
+from conicrecovery.cli import _parse_problem, main
+
+SMALL_SWEEP = {"problem": {"kind": "sparse", "s": 1, "d": 8},
+               "m_grid": [4, 8], "trials": 2, "seed": 3}
+SMALL_CURVE = {"problem": {"kind": "sparse", "s": 1, "d": 8},
+               "eta_grid": [0.0, 0.1], "m": 8, "trials": 2, "seed": 3}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def config_path(tmp_path, cfg, name="cfg.json"):
+    path = str(tmp_path / name)
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    return path
+
+
+@pytest.fixture
+def config_paths(tmp_path):
+    """Paths of the small sweep and error-curve configs, for argv templates."""
+    return {"sweep": config_path(tmp_path, SMALL_SWEEP, "sweep.json"),
+            "curve": config_path(tmp_path, SMALL_CURVE, "curve.json")}
 
 
 class TestWidth:
@@ -51,6 +70,20 @@ class TestWidth:
         assert code == 0
         rec = json.loads(out.strip().split("\n")[0])
         assert rec["method"] == "closed-form-bound"
+
+    @pytest.mark.parametrize("argv, method", [
+        (("--problem", "lowrank", "--r", "1", "--d1", "4", "--d2", "4"),
+         "monte-carlo-descent"),
+        (("--problem", "subspace", "--k", "7"), "monte-carlo-subspace"),
+    ])
+    def test_monte_carlo_row(self, capsys, argv, method):
+        code, out, _ = run(capsys, "width", *argv, "--trials", "20",
+                           "--format", "json-lines")
+        assert code == 0
+        closed, mc = [json.loads(line) for line in out.splitlines()]
+        assert closed["method"] == "closed-form-bound"
+        assert mc["method"] == method and mc["trials"] == 20
+        assert float(mc["std_error"]) > 0
 
     def test_out_file(self, capsys, tmp_path):
         path = str(tmp_path / "w.csv")
@@ -175,6 +208,89 @@ class TestSweepCommand:
         assert out.strip().split("\n")[1].endswith(",0,2")
         code, _, _ = run(capsys, "error-curve", "--config", path, "--strict")
         assert code == 2
+
+
+class TestRecordFormats:
+    @pytest.mark.parametrize("argv", [
+        ("width", "--problem", "sparse", "--s", "2", "--d", "12",
+         "--trials", "10"),
+        ("smallball", "--d", "8", "--m", "10", "--trials", "50"),
+        ("lambda-min", "--d", "4", "--m", "8"),
+        ("recover", "--s", "1", "--d", "12", "--m", "10"),
+        ("phaselift", "--d", "2", "--m", "3"),
+        ("sweep", "--config", "{sweep}"),
+        ("error-curve", "--config", "{curve}"),
+    ])
+    def test_json_lines_keys_match_csv_header(self, capsys, config_paths,
+                                              argv):
+        argv = [a.format(**config_paths) for a in argv]
+        code, csv_out, _ = run(capsys, *argv)
+        assert code == 0
+        code, json_out, _ = run(capsys, *argv, "--format", "json-lines")
+        assert code == 0
+        header, *rows = [line for line in csv_out.splitlines()
+                         if not line.startswith("#")]
+        recs = [json.loads(line) for line in json_out.splitlines()]
+        if csv_out.startswith("#"):  # the metadata object comes first
+            recs = recs[1:]
+        assert len(recs) == len(rows) >= 1
+        assert all(sorted(rec) == sorted(header.split(",")) for rec in recs)
+
+    def test_sweep_json_lines(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "sweep", "--config",
+                           config_path(tmp_path, SMALL_SWEEP),
+                           "--format", "json-lines")
+        assert code == 0
+        meta, *rows = [json.loads(line) for line in out.splitlines()]
+        result = harness.run_phase_transition(harness.ExperimentConfig(
+            harness.SparseL1(1, 8), (4, 8), trials=2, seed=3))
+        assert meta == {"config_digest": result.config_digest, "seed": 3,
+                        "predicted_width_sq":
+                            f"{result.predicted_width_sq:.6f}",
+                        "predicted_m": result.predicted_m}
+        assert [(r["m"], r["successes"]) for r in rows] == [
+            (row.m, row.successes) for row in result.rows]
+
+    def test_sweep_csv_is_harness_csv(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "sweep", "--config",
+                           config_path(tmp_path, SMALL_SWEEP))
+        assert code == 0
+        assert out == harness.sweep_csv_text(harness.run_phase_transition(
+            harness.ExperimentConfig(harness.SparseL1(1, 8), (4, 8),
+                                     trials=2, seed=3)))
+
+
+class TestProblemConfig:
+    @pytest.mark.parametrize("spec, problem", [
+        ({"kind": "sparse", "s": 4, "d": 128}, harness.SparseL1(4, 128)),
+        ({"kind": "lowrank", "r": 1, "d1": 8, "d2": 6},
+         harness.LowRankS1(1, 8, 6)),
+        ({"kind": "phase", "d": 16}, harness.PhaseRetrieval(16)),
+    ])
+    def test_builds_each_kind(self, spec, problem):
+        assert _parse_problem({"problem": spec}) == problem
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "sparse", "s": 4},
+        {"kind": "lowrank", "r": 1, "d2": 6},
+        {"kind": "phase"},
+    ])
+    def test_missing_field_exits_1(self, capsys, tmp_path, spec):
+        cfg = {"problem": spec, "m_grid": [4], "trials": 1}
+        code, _, err = run(capsys, "sweep", "--config",
+                           config_path(tmp_path, cfg))
+        assert code == 1
+        assert "missing field" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--config", "{sweep}"),
+        ("error-curve", "--config", "{curve}"),
+        ("smallball", "--d", "8", "--m", "10"),
+    ])
+    def test_zero_trials_rejected(self, capsys, config_paths, argv):
+        code, out, _ = run(capsys, *[a.format(**config_paths) for a in argv],
+                           "--trials", "0")
+        assert code == 1 and out == ""
 
 
 class TestUsage:

@@ -1,4 +1,4 @@
-"""Phase-transition sweeps, error curves, and CSV emission."""
+"""Phase-transition sweeps, error curves, and record output."""
 
 import io
 
@@ -17,6 +17,7 @@ from conicrecovery.harness import (
     run_error_curve,
     run_phase_transition,
     sweep_csv_text,
+    write_records,
 )
 from conicrecovery.solve import SolverOptions
 
@@ -176,8 +177,12 @@ class TestCsv:
     def test_write_failure_has_path_context(self, tmp_path):
         res = run_phase_transition(small_config())
         bad = str(tmp_path / "no" / "such" / "dir.csv")
-        with pytest.raises(OSError):
+        with pytest.raises(OSError, match="dir.csv"):
             emit_csv(res, bad)
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError):
+            write_records([], ["m"], io.StringIO(), "xml")
 
     def test_stringio_target(self):
         res = run_phase_transition(small_config())

@@ -17,7 +17,6 @@ from conicrecovery.reg import (
     L1Norm,
     Schatten1Norm,
     TracePSD,
-    make_regularizer,
     project_psd,
 )
 from conicrecovery.rng import generator
@@ -367,13 +366,3 @@ class TestMinSubdiffDist:
                 _, val = f.min_subdiff_dist_sq(g)
                 assert val <= grid_min_dist_sq(f, g) + 1e-9
 
-
-class TestFactory:
-    def test_names(self):
-        assert isinstance(make_regularizer("l1", d=4), L1Norm)
-        assert isinstance(make_regularizer("s1", d1=2, d2=3), Schatten1Norm)
-        assert isinstance(make_regularizer("trace-psd", d=4), TracePSD)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_regularizer("tv", d=4)
