@@ -90,7 +90,7 @@ def _cmd_width(args) -> int:
         return EXIT_CONFIG
     recs = [{"value": f"{bound:.6f}", "std_error": 0.0, "trials": 0,
              "method": "closed-form-bound"}]
-    if trials:
+    if trials is not None:
         est = estimate(int(trials), seed)
         recs.append({"value": f"{est.value:.6f}",
                      "std_error": f"{est.std_error:.6f}",

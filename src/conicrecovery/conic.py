@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import MeasurementOperator, OperatorKind
-from .reg import Regularizer
+from .reg import Regularizer, level_threshold
 from .rng import generator
 
 MEMBERSHIP_TOL = 1e-12
@@ -149,31 +149,20 @@ def _heuristic_descent_lambda(mat: np.ndarray, f: Regularizer,
     """Projected gradient on ||Phi u||^2 over the descent cone's unit sphere.
 
     Cone projection is approximate: a point z near x_ref is pulled back
-    into the level set {f <= f(x_ref)} by increasing the prox step until
-    the level constraint holds.  The best value found is an upper bound
-    on lambda_min.
+    onto the level set {f <= f(x_ref)} by the prox step t that solves
+    f(prox(z, t)) = f(x_ref), found exactly from the spectrum of z.  The
+    best value found is an upper bound on lambda_min.
     """
     x = f.x_ref.ravel()
-    base = f.value(f.x_ref)
+    level = f.value(f.x_ref) + MEMBERSHIP_TOL
     scale = float(np.linalg.norm(x))
     step = 1.0 / (np.linalg.norm(mat, 2) ** 2)
     tau0 = 1e-3 * (scale if scale > 0 else 1.0)
 
     def project(u_raw: np.ndarray) -> np.ndarray | None:
         z = f.x_ref + tau0 * u_raw.reshape(f.ambient_shape)
-        if f.value(z) > base + MEMBERSHIP_TOL:
-            lo, hi = 0.0, 1.0
-            while f.value(f.prox(z, hi * tau0)) > base + MEMBERSHIP_TOL:
-                hi *= 2.0
-                if hi > 1e6:
-                    return None
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if f.value(f.prox(z, mid * tau0)) > base + MEMBERSHIP_TOL:
-                    lo = mid
-                else:
-                    hi = mid
-            z = f.prox(z, hi * tau0)
+        if f.value(z) > level:
+            z = f.prox(z, level_threshold(f.spectrum(z), level))
         u = (z.ravel() - x) / tau0
         n = np.linalg.norm(u)
         return None if n < 1e-12 else u / n

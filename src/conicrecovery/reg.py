@@ -3,14 +3,24 @@
 Each regularizer carries a reference point at which descent-cone
 quantities are taken.  ``subdiff_dist_sq(g, tau)`` is the exact squared
 distance from g to tau * (subdifferential at the reference point), in
-closed form; ``min_subdiff_dist_sq(g)`` minimizes it over tau >= 0 (the
-map is convex in tau, so a bracketed 1-D search is globally correct).
+closed form.  For all three regularizers it has the shape
+
+    base + r tau^2 - 2 c tau + sum_j (a_j - tau)_+^2,
+
+with a_j the off-support |g_i| (l1), the singular values of the block of
+g outside the reference frame (Schatten-1) or the eigenvalues of that
+block (trace+PSD); ``dist_terms`` returns (base, r, c, a) for a stack of
+points.  The map is convex and piecewise quadratic in tau, so
+``min_dist_sq`` minimizes it exactly after one sort of a (the statistical
+dimension calculus of Amelunxen-Lotz-McCoy-Tropp, "Living on the edge",
+2014).  ``level_threshold`` is the matching sort for the prox step that
+lands on a level set of f (Duchi et al., "Efficient projections onto the
+l1-ball", 2008).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 ZERO_TOL = 1e-12  # entries of the reference point below this count as zero
 
@@ -21,6 +31,43 @@ def project_psd(z: np.ndarray) -> np.ndarray:
     z = 0.5 * (z + z.T)
     lam, vecs = np.linalg.eigh(z)
     return (vecs * np.maximum(lam, 0.0)) @ vecs.T
+
+
+def min_dist_sq(base: np.ndarray, r: int, c: np.ndarray,
+                a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row, (tau*, min over tau >= 0) of
+    base + r tau^2 - 2 c tau + sum_j (a_j - tau)_+^2.
+
+    ``base`` and ``c`` have shape (n,), ``a`` has shape (n, k) and r > 0.
+    Where exactly the j largest a exceed tau, the stationary point is
+    (c + their sum) / (r + j); with a sorted in decreasing order, a_(j+1)
+    exceeds the minimizer iff a_(j+1) (r + j) > c + (sum of the j largest),
+    a condition that holds for a prefix of j (ties included).  The
+    minimizer over the real line is clamped to tau >= 0 by convexity.
+    """
+    a_desc = -np.sort(-a, axis=1)
+    sums = np.concatenate([np.zeros((len(a), 1)), np.cumsum(a_desc, axis=1)],
+                          axis=1)
+    active = np.count_nonzero(
+        a_desc * (r + np.arange(a.shape[1])) > c[:, None] + sums[:, :-1], axis=1)
+    tau = np.maximum((c + sums[np.arange(len(a)), active]) / (r + active), 0.0)
+    tail = np.sum(np.maximum(a - tau[:, None], 0.0) ** 2, axis=1)
+    return tau, base + tau * (r * tau - 2.0 * c) + tail
+
+
+def level_threshold(a: np.ndarray, level: float) -> float:
+    """The t >= 0 with sum_j (a_j - t)_+ = level, or 0 when no t >= 0 reaches
+    it; ``level`` > 0.
+
+    As in ``min_dist_sq``, a sorted in decreasing order has a_(j+1) above
+    the root iff (sum of the j largest) - j a_(j+1) < level, which holds
+    for a prefix of j (at least j = 0).
+    """
+    a_desc = -np.sort(-np.asarray(a, dtype=float).ravel())
+    sums = np.cumsum(a_desc)
+    j = np.arange(a_desc.size)
+    active = int(np.count_nonzero(sums - a_desc * (j + 1) < level))
+    return max(float((sums[active - 1] - level) / active), 0.0)
 
 
 class Regularizer:
@@ -34,27 +81,27 @@ class Regularizer:
     def prox(self, z: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
+    def spectrum(self, z: np.ndarray) -> np.ndarray:
+        """The a_j with f(prox(z, t)) = sum_j (a_j - t)_+ for t >= 0."""
+        raise NotImplementedError
+
     def subdiff_dist_sq(self, g: np.ndarray, tau: float) -> float:
         raise NotImplementedError
 
-    def _min_subgrad_norm(self) -> float:
+    def dist_terms(self, g: np.ndarray) -> tuple[np.ndarray, int, np.ndarray,
+                                                  np.ndarray]:
+        """(base, r, c, a) of subdiff_dist_sq for each point of the stack g,
+        of shape (n, *ambient_shape); see the module docstring."""
         raise NotImplementedError
 
     def min_subdiff_dist_sq(self, g: np.ndarray) -> tuple[float, float]:
-        """Return (tau*, min over tau >= 0 of subdiff_dist_sq(g, tau))."""
-        g = np.asarray(g, dtype=float)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm == 0.0:
-            return 0.0, 0.0
-        tau_max = 10.0 * gnorm / self._min_subgrad_norm() + 1.0
-        res = minimize_scalar(lambda t: self.subdiff_dist_sq(g, t),
-                              bounds=(0.0, tau_max), method="bounded",
-                              options={"xatol": 1e-9})
-        tau_star, val = float(res.x), float(res.fun)
-        at_zero = self.subdiff_dist_sq(g, 0.0)
-        if at_zero < val:
-            tau_star, val = 0.0, at_zero
-        return tau_star, val
+        """Return (tau*, inf over tau >= 0 of subdiff_dist_sq(g, tau)).
+
+        At tau* = 0 the value is the tau -> 0+ limit of the closed form,
+        which for TracePSD lies below subdiff_dist_sq(g, 0) = ||g||^2.
+        """
+        tau, val = min_dist_sq(*self.dist_terms(np.asarray(g, dtype=float)[None]))
+        return float(tau[0]), float(val[0])
 
 
 class L1Norm(Regularizer):
@@ -77,6 +124,9 @@ class L1Norm(Regularizer):
         z = np.asarray(z, dtype=float)
         return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
+    def spectrum(self, z):
+        return np.abs(np.asarray(z, dtype=float)).ravel()
+
     def _support(self):
         if self.x_ref is None:
             raise ValueError("descent-cone operations need a reference point")
@@ -93,8 +143,11 @@ class L1Norm(Regularizer):
         off = np.maximum(np.abs(g[~supp]) - tau, 0.0)
         return float(np.dot(on, on) + np.dot(off, off))
 
-    def _min_subgrad_norm(self):
-        return float(np.sqrt(np.count_nonzero(self._support())))
+    def dist_terms(self, g):
+        supp = self._support()
+        on = g[:, supp]
+        return (np.sum(on * on, axis=1), int(np.count_nonzero(supp)),
+                on @ np.sign(self.x_ref[supp]), np.abs(g[:, ~supp]))
 
 
 class Schatten1Norm(Regularizer):
@@ -122,6 +175,9 @@ class Schatten1Norm(Regularizer):
         u, s, vt = np.linalg.svd(np.asarray(z, dtype=float), full_matrices=False)
         return (u * np.maximum(s - t, 0.0)) @ vt
 
+    def spectrum(self, z):
+        return np.linalg.svd(np.asarray(z, dtype=float), compute_uv=False)
+
     def _frame(self):
         if self.x_ref is None:
             raise ValueError("descent-cone operations need a reference point")
@@ -146,9 +202,13 @@ class Schatten1Norm(Regularizer):
             tail = 0.0
         return float(corner + cross + tail)
 
-    def _min_subgrad_norm(self):
-        _, _, r = self._frame()
-        return float(np.sqrt(r))
+    def dist_terms(self, g):
+        u, vt, r = self._frame()
+        gp = u.T @ g @ vt.T
+        base = (np.sum(gp[:, :r] ** 2, axis=(1, 2))
+                + np.sum(gp[:, r:, :r] ** 2, axis=(1, 2)))
+        c = np.trace(gp[:, :r, :r], axis1=1, axis2=2)
+        return base, r, c, np.linalg.svd(gp[:, r:, r:], compute_uv=False)
 
 
 class TracePSD(Regularizer):
@@ -194,6 +254,10 @@ class TracePSD(Regularizer):
         lam, vecs = np.linalg.eigh(z)
         return (vecs * np.maximum(lam - t, 0.0)) @ vecs.T
 
+    def spectrum(self, z):
+        z = np.asarray(z, dtype=float)
+        return np.linalg.eigvalsh(0.5 * (z + z.T))
+
     def subdiff_dist_sq(self, g, tau):
         if self.x_ref is None:
             raise ValueError("descent-cone operations need a reference point")
@@ -215,6 +279,13 @@ class TracePSD(Regularizer):
             tail = 0.0
         return float(head + tail)
 
-    def _min_subgrad_norm(self):
-        return 1.0
+    def dist_terms(self, g):
+        if self.x_ref is None:
+            raise ValueError("descent-cone operations need a reference point")
+        q = self._frame_q
+        h = q.T @ g @ q
+        h11 = h[:, 0, 0]
+        h22 = h[:, 1:, 1:]
+        lam = np.linalg.eigvalsh(0.5 * (h22 + h22.transpose(0, 2, 1)))
+        return h11 ** 2 + 2.0 * np.sum(h[:, 1:, 0] ** 2, axis=1), 1, h11, lam
 

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conic import Subspace
-from .reg import Regularizer
-from .rng import spawn_generators
+from .reg import Regularizer, min_dist_sq
+from .rng import chunks, spawn_generators
 
 RowSampler = Callable[[np.random.Generator, int], np.ndarray]
 
@@ -81,8 +81,9 @@ def estimate_marginal_tail(phi_sampler: RowSampler,
     """Estimate Q_xi = inf over unit directions of P{|<u, phi>| >= xi}.
 
     A sequence of thresholds shares one sample set, which makes the
-    estimates exactly nonincreasing in xi.  Directions must be unit norm
-    elements of the index set.
+    estimates exactly nonincreasing in xi.  The samples are drawn in
+    ``rng.chunks`` and only their exceedance counts are kept.
+    Directions must be unit norm elements of the index set.
     """
     if n_dirs < 1 or n_samples < 1:
         raise ValueError("need n_dirs >= 1 and n_samples >= 1")
@@ -97,24 +98,30 @@ def estimate_marginal_tail(phi_sampler: RowSampler,
         raise ValueError("direction sampler produced a (near) zero vector")
     if np.any(np.abs(norms - 1.0) > 1e-8):
         raise ValueError("directions must be unit norm")
-    phis = np.asarray(phi_sampler(rng_phi, n_samples), dtype=float)
-    phis = phis.reshape(n_samples, -1)
-    inner = np.abs(phis @ dirs.T)  # (n_samples, n_dirs)
+    counts = np.zeros((len(xis), n_dirs), dtype=np.int64)
+    for start, stop in chunks(n_samples, dirs.shape[1]):
+        n = stop - start
+        phis = np.asarray(phi_sampler(rng_phi, n), dtype=float).reshape(n, -1)
+        inner = np.abs(phis @ dirs.T)  # (n, n_dirs)
+        for i, x in enumerate(xis):
+            counts[i] += np.count_nonzero(inner >= x, axis=0)
     out = []
-    for x in xis:
-        freq = np.mean(inner >= x, axis=0)  # per direction
+    for x, count in zip(xis, counts):
+        freq = count / n_samples  # per direction
         out.append(TailEstimate(float(x), float(freq.min()), float(freq.mean()),
                                 n_dirs, n_samples, seed))
     return out[0] if np.isscalar(xi) else out
 
 
-def _empirical_width_sample(phi_sampler: RowSampler, m: int,
-                            rng_phi: np.random.Generator,
-                            rng_signs: np.random.Generator) -> np.ndarray:
-    phis = np.asarray(phi_sampler(rng_phi, m), dtype=float)
-    signs = rng_signs.choice([-1.0, 1.0], size=m)
-    shape = (m,) + (1,) * (phis.ndim - 1)
-    return np.sum(signs.reshape(shape) * phis, axis=0) / math.sqrt(m)
+def _empirical_width_samples(phi_sampler: RowSampler, m: int, n: int,
+                             rng_phi: np.random.Generator,
+                             rng_signs: np.random.Generator) -> np.ndarray:
+    """n draws of h = m^{-1/2} sum_i eps_i phi_i, stacked on axis 0."""
+    phis = np.asarray(phi_sampler(rng_phi, n * m), dtype=float)
+    phis = phis.reshape(n, m, *phis.shape[1:])
+    signs = rng_signs.choice([-1.0, 1.0], size=(n, m))
+    shape = (n, m) + (1,) * (phis.ndim - 2)
+    return np.sum(signs.reshape(shape) * phis, axis=1) / math.sqrt(m)
 
 
 def estimate_mean_empirical_width(phi_sampler: RowSampler,
@@ -142,7 +149,7 @@ def estimate_mean_empirical_width(phi_sampler: RowSampler,
             raise ValueError("dense net evaluation is refused above d = 3; "
                              "use a duality route")
     for i in range(trials):
-        h = _empirical_width_sample(phi_sampler, m, rng_phi, rng_signs)
+        h = _empirical_width_samples(phi_sampler, m, 1, rng_phi, rng_signs)[0]
         if isinstance(index_set, str) and index_set == "sphere":
             vals[i] = np.linalg.norm(h)
         elif isinstance(index_set, Subspace):
@@ -162,16 +169,18 @@ def bowling_width_descent(f: Regularizer, phi_sampler: RowSampler,
 
     Each trial forms h = m^{-1/2} sum_i eps_i phi_i and evaluates
     sqrt(inf_tau dist^2(h, tau * subdiff)); the mean upper-bounds the mean
-    empirical width of the descent cone under any row ensemble.
+    empirical width of the descent cone under any row ensemble.  Trials
+    are drawn and evaluated in ``rng.chunks``.
     """
     if m < 1 or trials < 1:
         raise ValueError("need m >= 1 and trials >= 1")
     rng_phi, rng_signs = spawn_generators(seed, 2)
     vals = np.empty(trials)
-    for i in range(trials):
-        h = _empirical_width_sample(phi_sampler, m, rng_phi, rng_signs)
-        _, dist_sq = f.min_subdiff_dist_sq(h.reshape(f.ambient_shape))
-        vals[i] = math.sqrt(max(dist_sq, 0.0))
+    for start, stop in chunks(trials, m * math.prod(f.ambient_shape)):
+        n = stop - start
+        h = _empirical_width_samples(phi_sampler, m, n, rng_phi, rng_signs)
+        _, dist_sq = min_dist_sq(*f.dist_terms(h.reshape(n, *f.ambient_shape)))
+        vals[start:stop] = np.sqrt(np.maximum(dist_sq, 0.0))
     se = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return EmpiricalWidthEstimate(m, float(np.mean(vals)), se, trials, seed)
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reg import Regularizer
-from .rng import generator
+from .reg import Regularizer, min_dist_sq
+from .rng import chunks, generator
 
 
 class WidthMethod(enum.Enum):
@@ -80,16 +80,16 @@ def mc_width_sq_descent(f: Regularizer, trials: int = 2000,
     """Monte Carlo upper-bound estimate of the descent cone's squared width.
 
     Averages min_subdiff_dist_sq over i.i.d. standard Gaussian ambient
-    points.  The reduction order is fixed, so the result is deterministic
-    in (f, trials, seed).
+    points, drawn and evaluated in ``rng.chunks``.  The reduction order is
+    fixed, so the result is deterministic in (f, trials, seed).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = generator(seed)
     vals = np.empty(trials)
-    for i in range(trials):
-        g = rng.standard_normal(f.ambient_shape)
-        _, vals[i] = f.min_subdiff_dist_sq(g)
+    for start, stop in chunks(trials, math.prod(f.ambient_shape)):
+        g = rng.standard_normal((stop - start, *f.ambient_shape))
+        _, vals[start:stop] = min_dist_sq(*f.dist_terms(g))
     se = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return WidthEstimate(float(np.mean(vals)), se, trials,
                          WidthMethod.MONTE_CARLO_DESCENT)
@@ -105,11 +105,14 @@ def mc_subspace_width_sq(k: int, trials: int = 10_000,
     """
     if k < 0:
         raise ValueError("subspace dimension must be nonnegative")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if k == 0:
         return WidthEstimate(0.0, 0.0, trials, WidthMethod.MONTE_CARLO_SUBSPACE)
     rng = generator(seed)
     norms = np.linalg.norm(rng.standard_normal((trials, k)), axis=1)
     mean = float(np.mean(norms))
-    se_mean = float(np.std(norms, ddof=1) / math.sqrt(trials))
+    se_mean = (float(np.std(norms, ddof=1) / math.sqrt(trials))
+               if trials > 1 else 0.0)
     return WidthEstimate(mean * mean, 2.0 * mean * se_mean, trials,
                          WidthMethod.MONTE_CARLO_SUBSPACE)

@@ -85,6 +85,13 @@ class TestWidth:
         assert mc["method"] == method and mc["trials"] == 20
         assert float(mc["std_error"]) > 0
 
+    def test_single_subspace_trial(self, capsys):
+        code, out, err = run(capsys, "width", "--problem", "subspace", "--k", "3",
+                             "--trials", "1", "--format", "json-lines")
+        assert code == 0 and err == ""
+        mc = json.loads(out.splitlines()[1])
+        assert mc["trials"] == 1 and mc["std_error"] == "0.000000"
+
     def test_out_file(self, capsys, tmp_path):
         path = str(tmp_path / "w.csv")
         code, out, _ = run(capsys, "width", "--problem", "sparse",
@@ -286,6 +293,8 @@ class TestProblemConfig:
         ("sweep", "--config", "{sweep}"),
         ("error-curve", "--config", "{curve}"),
         ("smallball", "--d", "8", "--m", "10"),
+        ("width", "--problem", "subspace", "--k", "3"),
+        ("width", "--problem", "sparse", "--s", "2", "--d", "16"),
     ])
     def test_zero_trials_rejected(self, capsys, config_paths, argv):
         code, out, _ = run(capsys, *[a.format(**config_paths) for a in argv],

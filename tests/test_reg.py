@@ -2,8 +2,9 @@
 
 The nontrivial distance formulas are cross-checked against independent
 iterative oracles: projected gradient over the explicit description of
-the scaled subdifferential set, and dense tau-grid search for the
-minimization over the scale.
+the scaled subdifferential set, and dense tau-grid search and a bounded
+Brent search for the minimization over the scale.  The exact level-set
+threshold is checked against a bisection on f(prox(z, t)).
 """
 
 import math
@@ -12,11 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from conicrecovery.reg import (
     L1Norm,
     Schatten1Norm,
     TracePSD,
+    level_threshold,
+    min_dist_sq,
     project_psd,
 )
 from conicrecovery.rng import generator
@@ -105,6 +109,37 @@ TAU_GRID = np.arange(0.0, 10.0 + 1e-9, 1e-3)
 
 def grid_min_dist_sq(f, g):
     return min(f.subdiff_dist_sq(g, t) for t in TAU_GRID)
+
+
+def rank_one(v):
+    return np.outer(v, v)
+
+
+def brent_min_dist_sq(f, g):
+    """Bounded Brent search of subdiff_dist_sq over tau in (0, 2||g|| + 1],
+    then the value at tau = 0.  The minimizer is at most ||g||: it is
+    (c + sum of the active a) / (r + k) with c <= sqrt(r) ||g|| and every
+    a <= ||g||."""
+    res = minimize_scalar(lambda t: f.subdiff_dist_sq(g, t),
+                          bounds=(0.0, 2.0 * float(np.linalg.norm(g)) + 1.0),
+                          method="bounded", options={"xatol": 1e-9})
+    at_zero = f.subdiff_dist_sq(g, 0.0)
+    return (0.0, at_zero) if at_zero < res.fun else (float(res.x), float(res.fun))
+
+
+def bisection_threshold(f, z, level, scale):
+    """The prox step t with f(prox(z, t)) = level by doubling, then 60
+    halvings of the bracket, in units of ``scale``."""
+    lo, hi = 0.0, 1.0
+    while f.value(f.prox(z, hi * scale)) > level:
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if f.value(f.prox(z, mid * scale)) > level:
+            lo = mid
+        else:
+            hi = mid
+    return hi * scale
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +385,8 @@ class TestMinSubdiffDist:
         assert val <= grid_min_dist_sq(f, g) + 1e-9
 
     def test_global_optimality_on_tau_grid(self):
-        # convexity in tau makes the bracketed search global; check
-        # against a dense grid for all three regularizer families
+        # the sorted minimization is exact over tau >= 0; check against a
+        # dense grid for all three regularizer families
         rng = generator(44)
         fs = [
             L1Norm(np.array([1.0, -2.0, 0.0, 0.0, 0.5])),
@@ -366,3 +401,143 @@ class TestMinSubdiffDist:
                 _, val = f.min_subdiff_dist_sq(g)
                 assert val <= grid_min_dist_sq(f, g) + 1e-9
 
+
+
+class TestSortedKernel:
+    @pytest.mark.parametrize("make", [
+        lambda rng: L1Norm(np.r_[1.0, -1.0, 1.0, 1.0, np.zeros(124)]),
+        lambda rng: L1Norm(np.where(rng.random(9) < 0.5, 0.0, 1.0) + np.eye(9)[0]),
+        lambda rng: Schatten1Norm(rng.standard_normal((8, 1))
+                                  @ rng.standard_normal((1, 8))),
+        lambda rng: Schatten1Norm(rng.standard_normal((5, 2))
+                                  @ rng.standard_normal((2, 7))),
+        lambda rng: TracePSD(rank_one(rng.standard_normal(6))),
+    ])
+    def test_matches_brent_on_random_points(self, make):
+        rng = generator(45)
+        f = make(rng)
+        for _ in range(100):
+            g = rng.standard_normal(f.ambient_shape) * rng.uniform(0.1, 3.0)
+            if isinstance(f, TracePSD):
+                g = 0.5 * (g + g.T)
+            tau_b, val_b = brent_min_dist_sq(f, g)
+            tau, val = f.min_subdiff_dist_sq(g)
+            scale = 1.0 + float(np.sum(g * g))
+            # exact minimizer: never worse than Brent beyond rounding
+            assert val <= val_b + 1e-14 * scale
+            if tau > 0.0:
+                assert val == pytest.approx(val_b, abs=1e-12 * scale)
+                assert tau == pytest.approx(tau_b, abs=1e-6)
+                assert val == pytest.approx(f.subdiff_dist_sq(g, tau),
+                                            abs=1e-12 * scale)
+            else:  # Brent stops within its tolerance of the bound
+                assert val == pytest.approx(val_b, abs=1e-8 * scale)
+
+    def test_rows_are_independent(self):
+        rng = generator(46)
+        f = Schatten1Norm(rng.standard_normal((4, 1)) @ rng.standard_normal((1, 5)))
+        gs = rng.standard_normal((7, 4, 5))
+        tau, val = min_dist_sq(*f.dist_terms(gs))
+        for i, g in enumerate(gs):
+            assert (tau[i], val[i]) == f.min_subdiff_dist_sq(g)
+
+    def test_full_support_l1(self):
+        # s = d: no off-support terms, tau* = <g, sign x>/d
+        f = L1Norm(np.array([1.0, -2.0, 0.5]))
+        g = np.array([0.3, -1.0, 2.0])
+        tau, val = f.min_subdiff_dist_sq(g)
+        sgn = np.array([1.0, -1.0, 1.0])
+        assert tau == pytest.approx(3.3 / 3.0, abs=1e-15)
+        assert val == pytest.approx(float(np.sum((g - tau * sgn) ** 2)), abs=1e-14)
+
+    def test_full_rank_schatten1(self):
+        # empty g22: dist^2 = ||g - tau U V^t||^2, tau* = tr(U^t g V)/r
+        rng = generator(47)
+        x = rng.standard_normal((3, 3))
+        f = Schatten1Norm(x)
+        u, _, vt = np.linalg.svd(x)
+        g = u @ vt + 0.1 * rng.standard_normal((3, 3))
+        tau, val = f.min_subdiff_dist_sq(g)
+        assert tau == pytest.approx(np.trace(u.T @ g @ vt.T) / 3.0, abs=1e-14)
+        assert val == pytest.approx(np.linalg.norm(g - tau * u @ vt) ** 2, abs=1e-13)
+
+    def test_tied_off_support_values(self):
+        # c = 0, a = (2, 2, 2, 2): all four active, tau* = 8/5
+        f = L1Norm(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+        g = np.array([0.0, 2.0, 2.0, -2.0, 2.0])
+        tau, val = f.min_subdiff_dist_sq(g)
+        assert tau == pytest.approx(1.6, abs=1e-15)
+        assert val == pytest.approx(1.6 ** 2 + 4 * 0.4 ** 2, abs=1e-14)
+
+    def test_all_values_below_minimizer(self):
+        f = L1Norm(np.array([1.0, 0.0, 0.0]))
+        tau, val = f.min_subdiff_dist_sq(np.array([3.0, 0.1, -0.2]))
+        assert tau == 3.0 and val == 0.0
+
+    def test_clamped_at_zero(self):
+        f = L1Norm(np.array([1.0, 0.0, 0.0]))
+        g = np.array([-3.0, 0.1, 0.2])
+        tau, val = f.min_subdiff_dist_sq(g)
+        assert tau == 0.0
+        assert val == pytest.approx(float(np.sum(g * g)), abs=1e-14)
+
+    @pytest.mark.parametrize("f", [
+        Schatten1Norm(np.diag([2.0, 0.0])),
+        TracePSD(np.diag([1.0, 0.0, 0.0])),
+    ])
+    def test_zero_point_matrix(self, f):
+        assert f.min_subdiff_dist_sq(np.zeros(f.ambient_shape)) == (0.0, 0.0)
+
+    def test_trace_psd_limit_at_zero(self):
+        # h11 < 0 clamps tau* to 0; the value is the tau -> 0+ limit
+        # h11^2 + sum lambda_+(h22)^2 = 1 + 0.25, below ||g||^2 = 5.25,
+        # which the bounded Brent search approaches from above
+        f = TracePSD(np.diag([1.0, 0.0, 0.0]))
+        g = np.diag([-1.0, 0.5, -2.0])
+        tau, val = f.min_subdiff_dist_sq(g)
+        assert tau == 0.0
+        assert val == pytest.approx(1.25, abs=1e-15)
+        assert f.subdiff_dist_sq(g, 0.0) == pytest.approx(5.25)
+        assert brent_min_dist_sq(f, g)[1] == pytest.approx(1.25, abs=1e-6)
+
+
+class TestLevelThreshold:
+    @pytest.mark.parametrize("make", [
+        lambda rng: L1Norm(np.r_[1.0, -1.0, np.zeros(14)]),
+        lambda rng: Schatten1Norm(rng.standard_normal((6, 1))
+                                  @ rng.standard_normal((1, 5))),
+        lambda rng: TracePSD(rank_one(rng.standard_normal(5))),
+    ])
+    def test_matches_bisection(self, make):
+        rng = generator(48)
+        f = make(rng)
+        level = f.value(f.x_ref) + 1e-12
+        scale = 1e-3 * float(np.linalg.norm(f.x_ref))
+        checked = 0
+        for _ in range(30):
+            u = rng.standard_normal(f.ambient_shape)
+            if isinstance(f, TracePSD):
+                u = 0.5 * (u + u.T)
+            z = f.x_ref + scale * u
+            if f.value(z) <= level:
+                continue
+            t = level_threshold(f.spectrum(z), level)
+            # both err by the rounding of f (a few ulps of level) over the
+            # slope df/dt, which is at least 1 in magnitude
+            assert t == pytest.approx(bisection_threshold(f, z, level, scale),
+                                      abs=1e-13 * level)
+            if t > 0.0:
+                assert f.value(f.prox(z, t)) == pytest.approx(level, rel=1e-13)
+            else:  # the positive part of z is already inside the level set
+                assert f.value(f.prox(z, t)) <= level
+            checked += 1
+        assert checked >= 10
+
+    def test_ties(self):
+        # sum (a - t)_+ = 3 over a = (2, 2, 2, 0.5): t = 1
+        assert level_threshold(np.array([2.0, 0.5, 2.0, 2.0]), 3.0) == 1.0
+
+    def test_zero_when_level_exceeds_positive_part(self):
+        # a non-PSD point whose positive part is already inside the level
+        # set: the step is 0 and the prox is the PSD projection
+        assert level_threshold(np.array([0.5, -3.0, 0.2]), 1.0) == 0.0

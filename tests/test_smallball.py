@@ -13,9 +13,10 @@ from conicrecovery.measure import (
     lifted_row_sampler,
     rademacher_atom,
     bounded_row_sampler,
+    uniform_atom,
 )
 from conicrecovery.reg import L1Norm, TracePSD
-from conicrecovery.rng import generator
+from conicrecovery.rng import CHUNK_ITEMS, generator, spawn_generators
 from conicrecovery.smallball import (
     SubgaussianParams,
     bowling_width_descent,
@@ -33,6 +34,13 @@ def sphere_dirs(d):
         g = rng.standard_normal((n, d))
         return g / np.linalg.norm(g, axis=1, keepdims=True)
     return sample
+
+
+ROW_SAMPLERS = {
+    "gaussian": lambda d: gaussian_row_sampler(d),
+    "rademacher": lambda d: bounded_row_sampler(d, rademacher_atom()),
+    "uniform": lambda d: bounded_row_sampler(d, uniform_atom()),
+}
 
 
 class TestMarginalTail:
@@ -85,6 +93,21 @@ class TestMarginalTail:
         b = estimate_marginal_tail(gaussian_row_sampler(3), sphere_dirs(3),
                                    0.5, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("sampler", ROW_SAMPLERS)
+    def test_chunks_equal_one_sample_set(self, sampler):
+        # reference: every sample drawn in one call, all inner products kept
+        d, n_dirs, n_samples, seed = 6, 9, 4 * CHUNK_ITEMS + 37, 12
+        xis = [0.0, 0.3, 0.8, 1.5]
+        phi = ROW_SAMPLERS[sampler](d)
+        rng_dirs, rng_phi = spawn_generators(seed, 2)
+        dirs = sphere_dirs(d)(rng_dirs, n_dirs)
+        inner = np.abs(phi(rng_phi, n_samples) @ dirs.T)
+        ests = estimate_marginal_tail(phi, sphere_dirs(d), xis, n_dirs=n_dirs,
+                                      n_samples=n_samples, seed=seed)
+        for x, est in zip(xis, ests):
+            freq = np.mean(inner >= x, axis=0)
+            assert (est.q_min, est.q_mean) == (float(freq.min()), float(freq.mean()))
 
 
 class TestEmpiricalWidth:
@@ -235,6 +258,24 @@ class TestBowlingScheme:
         a = bowling_width_descent(f, gaussian_row_sampler(3), 8, 20, seed=1)
         b = bowling_width_descent(f, gaussian_row_sampler(3), 8, 20, seed=1)
         assert a == b
+
+    @pytest.mark.parametrize("sampler", ROW_SAMPLERS)
+    @pytest.mark.parametrize("m", [63, 64])
+    def test_chunks_equal_per_trial_loop(self, sampler, m):
+        # one draw of m rows and m signs per trial, one minimization per trial
+        d, trials, seed = 5, CHUNK_ITEMS + 45, 17
+        f = L1Norm(np.array([1.0, 0.0, -2.0, 0.0, 0.0]))
+        phi = ROW_SAMPLERS[sampler](d)
+        rng_phi, rng_signs = spawn_generators(seed, 2)
+        vals = np.empty(trials)
+        for i in range(trials):
+            phis = phi(rng_phi, m)
+            signs = rng_signs.choice([-1.0, 1.0], size=m)
+            h = np.sum(signs[:, None] * phis, axis=0) / math.sqrt(m)
+            vals[i] = math.sqrt(max(f.min_subdiff_dist_sq(h)[1], 0.0))
+        est = bowling_width_descent(f, phi, m, trials, seed=seed)
+        assert est.w_hat == float(np.mean(vals))
+        assert est.std_error == float(np.std(vals, ddof=1) / math.sqrt(trials))
 
 
 class TestSmallBallValidity:

@@ -3,11 +3,13 @@ sample-complexity threshold."""
 
 import math
 
+import warnings
+
 import numpy as np
 import pytest
 
-from conicrecovery.reg import L1Norm
-from conicrecovery.rng import generator
+from conicrecovery.reg import L1Norm, Schatten1Norm, TracePSD
+from conicrecovery.rng import CHUNK_ITEMS, generator
 from conicrecovery.width import (
     WidthEstimate,
     WidthMethod,
@@ -122,6 +124,21 @@ class TestMcDescent:
         with pytest.raises(ValueError):
             mc_width_sq_descent(L1Norm(np.ones(2)), trials=0)
 
+    @pytest.mark.parametrize("f", [
+        L1Norm(np.r_[1.0, 0.0, -1.0, np.zeros(13)]),
+        Schatten1Norm(np.outer([1.0, 2.0, 0.0, -1.0], [0.5, 0.0, 1.0, 1.0, 3.0])),
+        TracePSD(np.outer([1.0, -1.0, 2.0], [1.0, -1.0, 2.0])),
+    ])
+    def test_chunks_equal_per_trial_loop(self, f):
+        # one draw per trial, one minimization per trial
+        trials, seed = CHUNK_ITEMS + 45, 8
+        rng = generator(seed)
+        vals = np.array([f.min_subdiff_dist_sq(rng.standard_normal(f.ambient_shape))[1]
+                         for _ in range(trials)])
+        est = mc_width_sq_descent(f, trials=trials, seed=seed)
+        assert est.value == float(np.mean(vals))
+        assert est.std_error == float(np.std(vals, ddof=1) / math.sqrt(trials))
+
 
 class TestSubspaceSandwich:
     def test_sandwich_k_1_to_20(self):
@@ -133,6 +150,19 @@ class TestSubspaceSandwich:
     def test_zero_dim(self):
         est = mc_subspace_width_sq(0)
         assert est.value == 0.0 and est.std_error == 0.0
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_rejects_nonpositive_trials(self, k, trials):
+        with pytest.raises(ValueError):
+            mc_subspace_width_sq(k, trials=trials)
+
+    def test_single_trial_has_zero_std_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mc_subspace_width_sq(3, trials=1, seed=2)
+        assert est.std_error == 0.0 and est.trials == 1
+        assert est.value == float(np.linalg.norm(generator(2).standard_normal(3))) ** 2
 
     def test_exact_mean_norm_oracle(self):
         # E||g_k|| = sqrt(2) * Gamma((k+1)/2) / Gamma(k/2); check k = 5
