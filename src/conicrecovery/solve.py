@@ -3,10 +3,11 @@
 Both programs -- norm minimization over a residual ball, and trace
 minimization over the PSD cone with affine data constraints -- are solved
 by Douglas-Rachford splitting between the regularizer's prox and an exact
-projection onto the data-consistency set.  The ball projection reduces to
-a 1-D root-find on the Lagrange multiplier in the eigenbasis of the Gram
-matrix G = Phi Phi^*; the affine (eta = 0) projection is the pseudo-inverse
-correction.  It needs only Phi, Phi^* and G, so both operator kinds share it.
+projection onto the data-consistency set.  In the eigenbasis of the Gram
+matrix G = Phi Phi^*, the ball projection's Lagrange multiplier solves a
+trust-region secular equation, which warm-started Newton solves in a few
+steps; the affine (eta = 0) projection is the pseudo-inverse correction.  It
+needs only Phi, Phi^* and G, so both operator kinds share it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+# bench/layers.py times its solve.rootfind layer through this name
+from scipy.optimize import brentq  # noqa: F401
 
 from .measure import MeasurementOperator, OperatorKind, _adjoint, _forward, gram
 from .reg import Regularizer, TracePSD
@@ -48,47 +50,77 @@ class RecoveryResult:
     converged: bool
     infeasible: bool = False
 
+    @property
+    def stop_reason(self) -> str:
+        """Why the solve stopped: ``infeasible`` (the data-consistency set
+        is empty), ``converged`` or ``max_iters``."""
+        if self.infeasible:
+            return "infeasible"
+        return "converged" if self.converged else "max_iters"
+
 
 # eigh resolves the eigenvalues of G only to about m * eps * lambda_max;
 # smaller ones are taken as zero (rank-deficient operator)
 _EIG_CUT = 10.0 * np.finfo(float).eps
-
-
-def _excess(mu: float, c: np.ndarray, lam: np.ndarray, offset: float) -> float:
-    """Squared residual minus eta^2 after a shrink with multiplier mu."""
-    return float(np.sum((c / (1.0 + mu * lam)) ** 2) + offset)
+# Newton converges in 2-3 steps from a warm start; the cap only bounds a
+# stall at rounding level
+_NEWTON_MAX_STEPS = 100
 
 
 class _BallProjector:
     """Exact Euclidean projection onto {x : ||Phi x - y|| <= eta}: with
     G = Q diag(lam) Q^t and c = Q^t (Phi p - y), it is
-    p - Phi^*(Q (mu c / (1 + mu lam))) for the multiplier mu >= 0."""
+    p - Phi^*(Q (mu c / (1 + mu lam))) for the multiplier mu >= 0.
+
+    mu solves the trust-region secular equation ||r(mu)|| = delta, with
+    r(mu) = c / (1 + mu lam) and delta^2 = eta^2 - ||y_perp||^2 (More and
+    Sorensen, 1983).  psi(mu) = 1/||r(mu)|| - 1/delta is concave and
+    increasing, so Newton on psi, clamped at 0, steps from the right of the
+    root to its left and from there rises to it monotonically.  Each call
+    starts from the previous call's multiplier; the projector lives for one
+    solve, so solves stay deterministic.  When delta^2 <= 0 (eta = 0, or an
+    empty set) the projection is the mu -> infinity limit, the
+    pseudo-inverse correction p - Phi^*(Q (c / lam)).
+    """
 
     def __init__(self, op: MeasurementOperator, y: np.ndarray, eta: float):
-        self.op, self.y, self.eta = op, y, eta
+        self.op, self.y = op, y
         lam, q = np.linalg.eigh(gram(op))
         keep = lam > _EIG_CUT * op.m * np.max(lam, initial=0.0)
         self.lam, self.q = lam[keep], q[:, keep]
         y_perp = y - self.q @ (self.q.T @ y)  # part of y outside range(Phi)
-        self.y_perp_sq = float(np.dot(y_perp, y_perp))
+        y_perp_sq = float(np.dot(y_perp, y_perp))
         ynorm = float(np.linalg.norm(y))
-        self.infeasible = math.sqrt(self.y_perp_sq) > max(eta, 1e-10 * max(1.0, ynorm))
+        self.infeasible = math.sqrt(y_perp_sq) > max(eta, 1e-10 * max(1.0, ynorm))
+        self.delta_sq = max(eta ** 2 - y_perp_sq, 0.0)
+        self.mu = 0.0  # warm start for the next secular solve
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         c = self.q.T @ (_forward(self.op, p) - self.y)  # range-space residual coords
-        if self.eta == 0.0:
+        if self.delta_sq == 0.0:
             return p - _adjoint(self.op, self.q @ (c / self.lam))
-        args = (c, self.lam, self.y_perp_sq - self.eta ** 2)
-        if _excess(0.0, *args) <= 0:
+        if np.dot(c, c) <= self.delta_sq:
             return p
-        hi = 1.0
-        while _excess(hi, *args) > 0 and hi < 1e18:
-            hi *= 4.0
-        if _excess(hi, *args) > 0:
-            mu = hi  # empty constraint set; best-effort shrink, flagged upstream
-        else:
-            mu = brentq(_excess, 0.0, hi, args=args, xtol=1e-14, rtol=1e-14)
+        mu = self._secular_root(c)
         return p - _adjoint(self.op, self.q @ (mu * c / (1.0 + mu * self.lam)))
+
+    def _secular_root(self, c: np.ndarray) -> float:
+        """Newton on psi from the last multiplier; needs ||c||^2 > delta^2."""
+        lam, mu = self.lam, self.mu
+        delta = math.sqrt(self.delta_sq)
+        for _ in range(_NEWTON_MAX_STEPS):
+            shrink = 1.0 + mu * lam
+            r = c / shrink
+            rr = float(r @ r)
+            # -psi / psi' = (||r|| / delta - 1) ||r||^2 / sum(r_i^2 lam_i / shrink_i)
+            step = (math.sqrt(rr) / delta - 1.0) * rr / float(r @ (r * lam / shrink))
+            new = max(mu + step, 0.0)
+            done = abs(new - mu) <= 1e-14 * max(mu, 1.0)
+            mu = new
+            if done:
+                break
+        self.mu = mu
+        return mu
 
 
 def _douglas_rachford(f: Regularizer, proj: _BallProjector, shape, scale: float,
@@ -171,22 +203,3 @@ def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray,
     return RecoveryResult(estimate, float(np.trace(estimate)), violation,
                           iters, converged, infeasible=proj.infeasible)
 
-
-def extract_rank1(x_mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Top-eigenpair factorization of a PSD matrix.
-
-    Returns (x, residual) with x = sqrt(lam_1) v_1, the sign fixed so the
-    largest-magnitude entry of x is positive, and residual the relative
-    Frobenius defect ||X - x x^t|| / ||X|| (zero for the zero matrix).
-    """
-    x_mat = np.asarray(x_mat, dtype=float)
-    norm = np.linalg.norm(x_mat)
-    if norm == 0.0:
-        return np.zeros(x_mat.shape[0]), 0.0
-    lam, vecs = np.linalg.eigh(0.5 * (x_mat + x_mat.T))
-    top = max(float(lam[-1]), 0.0)
-    x = math.sqrt(top) * vecs[:, -1]
-    if x[np.argmax(np.abs(x))] < 0:
-        x = -x
-    residual = float(np.linalg.norm(x_mat - np.outer(x, x)) / norm)
-    return x, residual

@@ -19,6 +19,7 @@ from conicrecovery.harness import (
     sweep_csv_text,
     write_records,
 )
+from conicrecovery import solve
 from conicrecovery.solve import SolverOptions
 
 
@@ -138,6 +139,35 @@ class TestErrorCurve:
         rows = run_error_curve(cfg, [0.05, 0.1], m=12, lambda_hat=0.1,
                                lambda_certified=True)
         assert all(r.violations == 0 for r in rows)
+
+    def test_lowrank_noisy_curve_pinned(self, monkeypatch):
+        # every projection of these cells solves the eta > 0 secular
+        # equation; the means and the DR iteration count of each cell were
+        # recorded with a bracketed brentq root-find per projection
+        iters = []
+        recover = solve.recover_constrained
+
+        def counted(*args, **kwargs):
+            res = recover(*args, **kwargs)
+            iters.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(solve, "recover_constrained", counted)
+        cfg = ExperimentConfig(problem=LowRankS1(r=1, d1=8, d2=8), m_grid=(55,),
+                               trials=20, seed=1)
+        rows = run_error_curve(cfg, [0.1, 0.3, 1.0], m=55)
+        np.testing.assert_allclose(
+            [r.mean_error for r in rows],
+            [0.0025580745664138785, 0.00765924336882823, 0.018508899603851013],
+            rtol=1e-12, atol=0)
+        assert [r.nonconverged for r in rows] == [0, 0, 0]
+        assert iters == [
+            2740, 2910, 4190, 2780, 2530, 3160, 3050, 5830, 2590, 2790,
+            3130, 2990, 2200, 2120, 3330, 4100, 2320, 2620, 2620, 2390,
+            920, 870, 830, 1060, 1020, 1490, 1060, 1070, 890, 1010,
+            1130, 1330, 1230, 1550, 1710, 820, 1200, 1100, 1160, 1010,
+            330, 470, 360, 450, 310, 340, 300, 340, 390, 370,
+            400, 410, 430, 490, 500, 340, 370, 390, 350, 380]
 
 
 class TestCsv:

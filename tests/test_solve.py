@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conicrecovery.measure import (
     MeasurementOperator,
@@ -22,7 +23,6 @@ from conicrecovery.solve import (
     RecoveryResult,
     SolverOptions,
     _BallProjector,
-    extract_rank1,
     phase_retrieval_sdp,
     recover_constrained,
 )
@@ -215,6 +215,80 @@ class TestBallProjector:
         assert peak < m * d * d * 8
 
 
+def secular_root_ref(c, lam, delta_sq):
+    """Multiplier with sum (c / (1 + mu lam))^2 = delta_sq, by brentq on a
+    doubling bracket; the reference for the projector's Newton solve."""
+    def excess(mu):
+        return float(np.sum((c / (1.0 + mu * lam)) ** 2)) - delta_sq
+
+    hi = 1.0
+    while excess(hi) > 0:
+        hi *= 2.0
+    return brentq(excess, 0.0, hi, xtol=1e-14, rtol=1e-14)
+
+
+# (operator, consistent data): Gram eigenvalues spread 1e12 and about 130
+SECULAR_CASES = {
+    "dense-cond-1e6": lambda: (ill_conditioned_op(6, 10, 1e6, seed=50),
+                               generator(51).standard_normal(10)),
+    "dense-matrix-12x(4x4)": lambda: (gaussian_matrix_ensemble(12, 4, 4, seed=52),
+                                      generator(53).standard_normal((4, 4))),
+}
+# delta^2 as a fraction of ||c||^2: near 1 the multiplier is near 0, near 0
+# it is large
+SECULAR_TARGETS = [1.0 - 1e-12, 1.0 - 1e-6, 0.5, 1e-6, 1e-12]
+
+
+class TestSecularSolve:
+    def _setup(self, case, target):
+        """(design, point, projector, c) with delta^2 = target * ||c||^2."""
+        op, x = SECULAR_CASES[case]()
+        a = explicit_design(op)
+        y = apply(op, x)
+        p = 3.0 * generator(54).standard_normal(a.shape[1])
+        proj = _BallProjector(op, y, math.sqrt(target) * np.linalg.norm(a @ p - y))
+        return a, p, proj, proj.q.T @ (a @ p - y)
+
+    @pytest.mark.parametrize("case", SECULAR_CASES)
+    @pytest.mark.parametrize("target", SECULAR_TARGETS)
+    @pytest.mark.parametrize("start", [0.0, 0.1, 0.9, 1.1, 10.0, 1e6])
+    def test_matches_brentq(self, case, target, start):
+        # warm start = start * root; from the right of the root Newton
+        # lands left of it, possibly clamped at 0
+        a, p, proj, c = self._setup(case, target)
+        assert proj.lam.max() / proj.lam.min() > (1e11 if "cond" in case else 100)
+        ref = secular_root_ref(c, proj.lam, proj.delta_sq)
+        proj.mu = start * ref
+        got = proj(p)
+        assert abs(proj.mu - ref) <= 1e-12 * max(ref, 1.0)
+        r = c / (1.0 + proj.mu * proj.lam)
+        assert float(r @ r) == pytest.approx(proj.delta_sq, rel=1e-12)
+        want = p - a.T @ (proj.q @ (ref * c / (1.0 + ref * proj.lam)))
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-10 * np.linalg.norm(p))
+
+    def test_inside_ball_unchanged(self):
+        _, p, proj, _ = self._setup("dense-matrix-12x(4x4)", 1.0 + 1e-9)
+        proj.mu = 5.0
+        np.testing.assert_array_equal(proj(p), p)
+        assert proj.mu == 5.0
+
+    @pytest.mark.parametrize("case", SINGULAR_CASES[:2])
+    def test_empty_set_takes_eta_zero_correction(self, case):
+        op, x = PROJECTOR_CASES[case]()
+        a = explicit_design(op)
+        u = np.linalg.svd(a)[0][:, np.linalg.matrix_rank(a):]
+        y = apply(op, x) + u.sum(axis=1)   # ||y_perp||^2 = m - rank > eta^2
+        for eta in (0.5, 0.99 * math.sqrt(u.shape[1])):
+            proj = _BallProjector(op, y, eta)
+            assert proj.infeasible
+            p = generator(55).standard_normal(a.shape[1])
+            np.testing.assert_array_equal(proj(p), _BallProjector(op, y, 0.0)(p))
+            res = recover_constrained(L1Norm(d=x.size), op, y, eta,
+                                      SolverOptions(max_iters=50))
+            assert res.infeasible and res.stop_reason == "infeasible"
+
+
 class TestConstrainedRecovery:
     def test_hand_case_against_grid_oracle(self):
         # min |x1|+|x2| s.t. (x1-3)^2 + x2^2 <= 1
@@ -382,31 +456,6 @@ class TestPhaseRetrievalSdp:
             phase_retrieval_sdp(dop, np.ones(3))      # not lifted
 
 
-class TestExtractRank1:
-    def test_diag_rank_one(self):
-        x, resid = extract_rank1(np.diag([4.0, 0.0]))
-        np.testing.assert_allclose(x, [2.0, 0.0])
-        assert resid == 0.0
-
-    def test_identity_defect(self):
-        _, resid = extract_rank1(np.eye(2))
-        assert resid == pytest.approx(1.0 / math.sqrt(2))
-
-    def test_recovers_outer_product_with_sign(self):
-        rng = generator(15)
-        for _ in range(20):
-            v = rng.standard_normal(5)
-            x, resid = extract_rank1(np.outer(v, v))
-            assert resid <= 1e-10
-            ref = v if v[np.argmax(np.abs(v))] > 0 else -v
-            np.testing.assert_allclose(x, ref, atol=1e-8)
-
-    def test_zero_matrix(self):
-        x, resid = extract_rank1(np.zeros((3, 3)))
-        np.testing.assert_array_equal(x, np.zeros(3))
-        assert resid == 0.0
-
-
 class TestOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -419,3 +468,24 @@ class TestOptions:
     def test_result_fields(self):
         r = RecoveryResult(np.zeros(2), 0.0, 0.0, 5, True)
         assert not r.infeasible
+
+
+class TestStopReason:
+    def test_converged(self):
+        op = gaussian_ensemble(6, 12, seed=9)
+        y = apply(op, np.eye(12)[3])
+        res = recover_constrained(L1Norm(d=12), op, y, 0.1)
+        assert res.converged and res.stop_reason == "converged"
+
+    def test_max_iters(self):
+        op = gaussian_ensemble(6, 12, seed=9)
+        y = apply(op, generator(10).standard_normal(12))
+        res = recover_constrained(L1Norm(d=12), op, y, 0.1,
+                                  SolverOptions(max_iters=3))
+        assert res.iterations == 3 and res.stop_reason == "max_iters"
+
+    def test_infeasible(self):
+        # two equal rows cannot reach opposite signs
+        op = dense_op([[1.0, 0.0], [1.0, 0.0]])
+        res = recover_constrained(L1Norm(d=2), op, np.array([1.0, -1.0]), 0.1)
+        assert not res.converged and res.stop_reason == "infeasible"
