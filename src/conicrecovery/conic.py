@@ -1,14 +1,13 @@
 """Minimum conic singular values and the deterministic recovery error bound.
 
 Exact evaluation is available for the full space and for subspaces
-(restricted smallest singular value).  Low-dimensional explicit cones use
-a dense angular net with a certified Lipschitz error.  Descent cones use
-a projected-minimization heuristic whose answer is an upper bound only.
+(restricted smallest singular value).  Descent cones use a
+projected-minimization heuristic whose answer is an upper bound only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +16,6 @@ from .reg import Regularizer, level_threshold
 from .rng import generator
 
 MEMBERSHIP_TOL = 1e-12
-# geometric tau probe grid: catches both tiny and large descent steps
-_TAU_GRID = 2.0 ** np.arange(-40, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -46,32 +43,14 @@ class DescentCone:
     f: Regularizer
 
 
-@dataclass(frozen=True)
-class ExplicitCone:
-    """Finitely generated cone in R^2 or R^3 given by nonzero generator rays."""
-
-    generators: np.ndarray  # k x d
-
-    def __post_init__(self):
-        g = np.asarray(self.generators, dtype=float)
-        if g.ndim != 2 or g.shape[1] not in (2, 3):
-            raise ValueError("explicit cones are supported in R^2 and R^3 only")
-        norms = np.linalg.norm(g, axis=1)
-        if np.any(norms < 1e-14):
-            raise ValueError("generators must be nonzero")
-        object.__setattr__(self, "generators", g / norms[:, None])
-
-
-ConeDescriptor = FullSpace | Subspace | DescentCone | ExplicitCone
+ConeDescriptor = FullSpace | Subspace | DescentCone
 
 
 @dataclass(frozen=True)
 class LambdaMinResult:
     value: float
-    mode: str            # "exact" | "net" | "upper-bound (heuristic)"
+    mode: str            # "exact" | "upper-bound (heuristic)"
     certified: bool
-    error_bound: float = 0.0   # additive uncertainty for net mode
-    meta: dict = field(default_factory=dict, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -89,58 +68,6 @@ def deterministic_error_bound(eta: float, lam: float) -> float:
     if lam <= 0:
         return float("inf")
     return 2.0 * eta / lam
-
-
-def descent_cone_membership(f: Regularizer, u: np.ndarray) -> bool:
-    """True iff f(x_ref + tau*u) <= f(x_ref) for some probed tau.
-
-    Conservative: the probe grid is geometric over [2^-40, 2^10], so
-    pathological cones requiring tau outside that range can be missed.
-    """
-    u = np.asarray(u, dtype=float)
-    if np.linalg.norm(u) == 0:
-        raise ValueError("direction must be nonzero")
-    x = f.x_ref
-    base = f.value(x)
-    unorm = float(np.linalg.norm(u))
-    for tau in _TAU_GRID:
-        # tolerance scales with the step so that tiny probes cannot absorb
-        # a strictly positive directional derivative
-        if f.value(x + tau * u) <= base + MEMBERSHIP_TOL * tau * unorm:
-            return True
-    return False
-
-
-def _net_directions_2d(gens: np.ndarray, resolution: float) -> np.ndarray:
-    angles = np.arctan2(gens[:, 1], gens[:, 0])
-    # choose the arc of span <= pi that contains all generators
-    ref = angles[0]
-    rel = np.mod(angles - ref + np.pi, 2 * np.pi) - np.pi
-    lo, hi = float(rel.min()), float(rel.max())
-    if hi - lo > np.pi:
-        raise ValueError("generator arc exceeds pi; not a salient convex cone")
-    thetas = ref + np.arange(lo, hi + resolution, resolution)
-    return np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-
-
-def _net_directions_3d(gens: np.ndarray, divisions: int) -> np.ndarray:
-    # barycentric grid over convex combinations of the generator rays
-    k = gens.shape[0]
-    if k == 1:
-        return gens.copy()
-    pts = []
-    grid = np.linspace(0.0, 1.0, divisions + 1)
-    if k == 2:
-        weights = [(a, 1 - a) for a in grid]
-    else:
-        weights = [(a, b, 1 - a - b) for a in grid for b in grid if a + b <= 1 + 1e-12]
-        gens = gens[:3]
-    for w in weights:
-        v = np.tensordot(np.asarray(w), gens, axes=1)
-        n = np.linalg.norm(v)
-        if n > 1e-12:
-            pts.append(v / n)
-    return np.asarray(pts)
 
 
 def _heuristic_descent_lambda(mat: np.ndarray, f: Regularizer,
@@ -184,8 +111,6 @@ def _heuristic_descent_lambda(mat: np.ndarray, f: Regularizer,
 
 
 def lambda_min_empirical(op: MeasurementOperator, cone: ConeDescriptor,
-                         resolution: float = 1e-3,
-                         divisions_3d: int = 50,
                          restarts: int = 32,
                          iters: int = 500,
                          seed: int = 0) -> LambdaMinResult:
@@ -201,21 +126,6 @@ def lambda_min_empirical(op: MeasurementOperator, cone: ConeDescriptor,
             raise ValueError("cone dimension mismatch")
         sv = np.linalg.svd(mat @ cone.basis, compute_uv=False)
         return LambdaMinResult(float(sv[-1]), "exact", True)
-    if isinstance(cone, ExplicitCone):
-        d = cone.generators.shape[1]
-        if d != mat.shape[1]:
-            raise ValueError("cone dimension mismatch")
-        if d == 2:
-            dirs = _net_directions_2d(cone.generators, resolution)
-            res = resolution
-        else:
-            dirs = _net_directions_3d(cone.generators, divisions_3d)
-            res = np.pi / divisions_3d  # crude chord-scale mesh spacing
-        vals = np.linalg.norm(dirs @ mat.T, axis=1)
-        opnorm = float(np.linalg.norm(mat, 2))
-        return LambdaMinResult(float(vals.min()), "net", True,
-                               error_bound=opnorm * res,
-                               meta={"net_points": len(dirs)})
     if isinstance(cone, DescentCone):
         val = _heuristic_descent_lambda(mat, cone.f, restarts, iters, seed)
         return LambdaMinResult(val, "upper-bound (heuristic)", False)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import measure, solve, width
+from .conic import deterministic_error_bound
 from .reg import L1Norm, Schatten1Norm
 from .rng import generator
 
@@ -279,8 +280,7 @@ def run_error_curve(config: ExperimentConfig, eta_grid, m: int,
                 float(eta), config.success_threshold, config.solver)
             errors.append(rel)
             nonconv += not conv
-        bound = (2.0 * float(eta) / lambda_hat if lambda_hat > 0
-                 else float("inf"))
+        bound = deterministic_error_bound(float(eta), lambda_hat)
         mean_err = float(np.mean(errors))
         violations = (sum(e > bound + 1e-12 for e in errors)
                       if lambda_certified else 0)

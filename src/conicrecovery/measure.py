@@ -6,14 +6,15 @@ Two operator kinds are supported:
 * ``LIFTED`` -- m sampling vectors psi_i; the operator acts on symmetric
   d x d matrices X through the trace pairing <X, psi_i psi_i^t>.  Only the
   vectors are stored (O(md) memory), never the rank-one matrices.
+
+Dense rows are Gaussian or i.i.d. copies of a symmetric bounded atom; the
+row samplers draw the same laws for the small-ball estimators.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,33 +28,6 @@ class OperatorKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class EnsembleSpec:
-    """Distributional description of the rows of a measurement operator.
-
-    ``alpha`` is the nondegeneracy constant (a lower bound on E|<u, phi>|
-    over unit directions), ``sigma`` the subgaussian scale.  The
-    eccentricity rho = sigma/alpha.
-    """
-
-    family: str  # "gaussian" | "bounded" | "lifted-gaussian"
-    alpha: float | None = None
-    sigma: float | None = None
-    alpha_std_error: float = 0.0
-
-    def __post_init__(self):
-        if self.alpha is not None and self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-    @property
-    def rho(self) -> float:
-        if self.alpha is None or self.sigma is None:
-            raise ValueError("eccentricity requires both alpha and sigma")
-        return self.sigma / self.alpha
-
-
-@dataclass(frozen=True)
 class MeasurementOperator:
     """Immutable linear map from signal space to R^m with an adjoint."""
 
@@ -63,7 +37,6 @@ class MeasurementOperator:
     rows: np.ndarray | None = None      # (m, n) for DENSE, n = prod(shape)
     vectors: np.ndarray | None = None   # (m, d) for LIFTED
     seed: int | None = None
-    ensemble: EnsembleSpec | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = int(np.prod(self.signal_shape))
@@ -88,15 +61,13 @@ class Atom:
     """Symmetric bounded scalar distribution used as an i.i.d. entry law.
 
     ``sampler(rng, size)`` draws variates; ``bound`` is an a.s. bound on
-    |X| (doubles as the subgaussian scale sigma via Hoeffding); ``abs_mean``
-    is E|X| when known analytically.
+    |X| (doubles as the subgaussian scale sigma via Hoeffding).
     """
 
     name: str
     sampler: Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
     bound: float
     symmetric: bool = True
-    abs_mean: float | None = None
 
 
 def rademacher_atom() -> Atom:
@@ -104,7 +75,6 @@ def rademacher_atom() -> Atom:
         name="rademacher",
         sampler=lambda rng, size: rng.choice([-1.0, 1.0], size=size),
         bound=1.0,
-        abs_mean=1.0,
     )
 
 
@@ -113,7 +83,6 @@ def uniform_atom(half_width: float = 1.0) -> Atom:
         name=f"uniform[{-half_width},{half_width}]",
         sampler=lambda rng, size: rng.uniform(-half_width, half_width, size=size),
         bound=half_width,
-        abs_mean=half_width / 2.0,
     )
 
 
@@ -125,9 +94,7 @@ def gaussian_ensemble(m: int, d: int, seed: int) -> MeasurementOperator:
     if m < 1 or d < 1:
         raise ValueError("m and d must be at least 1")
     rows = generator(seed).standard_normal((m, d))
-    spec = EnsembleSpec(family="gaussian", alpha=math.sqrt(2.0 / math.pi), sigma=1.0)
-    return MeasurementOperator(OperatorKind.DENSE, m, (d,), rows=rows,
-                               seed=seed, ensemble=spec)
+    return MeasurementOperator(OperatorKind.DENSE, m, (d,), rows=rows, seed=seed)
 
 
 def gaussian_matrix_ensemble(m: int, d1: int, d2: int, seed: int) -> MeasurementOperator:
@@ -135,44 +102,20 @@ def gaussian_matrix_ensemble(m: int, d1: int, d2: int, seed: int) -> Measurement
     if m < 1 or d1 < 1 or d2 < 1:
         raise ValueError("m, d1, d2 must be at least 1")
     rows = generator(seed).standard_normal((m, d1 * d2))
-    spec = EnsembleSpec(family="gaussian", alpha=math.sqrt(2.0 / math.pi), sigma=1.0)
-    return MeasurementOperator(OperatorKind.DENSE, m, (d1, d2), rows=rows,
-                               seed=seed, ensemble=spec)
+    return MeasurementOperator(OperatorKind.DENSE, m, (d1, d2), rows=rows, seed=seed)
 
 
-def bounded_symmetric_ensemble(m: int, d: int, atom: Atom, seed: int,
-                               alpha: float | None = None,
-                               n_calibration: int = 100_000) -> MeasurementOperator:
-    """m x d matrix of i.i.d. copies of a symmetric bounded atom.
-
-    The nondegeneracy constant recorded on the ensemble spec is
-    2^{-1/2} E|X| (Khintchine lower bound).  E|X| comes from the atom when
-    declared, or else from a Monte Carlo calibration run whose standard
-    error is recorded on the spec.
-    """
+def bounded_symmetric_ensemble(m: int, d: int, atom: Atom,
+                               seed: int) -> MeasurementOperator:
+    """m x d matrix of i.i.d. copies of a symmetric bounded atom."""
     if m < 1 or d < 1:
         raise ValueError("m and d must be at least 1")
     if not atom.symmetric:
         raise ValueError("atom distribution must be symmetric about 0")
-    rng = generator(seed)
-    rows = np.asarray(atom.sampler(rng, (m, d)), dtype=float)
+    rows = np.asarray(atom.sampler(generator(seed), (m, d)), dtype=float)
     if np.max(np.abs(rows)) > atom.bound + 1e-12:
         raise ValueError("atom sample exceeded its declared bound")
-
-    se = 0.0
-    if alpha is not None:
-        pass
-    elif atom.abs_mean is not None:
-        alpha = atom.abs_mean / math.sqrt(2.0)
-    else:
-        calib = np.abs(atom.sampler(rng, (n_calibration,)))
-        abs_mean = float(np.mean(calib))
-        se = float(np.std(calib, ddof=1) / math.sqrt(n_calibration)) / math.sqrt(2.0)
-        alpha = abs_mean / math.sqrt(2.0)
-    spec = EnsembleSpec(family="bounded", alpha=alpha, sigma=atom.bound,
-                        alpha_std_error=se)
-    return MeasurementOperator(OperatorKind.DENSE, m, (d,), rows=rows,
-                               seed=seed, ensemble=spec)
+    return MeasurementOperator(OperatorKind.DENSE, m, (d,), rows=rows, seed=seed)
 
 
 def lifted_phase_ensemble(m: int, d: int, seed: int,
@@ -189,9 +132,8 @@ def lifted_phase_ensemble(m: int, d: int, seed: int,
         vectors = np.asarray(vectors, dtype=float)
         if vectors.shape != (m, d):
             raise ValueError("injected vectors must have shape (m, d)")
-    spec = EnsembleSpec(family="lifted-gaussian")
     return MeasurementOperator(OperatorKind.LIFTED, m, (d, d), vectors=vectors,
-                               seed=seed, ensemble=spec)
+                               seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +179,11 @@ def gram(op: MeasurementOperator) -> np.ndarray:
 
 
 def measure_with_noise(op: MeasurementOperator, x: np.ndarray,
-                       e: np.ndarray | None = None,
                        noise_norm: float | None = None,
                        seed: int | None = None) -> np.ndarray:
-    """Return Phi(x) + e where ||e|| <= noise_norm if the budget is declared.
-
-    When ``e`` is omitted but a positive ``noise_norm`` is given, an error
-    vector of exactly that norm is generated from ``seed``.
-    """
+    """Return Phi(x) + e, where e has norm exactly ``noise_norm`` and is
+    drawn from ``seed``; Phi(x) alone when the budget is None or 0."""
     y = apply(op, x)
-    if e is not None:
-        e = np.asarray(e, dtype=float)
-        if e.shape != (op.m,):
-            raise ValueError("noise vector length mismatch")
-        if noise_norm is not None and np.linalg.norm(e) > noise_norm + 1e-12:
-            raise ValueError("noise vector exceeds declared noise_norm")
-        return y + e
     if noise_norm is None or noise_norm == 0:
         return y
     if seed is None:
@@ -290,50 +221,3 @@ def lifted_row_sampler(d: int):
         return np.einsum("id,ie->ide", psi, psi)
 
     return sample
-
-
-# ---------------------------------------------------------------------------
-# serialization: row-major float64, either .npz binary or CSV
-
-def save_operator(op: MeasurementOperator, path: str) -> None:
-    """Serialize to ``.npz`` (numpy binary) or ``.csv`` (row-major float64)."""
-    data = op.rows if op.kind is OperatorKind.DENSE else op.vectors
-    if path.endswith(".npz"):
-        np.savez(path, kind=op.kind.value, m=op.m,
-                 signal_shape=np.array(op.signal_shape),
-                 data=data, seed=-1 if op.seed is None else op.seed)
-    elif path.endswith(".csv"):
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# kind={op.kind.value} m={op.m} "
-                     f"signal_shape={','.join(map(str, op.signal_shape))} "
-                     f"seed={op.seed}\n")
-            writer = csv.writer(fh)
-            for row in data:
-                writer.writerow([repr(float(v)) for v in row])
-    else:
-        raise ValueError("unsupported extension; use .npz or .csv")
-
-
-def load_operator(path: str) -> MeasurementOperator:
-    if path.endswith(".npz"):
-        with np.load(path) as z:
-            kind = OperatorKind(str(z["kind"]))
-            m = int(z["m"])
-            shape = tuple(int(v) for v in z["signal_shape"])
-            data = z["data"]
-            seed = int(z["seed"])
-            seed = None if seed < 0 else seed
-    elif path.endswith(".csv"):
-        with open(path) as fh:
-            header = fh.readline().strip().lstrip("# ").split()
-            meta = dict(item.split("=", 1) for item in header)
-            kind = OperatorKind(meta["kind"])
-            m = int(meta["m"])
-            shape = tuple(int(v) for v in meta["signal_shape"].split(","))
-            seed = None if meta["seed"] == "None" else int(meta["seed"])
-            data = np.array([[float(v) for v in row] for row in csv.reader(fh)])
-    else:
-        raise ValueError("unsupported extension; use .npz or .csv")
-    if kind is OperatorKind.DENSE:
-        return MeasurementOperator(kind, m, shape, rows=data, seed=seed)
-    return MeasurementOperator(kind, m, shape, vectors=data, seed=seed)

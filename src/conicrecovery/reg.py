@@ -25,14 +25,6 @@ import numpy as np
 ZERO_TOL = 1e-12  # entries of the reference point below this count as zero
 
 
-def project_psd(z: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) PSD matrix to the symmetric part of z."""
-    z = np.asarray(z, dtype=float)
-    z = 0.5 * (z + z.T)
-    lam, vecs = np.linalg.eigh(z)
-    return (vecs * np.maximum(lam, 0.0)) @ vecs.T
-
-
 def min_dist_sq(base: np.ndarray, r: int, c: np.ndarray,
                 a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row by row, (tau*, min over tau >= 0) of

@@ -1,5 +1,6 @@
-"""Small-ball machinery: marginal tail function, mean empirical width,
-and assembly of the small-ball, subgaussian, and bowling-scheme bounds.
+"""Small-ball machinery: marginal tail function, mean empirical width
+(over the sphere or a subspace; descent cones by duality), and assembly of
+the small-ball, subgaussian, and bowling-scheme bounds.
 
 All estimators are Monte Carlo with deterministic Philox streams; the
 Rademacher signs and the measurement rows use distinct child streams of
@@ -135,8 +136,6 @@ def estimate_mean_empirical_width(phi_sampler: RowSampler,
 
     * ``"sphere"`` -- the full unit sphere; the sup is the norm of h.
     * a ``Subspace`` -- the sup is the norm of the projection of h.
-    * an explicit array of unit points (n x d), usable only for d <= 3;
-      the sup is taken over the dense net.
 
     Descent cones are handled by duality in :func:`bowling_width_descent`.
     """
@@ -144,18 +143,12 @@ def estimate_mean_empirical_width(phi_sampler: RowSampler,
         raise ValueError("need m >= 1 and trials >= 1")
     rng_phi, rng_signs = spawn_generators(seed, 2)
     vals = np.empty(trials)
-    if isinstance(index_set, np.ndarray):
-        if index_set.shape[1] > 3:
-            raise ValueError("dense net evaluation is refused above d = 3; "
-                             "use a duality route")
     for i in range(trials):
         h = _empirical_width_samples(phi_sampler, m, 1, rng_phi, rng_signs)[0]
         if isinstance(index_set, str) and index_set == "sphere":
             vals[i] = np.linalg.norm(h)
         elif isinstance(index_set, Subspace):
             vals[i] = np.linalg.norm(index_set.basis.T @ h.ravel())
-        elif isinstance(index_set, np.ndarray):
-            vals[i] = np.max(index_set @ h.ravel())
         else:
             raise TypeError(f"unsupported index set: {index_set!r}")
     se = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

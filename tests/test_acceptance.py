@@ -39,7 +39,7 @@ from conicrecovery.measure import (
     lifted_phase_ensemble,
     rademacher_atom,
 )
-from conicrecovery.reg import L1Norm, Schatten1Norm, TracePSD, project_psd
+from conicrecovery.reg import L1Norm, Schatten1Norm, TracePSD
 from conicrecovery.rng import generator
 from conicrecovery.smallball import (
     estimate_marginal_tail,
@@ -239,10 +239,11 @@ def test_criterion_10_property_suites(capsys):
             ok = False
     notes.append("prox")
 
-    # PSD projection idempotence
+    # PSD projection (the trace+PSD prox at step 0) idempotence
+    psd = TracePSD(d=5)
     for _ in range(100):
-        p = project_psd(rng.standard_normal((5, 5)))
-        if not np.allclose(project_psd(p), p, atol=1e-10):
+        p = psd.prox(rng.standard_normal((5, 5)), 0.0)
+        if not np.allclose(psd.prox(p, 0.0), p, atol=1e-10):
             ok = False
     notes.append("psd-projection")
 

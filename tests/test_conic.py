@@ -1,5 +1,6 @@
-"""Minimum conic singular values, membership probing, the deterministic
-error bound, and conic weak duality on explicit low-dimensional cones."""
+"""Minimum conic singular values, the deterministic error bound checked
+against the solver, and conic weak duality on explicit low-dimensional
+cones."""
 
 import math
 
@@ -10,10 +11,8 @@ from scipy.optimize import nnls
 from conicrecovery import measure, solve
 from conicrecovery.conic import (
     DescentCone,
-    ExplicitCone,
     FullSpace,
     Subspace,
-    descent_cone_membership,
     deterministic_error_bound,
     lambda_min_empirical,
 )
@@ -37,6 +36,20 @@ def cone_projection(gens, g):
     """
     coef, _ = nnls(gens.T, g)
     return gens.T @ coef
+
+
+def l1_cone_lambda_lower(mat, resolution=1e-4):
+    """Certified lower bound on lambda_min of a 2-column matrix over the
+    descent cone of l1 at (1, 0), {u : u_1 <= -|u_2|}.
+
+    The cone's unit directions are the angles [3pi/4, 5pi/4]; every one lies
+    within resolution/2 of the angular net, so the net minimum exceeds the
+    true one by at most ||Phi|| * resolution.
+    """
+    thetas = np.arange(0.75 * np.pi, 1.25 * np.pi + resolution, resolution)
+    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    net_min = float(np.min(np.linalg.norm(dirs @ mat.T, axis=1)))
+    return net_min - np.linalg.norm(mat, 2) * resolution
 
 
 class TestExactModes:
@@ -65,56 +78,6 @@ class TestExactModes:
         op = measure.lifted_phase_ensemble(3, 2, seed=0)
         with pytest.raises(ValueError):
             lambda_min_empirical(op, FullSpace(4))
-
-
-class TestNetMode:
-    def test_half_line_cone(self):
-        op = dense_op(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        cone = ExplicitCone(np.array([[1.0, 0.0]]))
-        res = lambda_min_empirical(op, cone)
-        assert res.value == pytest.approx(1.0, abs=1e-6)
-        assert res.mode == "net" and res.certified
-
-    def test_resolution_convergence(self):
-        # halving the resolution moves the answer by less than the
-        # certified Lipschitz error of the coarser net
-        rng = generator(8)
-        mat = rng.standard_normal((3, 2))
-        op = dense_op(mat)
-        cone = ExplicitCone(np.array([[1.0, 0.2], [0.3, 1.0]]))
-        coarse = lambda_min_empirical(op, cone, resolution=2e-3)
-        fine = lambda_min_empirical(op, cone, resolution=1e-3)
-        assert abs(coarse.value - fine.value) <= coarse.error_bound + 1e-12
-        assert coarse.error_bound == pytest.approx(
-            np.linalg.norm(mat, 2) * 2e-3)
-
-    def test_net_brackets_truth_2d(self):
-        # truth by 1-D angular minimization over the cone's arc
-        rng = generator(9)
-        mat = rng.standard_normal((4, 2))
-        op = dense_op(mat)
-        g1, g2 = np.array([1.0, 0.0]), np.array([0.5, 1.0])
-        cone = ExplicitCone(np.stack([g1, g2]))
-        res = lambda_min_empirical(op, cone, resolution=1e-4)
-        thetas = np.linspace(0.0, math.atan2(1.0, 0.5), 400_001)
-        dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        truth = float(np.min(np.linalg.norm(dirs @ mat.T, axis=1)))
-        assert res.value >= truth - 1e-9                  # net is an upper bound
-        assert res.value <= truth + res.error_bound + 1e-9
-
-    def test_3d_cone_single_ray(self):
-        op = dense_op(np.eye(3) * 2.0)
-        cone = ExplicitCone(np.array([[1.0, 0.0, 0.0]]))
-        res = lambda_min_empirical(op, cone)
-        assert res.value == pytest.approx(2.0, abs=1e-6)
-
-    def test_rejects_high_dim_generators(self):
-        with pytest.raises(ValueError):
-            ExplicitCone(np.eye(4))
-
-    def test_rejects_zero_generator(self):
-        with pytest.raises(ValueError):
-            ExplicitCone(np.array([[0.0, 0.0]]))
 
 
 class TestHeuristicMode:
@@ -152,45 +115,22 @@ class TestErrorBound:
             deterministic_error_bound(-0.1, 1.0)
 
     def test_consistent_with_solver(self):
-        # d=2 instance where the descent cone of l1 at (1,0) is the
-        # explicit cone spanned by (-1,1) and (-1,-1); the certified net
-        # lower bound on lambda_min must dominate the observed error
-        rng = generator(55)
+        # d=2 instance where the descent cone of l1 at (1,0) is spanned by
+        # (-1,1) and (-1,-1); 2*eta over the certified net lower bound on
+        # lambda_min must dominate the observed error
         x_true = np.array([1.0, 0.0])
-        cone = ExplicitCone(np.array([[-1.0, 1.0], [-1.0, -1.0]]))
         for trial in range(5):
             op = gaussian_ensemble(4, 2, seed=60 + trial)
             eta = 0.05
             y = measure.measure_with_noise(op, x_true, noise_norm=eta,
                                            seed=70 + trial)
-            res = lambda_min_empirical(op, cone, resolution=1e-4)
-            lam_lower = res.value - res.error_bound
+            lam_lower = l1_cone_lambda_lower(op.rows)
             if lam_lower <= 0:
                 continue
             sol = solve.recover_constrained(L1Norm(x_true), op, y, eta)
             assert sol.converged
             err = np.linalg.norm(sol.estimate - x_true)
             assert err <= deterministic_error_bound(eta, lam_lower) + 1e-8
-
-
-class TestMembership:
-    def test_descent_direction(self):
-        f = L1Norm(np.array([1.0, 0.0]))
-        assert descent_cone_membership(f, np.array([-1.0, 0.0]))
-
-    def test_ascent_direction(self):
-        f = L1Norm(np.array([1.0, 0.0]))
-        assert not descent_cone_membership(f, np.array([0.0, 1.0]))
-
-    def test_shallow_descent_direction(self):
-        # f((1,0) + tau*(-1, 0.99)) = |1 - tau| + 0.99 tau < 1 for small tau
-        f = L1Norm(np.array([1.0, 0.0]))
-        assert descent_cone_membership(f, np.array([-1.0, 0.99]))
-
-    def test_rejects_zero_direction(self):
-        f = L1Norm(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            descent_cone_membership(f, np.zeros(2))
 
 
 class TestGordonValidity:

@@ -1,4 +1,4 @@
-"""Measurement-ensemble construction, action, adjoints, serialization."""
+"""Measurement-ensemble construction, action, adjoints, noise injection."""
 
 import math
 
@@ -15,10 +15,8 @@ from conicrecovery.measure import (
     gaussian_ensemble,
     gaussian_matrix_ensemble,
     lifted_phase_ensemble,
-    load_operator,
     measure_with_noise,
     rademacher_atom,
-    save_operator,
     uniform_atom,
 )
 from conicrecovery.rng import generator
@@ -51,41 +49,23 @@ class TestGaussianEnsemble:
         with pytest.raises(ValueError):
             gaussian_ensemble(m, d, seed=0)
 
-    def test_spec_constants(self):
-        op = gaussian_ensemble(2, 2, seed=0)
-        assert op.ensemble.sigma == 1.0
-        assert op.ensemble.alpha == pytest.approx(math.sqrt(2.0 / math.pi))
-
-
 class TestBoundedEnsemble:
     def test_rademacher_support(self):
         op = bounded_symmetric_ensemble(4, 4, rademacher_atom(), seed=1)
         assert set(np.unique(op.rows)) <= {-1.0, 1.0}
 
-    def test_rademacher_declared_constants(self):
-        op = bounded_symmetric_ensemble(4, 4, rademacher_atom(), seed=1)
-        assert op.ensemble.sigma == 1.0
-        assert op.ensemble.alpha == pytest.approx(2.0 ** -0.5)
-
     def test_uniform_abs_mean_estimated(self):
-        # atom without a declared abs_mean triggers MC calibration;
-        # E|Uniform[-1,1]| = 1/2 exactly
-        atom = Atom(name="uniform-uncalibrated",
-                    sampler=lambda rng, size: rng.uniform(-1, 1, size=size),
-                    bound=1.0)
-        op = bounded_symmetric_ensemble(5000, 1, atom, seed=3,
-                                        n_calibration=100_000)
-        est_abs_mean = op.ensemble.alpha * math.sqrt(2.0)
-        assert abs(est_abs_mean - 0.5) <= 0.02
-        assert op.ensemble.alpha_std_error > 0
-        # the direct sample mean also concentrates at 1/2
+        # E|Uniform[-1,1]| = 1/2 exactly; the row mean concentrates there
+        op = bounded_symmetric_ensemble(5000, 1, uniform_atom(), seed=3)
         assert abs(np.mean(np.abs(op.rows)) - 0.5) <= 0.02
 
-    def test_uniform_atom_declared(self):
-        atom = uniform_atom()
-        assert atom.abs_mean == 0.5
-        op = bounded_symmetric_ensemble(2, 2, atom, seed=0)
-        assert op.ensemble.alpha == pytest.approx(0.5 / math.sqrt(2.0))
+    @pytest.mark.parametrize("atom", [rademacher_atom(), uniform_atom()],
+                             ids=["rademacher", "uniform"])
+    def test_rows_are_one_sampler_draw(self, atom):
+        # the rows are the atom's first (m, d) draw from the seed's stream
+        op = bounded_symmetric_ensemble(6, 5, atom, seed=4)
+        np.testing.assert_array_equal(op.rows,
+                                      atom.sampler(generator(4), (6, 5)))
 
     def test_rejects_asymmetric_atom(self):
         atom = Atom(name="shifted",
@@ -93,12 +73,6 @@ class TestBoundedEnsemble:
                     bound=1.0, symmetric=False)
         with pytest.raises(ValueError):
             bounded_symmetric_ensemble(2, 2, atom, seed=0)
-
-    def test_user_declared_alpha_wins(self):
-        op = bounded_symmetric_ensemble(2, 2, rademacher_atom(), seed=0,
-                                        alpha=0.3)
-        assert op.ensemble.alpha == 0.3
-
 
 class TestLiftedEnsemble:
     def test_injected_identity_signal(self):
@@ -192,9 +166,9 @@ class TestMeasureWithNoise:
     def test_zero_noise_exact(self):
         op = gaussian_ensemble(5, 3, seed=1)
         x = generator(4).standard_normal(3)
-        np.testing.assert_array_equal(
-            measure_with_noise(op, x, e=np.zeros(5)), apply(op, x))
         np.testing.assert_array_equal(measure_with_noise(op, x), apply(op, x))
+        np.testing.assert_array_equal(
+            measure_with_noise(op, x, noise_norm=0.0, seed=9), apply(op, x))
 
     def test_generated_noise_respects_budget(self):
         op = gaussian_ensemble(5, 3, seed=1)
@@ -203,15 +177,11 @@ class TestMeasureWithNoise:
         assert np.linalg.norm(y - apply(op, x)) <= 0.1 + 1e-12
 
     def test_zero_signal_returns_noise(self):
+        # the generated error has exactly the declared norm
         op = gaussian_ensemble(5, 3, seed=1)
-        e = generator(5).standard_normal(5)
-        np.testing.assert_array_equal(
-            measure_with_noise(op, np.zeros(3), e=e), e)
-
-    def test_rejects_oversized_noise(self):
-        op = gaussian_ensemble(5, 3, seed=1)
-        with pytest.raises(ValueError):
-            measure_with_noise(op, np.zeros(3), e=np.ones(5), noise_norm=0.5)
+        e = measure_with_noise(op, np.zeros(3), noise_norm=0.3, seed=9)
+        direction = generator(9).standard_normal(5)
+        np.testing.assert_array_equal(e, 0.3 * direction / np.linalg.norm(direction))
 
     def test_requires_seed_for_generated_noise(self):
         op = gaussian_ensemble(5, 3, seed=1)
@@ -229,29 +199,3 @@ class TestImmutability:
         op = lifted_phase_ensemble(3, 2, seed=0)
         with pytest.raises(ValueError):
             op.vectors[0, 0] = 99.0
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("ext", ["npz", "csv"])
-    def test_dense_roundtrip(self, tmp_path, ext):
-        op = gaussian_ensemble(4, 3, seed=12)
-        path = str(tmp_path / f"op.{ext}")
-        save_operator(op, path)
-        back = load_operator(path)
-        assert back.kind is OperatorKind.DENSE
-        assert back.m == 4 and back.signal_shape == (3,)
-        np.testing.assert_array_equal(back.rows, op.rows)
-
-    @pytest.mark.parametrize("ext", ["npz", "csv"])
-    def test_lifted_roundtrip(self, tmp_path, ext):
-        op = lifted_phase_ensemble(4, 3, seed=12)
-        path = str(tmp_path / f"op.{ext}")
-        save_operator(op, path)
-        back = load_operator(path)
-        assert back.kind is OperatorKind.LIFTED
-        np.testing.assert_array_equal(back.vectors, op.vectors)
-
-    def test_unknown_extension_rejected(self, tmp_path):
-        op = gaussian_ensemble(2, 2, seed=0)
-        with pytest.raises(ValueError):
-            save_operator(op, str(tmp_path / "op.bin"))

@@ -21,7 +21,6 @@ from conicrecovery.reg import (
     TracePSD,
     level_threshold,
     min_dist_sq,
-    project_psd,
 )
 from conicrecovery.rng import generator
 
@@ -244,6 +243,12 @@ class TestProx:
                 t = rng.uniform(0.05, 3.0)
                 lhs = np.linalg.norm(f.prox(z1, t) - f.prox(z2, t))
                 assert lhs <= np.linalg.norm(z1 - z2) + 1e-9
+
+
+def project_psd(z):
+    """Nearest PSD matrix to the symmetric part of z: the trace+PSD prox at
+    step 0."""
+    return TracePSD(d=z.shape[0]).prox(z, 0.0)
 
 
 class TestProjectPsd:

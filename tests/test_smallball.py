@@ -138,17 +138,6 @@ class TestEmpiricalWidth:
         assert est.w_hat == pytest.approx(math.sqrt(d))
         assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
-    def test_explicit_net_low_dim(self):
-        net = np.array([[1.0, 0.0], [0.0, 1.0]])
-        est = estimate_mean_empirical_width(gaussian_row_sampler(2), net,
-                                            m=3, trials=500, seed=8)
-        assert est.w_hat >= 0.0
-
-    def test_refuses_dense_net_high_dim(self):
-        with pytest.raises(ValueError):
-            estimate_mean_empirical_width(gaussian_row_sampler(5), np.eye(5),
-                                          m=3, trials=10, seed=0)
-
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             estimate_mean_empirical_width(gaussian_row_sampler(3), "sphere",
