@@ -109,7 +109,7 @@ def _cmd_smallball(args) -> int:
     trials = int(_merged(args, cfg, "trials", 500))
     seed = int(_merged(args, cfg, "seed", 0))
 
-    basis = np.eye(d)[:, :k]
+    basis = np.eye(d, k)
     sub = Subspace(basis)
     phi = measure.gaussian_row_sampler(d)
 
@@ -143,7 +143,7 @@ def _cmd_lambda_min(args) -> int:
         cone = FullSpace(d)
     elif kind == "subspace":
         k = int(_merged(args, cfg, "k", 1))
-        cone = Subspace(np.eye(d)[:, :k])
+        cone = Subspace(np.eye(d, k))
     else:
         print(f"error: unknown cone kind {kind!r}", file=sys.stderr)
         return EXIT_CONFIG

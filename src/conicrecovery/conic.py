@@ -32,8 +32,8 @@ class Subspace:
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[1] < 1:
-            raise ValueError("basis must be a d x k matrix with k >= 1")
+        if b.ndim != 2 or not 1 <= b.shape[1] <= b.shape[0]:
+            raise ValueError("basis must be a d x k matrix with 1 <= k <= d")
         q, _ = np.linalg.qr(b)
         object.__setattr__(self, "basis", q[:, : b.shape[1]])
 
@@ -116,16 +116,16 @@ def lambda_min_empirical(op: MeasurementOperator, cone: ConeDescriptor,
                          seed: int = 0) -> LambdaMinResult:
     """Minimum conic singular value of the operator with respect to a cone."""
     mat = _dense_matrix(op)
-    if isinstance(cone, FullSpace):
-        if cone.d != mat.shape[1]:
+    if isinstance(cone, FullSpace | Subspace):
+        full = isinstance(cone, FullSpace)
+        if (cone.d if full else cone.basis.shape[0]) != mat.shape[1]:
             raise ValueError("cone dimension mismatch")
-        sv = np.linalg.svd(mat, compute_uv=False)
-        return LambdaMinResult(float(sv[-1]), "exact", True)
-    if isinstance(cone, Subspace):
-        if cone.basis.shape[0] != mat.shape[1]:
-            raise ValueError("cone dimension mismatch")
-        sv = np.linalg.svd(mat @ cone.basis, compute_uv=False)
-        return LambdaMinResult(float(sv[-1]), "exact", True)
+        restricted = mat if full else mat @ cone.basis
+        # fewer rows than columns: the restricted map has a kernel
+        rows, cols = restricted.shape
+        value = (0.0 if rows < cols else
+                 float(np.linalg.svd(restricted, compute_uv=False)[-1]))
+        return LambdaMinResult(value, "exact", True)
     if isinstance(cone, DescentCone):
         val = _heuristic_descent_lambda(mat, cone.f, restarts, iters, seed)
         return LambdaMinResult(val, "upper-bound (heuristic)", False)

@@ -34,6 +34,9 @@ class SparseL1:
     s: int
     d: int
 
+    def __post_init__(self):
+        self.width_sq()  # rejects s outside 1..d
+
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         x = np.zeros(self.d)
         support = rng.choice(self.d, size=self.s, replace=False)
@@ -64,6 +67,9 @@ class LowRankS1:
     d1: int
     d2: int
 
+    def __post_init__(self):
+        self.width_sq()  # rejects r outside 1..min(d1, d2)
+
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         g1 = rng.standard_normal((self.d1, self.r))
         g2 = rng.standard_normal((self.d2, self.r))
@@ -90,6 +96,10 @@ class PhaseRetrieval:
     """Unit vectors in R^d seen through |<psi_i, x>|^2, recovered by PhaseLift."""
 
     d: int
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("need d >= 1")
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         x = rng.standard_normal(self.d)
@@ -141,10 +151,7 @@ class ExperimentConfig:
         grid = tuple(int(m) for m in self.m_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("m_grid must be strictly increasing")
-        if not grid:
-            object.__setattr__(self, "m_grid", ())
-        else:
-            object.__setattr__(self, "m_grid", grid)
+        object.__setattr__(self, "m_grid", grid)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 

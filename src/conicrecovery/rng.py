@@ -1,4 +1,4 @@
-"""Seeded random number generation.
+"""Seeded random number generation and the Monte Carlo mean.
 
 All randomness in the package flows through Philox, a counter-based 64-bit
 generator.  Experiments derive independent per-trial streams by spawning
@@ -6,11 +6,13 @@ from a single root ``SeedSequence``, so trial-level parallelism cannot
 perturb determinism.  Gaussian variates use numpy's ziggurat sampler.
 
 One draw of n rows continues a Philox stream exactly as n draws of one
-row, so estimators draw and evaluate their trials in ``chunks``: the chunk
-size bounds memory and moves no estimate.
+row, so every mean-of-trials estimator goes through ``mc_mean``: it draws
+the trials in ``chunks``, whose size bounds memory and moves no draw.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -37,5 +39,18 @@ def chunks(total: int, values_each: int) -> list[tuple[int, int]]:
     """Consecutive (start, stop) blocks covering range(total), each of at
     most CHUNK_ITEMS items and, when an item holds ``values_each`` values,
     at most CHUNK_VALUES values (but at least one item)."""
-    size = max(1, min(CHUNK_ITEMS, CHUNK_VALUES // values_each))
+    size = max(1, min(CHUNK_ITEMS, CHUNK_VALUES // max(values_each, 1)))
     return [(start, min(start + size, total)) for start in range(0, total, size)]
+
+
+def mc_mean(trials: int, values_each: int,
+            sample: Callable[[int], np.ndarray]) -> tuple[float, float]:
+    """Mean and standard error (0.0 at one trial) of ``trials`` values, n at
+    a time from ``sample(n)`` over ``chunks(trials, values_each)``."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    vals = np.empty(trials)
+    for start, stop in chunks(trials, values_each):
+        vals[start:stop] = sample(stop - start)
+    se = float(np.std(vals, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return float(np.mean(vals)), se

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conic import Subspace
 from .reg import Regularizer, min_dist_sq
-from .rng import chunks, spawn_generators
+from .rng import chunks, generator, mc_mean, spawn_generators
 
 RowSampler = Callable[[np.random.Generator, int], np.ndarray]
 
@@ -114,15 +114,25 @@ def estimate_marginal_tail(phi_sampler: RowSampler,
     return out[0] if np.isscalar(xi) else out
 
 
-def _empirical_width_samples(phi_sampler: RowSampler, m: int, n: int,
-                             rng_phi: np.random.Generator,
-                             rng_signs: np.random.Generator) -> np.ndarray:
-    """n draws of h = m^{-1/2} sum_i eps_i phi_i, stacked on axis 0."""
-    phis = np.asarray(phi_sampler(rng_phi, n * m), dtype=float)
-    phis = phis.reshape(n, m, *phis.shape[1:])
-    signs = rng_signs.choice([-1.0, 1.0], size=(n, m))
-    shape = (n, m) + (1,) * (phis.ndim - 2)
-    return np.sum(signs.reshape(shape) * phis, axis=1) / math.sqrt(m)
+def _mean_empirical_sup(phi_sampler: RowSampler, m: int, trials: int,
+                        seed: int, sup: Callable[[np.ndarray], np.ndarray]
+                        ) -> EmpiricalWidthEstimate:
+    """``rng.mc_mean`` of sup(h) over draws of h = m^{-1/2} sum_i eps_i phi_i;
+    ``sup`` maps n draws, flattened to rows, to n values."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    # the chunk bound needs the row size; probe it on a private stream
+    row_size = np.asarray(phi_sampler(generator(0), 1)).size
+    rng_phi, rng_signs = spawn_generators(seed, 2)
+
+    def sample(n: int) -> np.ndarray:
+        # signs scale the fresh rows in place: a product per chunk page-faults
+        phis = np.asarray(phi_sampler(rng_phi, n * m), dtype=float).reshape(n, m, -1)
+        phis *= rng_signs.choice([-1.0, 1.0], size=(n, m, 1))
+        return sup(np.sum(phis, axis=1) / math.sqrt(m))
+
+    w_hat, se = mc_mean(trials, m * row_size, sample)
+    return EmpiricalWidthEstimate(m, w_hat, se, trials, seed)
 
 
 def estimate_mean_empirical_width(phi_sampler: RowSampler,
@@ -139,20 +149,13 @@ def estimate_mean_empirical_width(phi_sampler: RowSampler,
 
     Descent cones are handled by duality in :func:`bowling_width_descent`.
     """
-    if m < 1 or trials < 1:
-        raise ValueError("need m >= 1 and trials >= 1")
-    rng_phi, rng_signs = spawn_generators(seed, 2)
-    vals = np.empty(trials)
-    for i in range(trials):
-        h = _empirical_width_samples(phi_sampler, m, 1, rng_phi, rng_signs)[0]
-        if isinstance(index_set, str) and index_set == "sphere":
-            vals[i] = np.linalg.norm(h)
-        elif isinstance(index_set, Subspace):
-            vals[i] = np.linalg.norm(index_set.basis.T @ h.ravel())
-        else:
-            raise TypeError(f"unsupported index set: {index_set!r}")
-    se = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return EmpiricalWidthEstimate(m, float(np.mean(vals)), se, trials, seed)
+    if isinstance(index_set, Subspace):
+        sup = lambda h: np.linalg.norm(h @ index_set.basis, axis=1)
+    elif isinstance(index_set, str) and index_set == "sphere":
+        sup = lambda h: np.linalg.norm(h, axis=1)
+    else:
+        raise TypeError(f"unsupported index set: {index_set!r}")
+    return _mean_empirical_sup(phi_sampler, m, trials, seed, sup)
 
 
 def bowling_width_descent(f: Regularizer, phi_sampler: RowSampler,
@@ -162,20 +165,13 @@ def bowling_width_descent(f: Regularizer, phi_sampler: RowSampler,
 
     Each trial forms h = m^{-1/2} sum_i eps_i phi_i and evaluates
     sqrt(inf_tau dist^2(h, tau * subdiff)); the mean upper-bounds the mean
-    empirical width of the descent cone under any row ensemble.  Trials
-    are drawn and evaluated in ``rng.chunks``.
+    empirical width of the descent cone under any row ensemble.
     """
-    if m < 1 or trials < 1:
-        raise ValueError("need m >= 1 and trials >= 1")
-    rng_phi, rng_signs = spawn_generators(seed, 2)
-    vals = np.empty(trials)
-    for start, stop in chunks(trials, m * math.prod(f.ambient_shape)):
-        n = stop - start
-        h = _empirical_width_samples(phi_sampler, m, n, rng_phi, rng_signs)
-        _, dist_sq = min_dist_sq(*f.dist_terms(h.reshape(n, *f.ambient_shape)))
-        vals[start:stop] = np.sqrt(np.maximum(dist_sq, 0.0))
-    se = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return EmpiricalWidthEstimate(m, float(np.mean(vals)), se, trials, seed)
+    def dist(h: np.ndarray) -> np.ndarray:
+        _, dist_sq = min_dist_sq(*f.dist_terms(h.reshape(-1, *f.ambient_shape)))
+        return np.sqrt(np.maximum(dist_sq, 0.0))
+
+    return _mean_empirical_sup(phi_sampler, m, trials, seed, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +219,9 @@ def phase_second_moment(u: np.ndarray, n_samples: int = 100_000,
     if abs(np.linalg.norm(u) - 1.0) > 1e-8:
         raise ValueError("U must have unit Frobenius norm")
     rng_phi, = spawn_generators(seed, 1)
-    psi = rng_phi.standard_normal((n_samples, u.shape[0]))
-    vals = np.einsum("ni,ij,nj->n", psi, u, psi) ** 2
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-    return est, se
+
+    def sample(n: int) -> np.ndarray:
+        psi = rng_phi.standard_normal((n, u.shape[0]))
+        return np.einsum("ni,ij,nj->n", psi, u, psi) ** 2
+
+    return mc_mean(n_samples, u.shape[0], sample)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reg import Regularizer, min_dist_sq
-from .rng import chunks, generator
+from .rng import generator, mc_mean
 
 
 class WidthMethod(enum.Enum):
@@ -80,19 +80,12 @@ def mc_width_sq_descent(f: Regularizer, trials: int = 2000,
     """Monte Carlo upper-bound estimate of the descent cone's squared width.
 
     Averages min_subdiff_dist_sq over i.i.d. standard Gaussian ambient
-    points, drawn and evaluated in ``rng.chunks``.  The reduction order is
-    fixed, so the result is deterministic in (f, trials, seed).
+    points through ``rng.mc_mean``, deterministically in (f, trials, seed).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = generator(seed)
-    vals = np.empty(trials)
-    for start, stop in chunks(trials, math.prod(f.ambient_shape)):
-        g = rng.standard_normal((stop - start, *f.ambient_shape))
-        _, vals[start:stop] = min_dist_sq(*f.dist_terms(g))
-    se = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return WidthEstimate(float(np.mean(vals)), se, trials,
-                         WidthMethod.MONTE_CARLO_DESCENT)
+    rng, shape = generator(seed), f.ambient_shape
+    mean, se = mc_mean(trials, math.prod(shape), lambda n: min_dist_sq(
+        *f.dist_terms(rng.standard_normal((n, *shape))))[1])
+    return WidthEstimate(mean, se, trials, WidthMethod.MONTE_CARLO_DESCENT)
 
 
 def mc_subspace_width_sq(k: int, trials: int = 10_000,
@@ -105,14 +98,8 @@ def mc_subspace_width_sq(k: int, trials: int = 10_000,
     """
     if k < 0:
         raise ValueError("subspace dimension must be nonnegative")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if k == 0:
-        return WidthEstimate(0.0, 0.0, trials, WidthMethod.MONTE_CARLO_SUBSPACE)
     rng = generator(seed)
-    norms = np.linalg.norm(rng.standard_normal((trials, k)), axis=1)
-    mean = float(np.mean(norms))
-    se_mean = (float(np.std(norms, ddof=1) / math.sqrt(trials))
-               if trials > 1 else 0.0)
-    return WidthEstimate(mean * mean, 2.0 * mean * se_mean, trials,
+    mean, se = mc_mean(trials, k, lambda n: np.linalg.norm(
+        rng.standard_normal((n, k)), axis=1))
+    return WidthEstimate(mean * mean, 2.0 * mean * se, trials,
                          WidthMethod.MONTE_CARLO_SUBSPACE)

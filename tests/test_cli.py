@@ -302,6 +302,32 @@ class TestProblemConfig:
         assert code == 1 and out == ""
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (("recover", "--s", "0", "--d", "16", "--m", "8"), "1 <= s <= d"),
+        (("recover", "--s", "20", "--d", "16"), "1 <= s <= d"),
+        (("phaselift", "--d", "0"), "d >= 1"),
+        (("lambda-min", "--d", "10", "--m", "40", "--cone", "subspace",
+          "--k", "20"), "1 <= k <= d"),
+        (("smallball", "--d", "20", "--subspace-dim", "30"), "1 <= k <= d"),
+    ])
+    def test_out_of_range_field_exits_1(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "sparse", "s": 0, "d": 8}, "1 <= s <= d"),
+        ({"kind": "lowrank", "r": 7, "d1": 8, "d2": 6}, "1 <= r <= min"),
+    ])
+    def test_out_of_range_problem_exits_1(self, capsys, tmp_path, spec,
+                                          message):
+        cfg = {"problem": spec, "m_grid": [4], "trials": 1}
+        code, out, err = run(capsys, "sweep", "--config",
+                             config_path(tmp_path, cfg))
+        assert code == 1 and out == ""
+        assert message in err
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

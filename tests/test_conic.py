@@ -70,6 +70,26 @@ class TestExactModes:
         assert res.value == pytest.approx(
             np.linalg.svd(op.rows, compute_uv=False)[-1])
 
+    @pytest.mark.parametrize("cone", [FullSpace(10), Subspace(np.eye(10, 8))])
+    def test_wide_restricted_matrix_has_zero_lambda(self, cone):
+        # 5 rows restricted to 10 or 8 columns: Phi has a kernel in the cone
+        op = gaussian_ensemble(5, 10, seed=0)
+        res = lambda_min_empirical(op, cone)
+        assert (res.value, res.mode, res.certified) == (0.0, "exact", True)
+        assert deterministic_error_bound(0.1, res.value) == float("inf")
+
+    def test_square_restricted_matrix_uses_svd(self):
+        op = gaussian_ensemble(5, 10, seed=0)
+        basis = np.eye(10, 5)
+        res = lambda_min_empirical(op, Subspace(basis))
+        assert res.value == np.linalg.svd(op.rows @ basis, compute_uv=False)[-1]
+        assert res.value > 0
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 0), (3,)])
+    def test_subspace_rejects_bad_basis_shape(self, shape):
+        with pytest.raises(ValueError, match="1 <= k <= d"):
+            Subspace(np.ones(shape))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             lambda_min_empirical(dense_op(np.eye(3)), FullSpace(4))

@@ -40,6 +40,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(trials=0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: SparseL1(s=0, d=8), lambda: SparseL1(s=9, d=8),
+        lambda: LowRankS1(r=0, d1=4, d2=4), lambda: LowRankS1(r=3, d1=4, d2=2),
+        lambda: PhaseRetrieval(d=0),
+    ])
+    def test_rejects_out_of_range_problem(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_digest_depends_on_inputs(self):
         a = small_config().digest()
         assert a == small_config().digest()

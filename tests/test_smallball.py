@@ -251,20 +251,29 @@ class TestBowlingScheme:
     @pytest.mark.parametrize("sampler", ROW_SAMPLERS)
     @pytest.mark.parametrize("m", [63, 64])
     def test_chunks_equal_per_trial_loop(self, sampler, m):
-        # one draw of m rows and m signs per trial, one minimization per trial
+        # one draw of m rows and m signs per trial, then one minimization
+        # per trial (bowling) or the row norms of the stacked h (empirical
+        # width of the sphere and of a subspace); a one-row product would
+        # run as a matrix-vector multiply and differ in the last bits
         d, trials, seed = 5, CHUNK_ITEMS + 45, 17
         f = L1Norm(np.array([1.0, 0.0, -2.0, 0.0, 0.0]))
+        sub = Subspace(generator(3).standard_normal((d, 3)))
         phi = ROW_SAMPLERS[sampler](d)
         rng_phi, rng_signs = spawn_generators(seed, 2)
-        vals = np.empty(trials)
+        hs, bowl = np.empty((trials, d)), np.empty(trials)
         for i in range(trials):
             phis = phi(rng_phi, m)
             signs = rng_signs.choice([-1.0, 1.0], size=m)
-            h = np.sum(signs[:, None] * phis, axis=0) / math.sqrt(m)
-            vals[i] = math.sqrt(max(f.min_subdiff_dist_sq(h)[1], 0.0))
-        est = bowling_width_descent(f, phi, m, trials, seed=seed)
-        assert est.w_hat == float(np.mean(vals))
-        assert est.std_error == float(np.std(vals, ddof=1) / math.sqrt(trials))
+            hs[i] = np.sum(signs[:, None] * phis, axis=0) / math.sqrt(m)
+            bowl[i] = math.sqrt(max(f.min_subdiff_dist_sq(hs[i])[1], 0.0))
+        vals = [bowl, np.linalg.norm(hs, axis=1),
+                np.linalg.norm(hs @ sub.basis, axis=1)]
+        ests = [bowling_width_descent(f, phi, m, trials, seed=seed),
+                estimate_mean_empirical_width(phi, "sphere", m, trials, seed),
+                estimate_mean_empirical_width(phi, sub, m, trials, seed)]
+        for est, v in zip(ests, vals):
+            assert est.w_hat == float(np.mean(v))
+            assert est.std_error == float(np.std(v, ddof=1) / math.sqrt(trials))
 
 
 class TestSmallBallValidity:
@@ -330,6 +339,20 @@ class TestPhaseSecondMoment:
             truth = 2.0 + np.trace(u) ** 2
             assert abs(est - truth) <= 4 * se
             assert est >= 2.0 - 3 * se
+
+    def test_chunks_equal_per_trial_loop(self):
+        # one psi and one quadratic form per sample
+        n_samples, seed = CHUNK_ITEMS + 45, 21
+        u = np.diag([3.0, -1.0, 0.0, 2.0]) + 0.5
+        u /= np.linalg.norm(u)
+        rng_phi, = spawn_generators(seed, 1)
+        vals = np.empty(n_samples)
+        for i in range(n_samples):
+            psi = rng_phi.standard_normal((1, 4))
+            vals[i] = np.einsum("ni,ij,nj->n", psi, u, psi)[0] ** 2
+        est, se = phase_second_moment(u, n_samples, seed)
+        assert est == float(np.mean(vals))
+        assert se == float(np.std(vals, ddof=1) / math.sqrt(n_samples))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -151,6 +151,18 @@ class TestSubspaceSandwich:
         est = mc_subspace_width_sq(0)
         assert est.value == 0.0 and est.std_error == 0.0
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_chunks_equal_per_trial_loop(self, k):
+        # one draw and one norm per trial; the squared mean by the delta method
+        trials, seed = CHUNK_ITEMS + 45, 8
+        rng = generator(seed)
+        norms = np.array([np.linalg.norm(rng.standard_normal((1, k)), axis=1)[0]
+                          for _ in range(trials)])
+        mean = float(np.mean(norms))
+        se = float(np.std(norms, ddof=1) / math.sqrt(trials))
+        est = mc_subspace_width_sq(k, trials=trials, seed=seed)
+        assert (est.value, est.std_error) == (mean * mean, 2.0 * mean * se)
+
     @pytest.mark.parametrize("k", [0, 3])
     @pytest.mark.parametrize("trials", [0, -2])
     def test_rejects_nonpositive_trials(self, k, trials):
