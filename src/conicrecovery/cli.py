@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, harness, measure, smallball, solve, width
-from .conic import FullSpace, Subspace, lambda_min_empirical
+from .conic import Subspace, lambda_min_empirical
 from .rng import generator
 
 EXIT_OK = 0
@@ -72,6 +72,12 @@ def _build(cls, field_value):
     return cls(*(int(field_value(f.name)) for f in dataclasses.fields(cls)))
 
 
+def _axes(d: int, k: int) -> np.ndarray:
+    """The first k coordinate axes of R^d as columns; a k outside 1..d
+    gives a basis that ``Subspace`` rejects with its range message."""
+    return np.eye(d, max(k, 0))
+
+
 def _cmd_width(args) -> int:
     cfg = _load_config(args.config)
     kind = _merged(args, cfg, "problem", "sparse")
@@ -109,7 +115,7 @@ def _cmd_smallball(args) -> int:
     trials = int(_merged(args, cfg, "trials", 500))
     seed = int(_merged(args, cfg, "seed", 0))
 
-    basis = np.eye(d, k)
+    basis = _axes(d, k)
     sub = Subspace(basis)
     phi = measure.gaussian_row_sampler(d)
 
@@ -140,10 +146,9 @@ def _cmd_lambda_min(args) -> int:
     kind = _merged(args, cfg, "cone", "full")
     op = measure.gaussian_ensemble(m, d, seed)
     if kind == "full":
-        cone = FullSpace(d)
+        cone = Subspace(np.eye(d))
     elif kind == "subspace":
-        k = int(_merged(args, cfg, "k", 1))
-        cone = Subspace(np.eye(d, k))
+        cone = Subspace(_axes(d, int(_merged(args, cfg, "k", 1))))
     else:
         print(f"error: unknown cone kind {kind!r}", file=sys.stderr)
         return EXIT_CONFIG
@@ -197,49 +202,39 @@ def _parse_problem(cfg: dict) -> harness.Problem:
         raise SystemExit(f"error: problem spec missing field {exc}")
 
 
-def _cmd_sweep(args) -> int:
+def _experiment(args, trials: int):
+    """The --config file (required) and an ``ExperimentConfig`` constructor
+    bound to its problem, --trials (default ``trials``) and --seed."""
     cfg = _load_config(args.config)
     if not cfg:
-        print("error: sweep requires --config", file=sys.stderr)
-        return EXIT_CONFIG
-    problem = _parse_problem(cfg)
-    config = harness.ExperimentConfig(
-        problem=problem,
-        m_grid=tuple(cfg.get("m_grid", [])),
-        trials=int(_merged(args, cfg, "trials", 25)),
-        eta=float(cfg.get("eta", 0.0)),
-        success_threshold=float(cfg.get("success_threshold", 1e-4)),
-        seed=int(_merged(args, cfg, "seed", 0)),
-    )
+        raise SystemExit(f"error: {args.command} requires --config")
+    return cfg, functools.partial(
+        harness.ExperimentConfig, problem=_parse_problem(cfg),
+        trials=int(_merged(args, cfg, "trials", trials)),
+        seed=int(_merged(args, cfg, "seed", 0)))
+
+
+def _cmd_sweep(args) -> int:
+    cfg, experiment = _experiment(args, 25)
+    config = experiment(
+        m_grid=tuple(cfg.get("m_grid", [])), eta=float(cfg.get("eta", 0.0)),
+        success_threshold=float(cfg.get("success_threshold", 1e-4)))
     result = harness.run_phase_transition(config)
     harness.emit_csv(result, args.out or sys.stdout, args.format)
     return _exit_code(args, any(r.nonconverged for r in result.rows))
 
 
 def _cmd_error_curve(args) -> int:
-    cfg = _load_config(args.config)
-    if not cfg:
-        print("error: error-curve requires --config", file=sys.stderr)
-        return EXIT_CONFIG
-    problem = _parse_problem(cfg)
-    eta_grid = cfg.get("eta_grid")
-    m = cfg.get("m")
+    cfg, experiment = _experiment(args, 10)
+    eta_grid, m = cfg.get("eta_grid"), cfg.get("m")
     if not eta_grid or m is None:
-        print("error: error-curve config needs eta_grid and m",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    config = harness.ExperimentConfig(
-        problem=problem, m_grid=(int(m),),
-        trials=int(_merged(args, cfg, "trials", 10)),
-        seed=int(_merged(args, cfg, "seed", 0)),
-    )
-    rows = harness.run_error_curve(config, [float(e) for e in eta_grid],
-                                   int(m))
+        raise SystemExit("error: error-curve config needs eta_grid and m")
+    rows = harness.run_error_curve(experiment(m_grid=(int(m),)),
+                                   [float(e) for e in eta_grid], int(m))
     recs = [{"eta": f"{r.eta:.6g}", "mean_error": f"{r.mean_error:.6e}",
-             "bound": f"{r.bound:.6e}", "violations": r.violations,
-             "nonconverged": r.nonconverged} for r in rows]
-    _emit(recs, args, ["eta", "mean_error", "bound", "violations",
-                       "nonconverged"])
+             "bound": f"{r.bound:.6e}", "nonconverged": r.nonconverged}
+            for r in rows]
+    _emit(recs, args, ["eta", "mean_error", "bound", "nonconverged"])
     return _exit_code(args, any(r.nonconverged for r in rows))
 
 
@@ -253,13 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, trials=False, strict=False):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="64-bit RNG seed override")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--strict", action="store_true",
-                       help="exit 2 on solver non-convergence")
+        if trials:
+            p.add_argument("--trials", type=int)
+        if strict:
+            p.add_argument("--strict", action="store_true",
+                           help="exit 2 on solver non-convergence")
         p.add_argument("--format", choices=["csv", "json-lines"],
                        default="csv")
 
@@ -267,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", choices=["sparse", "lowrank", "subspace"])
     for flag in ("--s", "--d", "--r", "--d1", "--d2", "--k"):
         p.add_argument(flag, type=int)
-    common(p)
+    common(p, trials=True)
     p.set_defaults(func=_cmd_width)
 
     p = sub.add_parser("smallball", help="marginal tail / empirical width")
@@ -275,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=int)
     p.add_argument("--xi", type=float)
     p.add_argument("--t", type=float)
-    common(p)
+    common(p, trials=True)
     p.set_defaults(func=_cmd_smallball)
 
     p = sub.add_parser("lambda-min", help="minimum conic singular value")
@@ -289,21 +286,21 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--s", "--d", "--m"):
         p.add_argument(flag, type=int)
     p.add_argument("--eta", type=float)
-    common(p)
+    common(p, strict=True)
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("phaselift", help="solve one phase retrieval instance")
     for flag in ("--d", "--m"):
         p.add_argument(flag, type=int)
-    common(p)
+    common(p, strict=True)
     p.set_defaults(func=_cmd_phaselift)
 
     p = sub.add_parser("sweep", help="phase-transition sweep over m")
-    common(p)
+    common(p, trials=True, strict=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("error-curve", help="error vs noise level")
-    common(p)
+    common(p, trials=True, strict=True)
     p.set_defaults(func=_cmd_error_curve)
     return parser
 

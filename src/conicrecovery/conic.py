@@ -1,7 +1,7 @@
 """Minimum conic singular values and the deterministic recovery error bound.
 
-Exact evaluation is available for the full space and for subspaces
-(restricted smallest singular value).  Descent cones use a
+Exact evaluation is available for subspaces (restricted smallest singular
+value), the full space being ``Subspace(np.eye(d))``.  Descent cones use a
 projected-minimization heuristic whose answer is an upper bound only.
 """
 
@@ -22,11 +22,6 @@ MEMBERSHIP_TOL = 1e-12
 # cone descriptors
 
 @dataclass(frozen=True)
-class FullSpace:
-    d: int
-
-
-@dataclass(frozen=True)
 class Subspace:
     basis: np.ndarray  # d x k, orthonormalized on construction
 
@@ -43,7 +38,7 @@ class DescentCone:
     f: Regularizer
 
 
-ConeDescriptor = FullSpace | Subspace | DescentCone
+ConeDescriptor = Subspace | DescentCone
 
 
 @dataclass(frozen=True)
@@ -116,11 +111,10 @@ def lambda_min_empirical(op: MeasurementOperator, cone: ConeDescriptor,
                          seed: int = 0) -> LambdaMinResult:
     """Minimum conic singular value of the operator with respect to a cone."""
     mat = _dense_matrix(op)
-    if isinstance(cone, FullSpace | Subspace):
-        full = isinstance(cone, FullSpace)
-        if (cone.d if full else cone.basis.shape[0]) != mat.shape[1]:
+    if isinstance(cone, Subspace):
+        if cone.basis.shape[0] != mat.shape[1]:
             raise ValueError("cone dimension mismatch")
-        restricted = mat if full else mat @ cone.basis
+        restricted = mat @ cone.basis
         # fewer rows than columns: the restricted map has a kernel
         rows, cols = restricted.shape
         value = (0.0 if rows < cols else

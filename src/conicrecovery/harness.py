@@ -115,6 +115,8 @@ class PhaseRetrieval:
 
 Problem = SparseL1 | LowRankS1 | PhaseRetrieval
 
+MARGIN = 3.0  # C in the sample-complexity threshold ceil(w^2 + C w)
+
 
 def solve_instance(problem: Problem, m: int, x: np.ndarray, op_seed: int,
                    eta: float, noise_seed: int, opts: solve.SolverOptions):
@@ -144,7 +146,6 @@ class ExperimentConfig:
     eta: float = 0.0
     success_threshold: float = 1e-4
     seed: int = 0
-    margin: float = 3.0         # C in the sample-complexity threshold
     solver: solve.SolverOptions = field(default_factory=solve.SolverOptions)
 
     def __post_init__(self):
@@ -154,13 +155,15 @@ class ExperimentConfig:
         object.__setattr__(self, "m_grid", grid)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not self.success_threshold > 0:
+            raise ValueError("success_threshold must be positive")
 
     def digest(self) -> str:
         blob = json.dumps({
             "problem": [type(self.problem).__name__, asdict(self.problem)],
             "m_grid": list(self.m_grid), "trials": self.trials,
             "eta": self.eta, "success_threshold": self.success_threshold,
-            "seed": self.seed, "margin": self.margin,
+            "seed": self.seed, "margin": MARGIN,
         }, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -225,28 +228,29 @@ def _run_cell(problem: Problem, m: int, cell_seed: int, eta: float,
     return res.converged and rel <= threshold, rel, res.iterations, res.converged
 
 
+def _run_grid(config: ExperimentConfig, points, index0: int = 0):
+    """Run ``config.trials`` cells at each (m, eta) point, seeding the cells
+    of point i by its index ``index0 + i``; returns, per point, the cells'
+    (success, rel_error, iters, converged) in trial order."""
+    return [[_run_cell(config.problem, m,
+                       _cell_seed(config.seed, index0 + i, trial), eta,
+                       config.success_threshold, config.solver)
+             for trial in range(config.trials)]
+            for i, (m, eta) in enumerate(points)]
+
+
 def run_phase_transition(config: ExperimentConfig) -> SweepResult:
     """Sweep the measurement count and tally recovery successes per m."""
+    grid = _run_grid(config, [(m, config.eta) for m in config.m_grid])
     rows = []
-    for mi, m in enumerate(config.m_grid):
-        successes = 0
-        nonconv = 0
-        rels = []
-        iters = []
-        for trial in range(config.trials):
-            ok, rel, its, conv = _run_cell(
-                config.problem, m, _cell_seed(config.seed, mi, trial),
-                config.eta, config.success_threshold, config.solver)
-            successes += ok
-            nonconv += not conv
-            rels.append(rel)
-            iters.append(its)
+    for m, cells in zip(config.m_grid, grid):
+        ok, rels, iters, conv = zip(*cells)
+        successes = sum(ok)
         rows.append(SweepRow(m, successes, config.trials,
-                             successes / config.trials,
-                             float(np.mean(rels)), float(np.mean(iters)),
-                             nonconv))
+                             successes / config.trials, float(np.mean(rels)),
+                             float(np.mean(iters)), conv.count(False)))
     w_sq = config.problem.width_sq()
-    m_pred = width.sample_complexity_gaussian(math.sqrt(w_sq), config.margin)
+    m_pred = width.sample_complexity_gaussian(math.sqrt(w_sq), MARGIN)
     return SweepResult(tuple(rows), config.digest(), config.seed, w_sq, m_pred)
 
 
@@ -258,41 +262,28 @@ class ErrorCurveRow:
     eta: float
     mean_error: float
     bound: float
-    violations: int    # observed error above a certified bound
     nonconverged: int  # trials whose solve stopped unconverged
 
 
-def run_error_curve(config: ExperimentConfig, eta_grid, m: int,
-                    lambda_hat: float | None = None,
-                    lambda_certified: bool = False,
-                    t: float = 2.0) -> list[ErrorCurveRow]:
+def run_error_curve(config: ExperimentConfig, eta_grid,
+                    m: int) -> list[ErrorCurveRow]:
     """Mean observed error over all trials, converged or not, and the
     2*eta/lambda bound per noise level.
 
-    When ``lambda_hat`` is omitted, the Gordon prediction
-    sqrt(m-1) - w - t with the closed-form width bound stands in (then the
-    bound is probabilistic, not certified).
+    lambda is the Gordon prediction sqrt(m-1) - w - 2 with the closed-form
+    width bound w, clipped at 0, so the bound is probabilistic, not
+    certified.
     """
-    if lambda_hat is None:
-        w = math.sqrt(config.problem.width_sq())
-        lambda_hat = max(width.gordon_lower_bound(m, w, t), 0.0)
-        lambda_certified = False
+    w = math.sqrt(config.problem.width_sq())
+    lam = max(width.gordon_lower_bound(m, w, 2.0), 0.0)
+    etas = [float(eta) for eta in eta_grid]
+    grid = _run_grid(config, [(m, eta) for eta in etas], index0=10_000)
     rows = []
-    for ei, eta in enumerate(eta_grid):
-        errors = []
-        nonconv = 0
-        for trial in range(config.trials):
-            _, rel, _, conv = _run_cell(
-                config.problem, m, _cell_seed(config.seed, 10_000 + ei, trial),
-                float(eta), config.success_threshold, config.solver)
-            errors.append(rel)
-            nonconv += not conv
-        bound = deterministic_error_bound(float(eta), lambda_hat)
-        mean_err = float(np.mean(errors))
-        violations = (sum(e > bound + 1e-12 for e in errors)
-                      if lambda_certified else 0)
-        rows.append(ErrorCurveRow(float(eta), mean_err, bound, violations,
-                                  nonconv))
+    for eta, cells in zip(etas, grid):
+        _, rels, _, conv = zip(*cells)
+        rows.append(ErrorCurveRow(eta, float(np.mean(rels)),
+                                  deterministic_error_bound(eta, lam),
+                                  conv.count(False)))
     return rows
 
 

@@ -118,20 +118,11 @@ def bounded_symmetric_ensemble(m: int, d: int, atom: Atom,
     return MeasurementOperator(OperatorKind.DENSE, m, (d,), rows=rows, seed=seed)
 
 
-def lifted_phase_ensemble(m: int, d: int, seed: int,
-                          vectors: np.ndarray | None = None) -> MeasurementOperator:
-    """m standard Gaussian sampling vectors acting on symmetric d x d matrices.
-
-    ``vectors`` lets tests inject fixed psi_i.
-    """
+def lifted_phase_ensemble(m: int, d: int, seed: int) -> MeasurementOperator:
+    """m standard Gaussian sampling vectors acting on symmetric d x d matrices."""
     if m < 1 or d < 1:
         raise ValueError("m and d must be at least 1")
-    if vectors is None:
-        vectors = generator(seed).standard_normal((m, d))
-    else:
-        vectors = np.asarray(vectors, dtype=float)
-        if vectors.shape != (m, d):
-            raise ValueError("injected vectors must have shape (m, d)")
+    vectors = generator(seed).standard_normal((m, d))
     return MeasurementOperator(OperatorKind.LIFTED, m, (d, d), vectors=vectors,
                                seed=seed)
 

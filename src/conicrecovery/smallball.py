@@ -1,5 +1,5 @@
 """Small-ball machinery: marginal tail function, mean empirical width
-(over the sphere or a subspace; descent cones by duality), and assembly of
+(over a subspace's unit sphere; descent cones by duality), and assembly of
 the small-ball, subgaussian, and bowling-scheme bounds.
 
 All estimators are Monte Carlo with deterministic Philox streams; the
@@ -136,25 +136,19 @@ def _mean_empirical_sup(phi_sampler: RowSampler, m: int, trials: int,
 
 
 def estimate_mean_empirical_width(phi_sampler: RowSampler,
-                                  index_set,
+                                  index_set: Subspace,
                                   m: int,
                                   trials: int = 2000,
                                   seed: int = 0) -> EmpiricalWidthEstimate:
-    """Monte Carlo estimate of the mean empirical width W_m of a set.
-
-    ``index_set`` is one of:
-
-    * ``"sphere"`` -- the full unit sphere; the sup is the norm of h.
-    * a ``Subspace`` -- the sup is the norm of the projection of h.
+    """Monte Carlo estimate of the mean empirical width W_m of the unit
+    sphere of a subspace (the whole sphere is ``Subspace(np.eye(d))``):
+    the sup is the norm of the projection of h.
 
     Descent cones are handled by duality in :func:`bowling_width_descent`.
     """
-    if isinstance(index_set, Subspace):
-        sup = lambda h: np.linalg.norm(h @ index_set.basis, axis=1)
-    elif isinstance(index_set, str) and index_set == "sphere":
-        sup = lambda h: np.linalg.norm(h, axis=1)
-    else:
+    if not isinstance(index_set, Subspace):
         raise TypeError(f"unsupported index set: {index_set!r}")
+    sup = lambda h: np.linalg.norm(h @ index_set.basis, axis=1)
     return _mean_empirical_sup(phi_sampler, m, trials, seed, sup)
 
 

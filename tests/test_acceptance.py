@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from conicrecovery import measure, solve, width
-from conicrecovery.conic import FullSpace, lambda_min_empirical
+from conicrecovery.conic import Subspace, lambda_min_empirical
 from conicrecovery.harness import (
     ExperimentConfig,
     LowRankS1,
@@ -118,7 +118,7 @@ def test_criterion_04_gordon_bound_validity(capsys):
     bound = math.sqrt(m - 1) - math.sqrt(d) - t
     hits = sum(
         lambda_min_empirical(gaussian_ensemble(m, d, seed=4000 + i),
-                             FullSpace(d)).value >= bound
+                             Subspace(np.eye(d))).value >= bound
         for i in range(trials))
     ok = hits / trials >= 0.93
     report(capsys, 4, "Gordon bound validity", ok,

@@ -192,7 +192,7 @@ class TestSweepCommand:
             json.dump(cfg, fh)
         code, out, _ = run(capsys, "error-curve", "--config", path)
         assert code == 0
-        assert out.startswith("eta,mean_error,bound,violations,nonconverged\n")
+        assert out.startswith("eta,mean_error,bound,nonconverged\n")
 
     def test_error_curve_strict_nonconvergence(self, capsys, tmp_path,
                                                monkeypatch):
@@ -212,7 +212,7 @@ class TestSweepCommand:
             json.dump(cfg, fh)
         code, out, _ = run(capsys, "error-curve", "--config", path)
         assert code == 0
-        assert out.strip().split("\n")[1].endswith(",0,2")
+        assert out.strip().split("\n")[1].endswith(",2")
         code, _, _ = run(capsys, "error-curve", "--config", path, "--strict")
         assert code == 2
 
@@ -309,6 +309,9 @@ class TestProblemConfig:
         (("lambda-min", "--d", "10", "--m", "40", "--cone", "subspace",
           "--k", "20"), "1 <= k <= d"),
         (("smallball", "--d", "20", "--subspace-dim", "30"), "1 <= k <= d"),
+        (("lambda-min", "--d", "10", "--m", "40", "--cone", "subspace",
+          "--k", "-1"), "1 <= k <= d"),
+        (("smallball", "--d", "20", "--subspace-dim", "-2"), "1 <= k <= d"),
     ])
     def test_out_of_range_field_exits_1(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -332,8 +335,19 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 
-    def test_unknown_flag(self, capsys):
-        assert run(capsys, "width", "--bogus")[0] == 1
+    @pytest.mark.parametrize("argv", [
+        ("width", "--bogus"),
+        # flags that a subcommand does not read are not accepted
+        ("lambda-min", "--trials", "5"),
+        ("recover", "--trials", "5"),
+        ("phaselift", "--trials", "5"),
+        ("width", "--strict"),
+        ("smallball", "--strict"),
+        ("lambda-min", "--strict"),
+    ])
+    def test_unknown_flag(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and out == ""
 
     def test_no_arguments(self, capsys):
         assert run(capsys)[0] == 1

@@ -11,7 +11,6 @@ from scipy.optimize import nnls
 from conicrecovery import measure, solve
 from conicrecovery.conic import (
     DescentCone,
-    FullSpace,
     Subspace,
     deterministic_error_bound,
     lambda_min_empirical,
@@ -54,7 +53,7 @@ def l1_cone_lambda_lower(mat, resolution=1e-4):
 
 class TestExactModes:
     def test_identity_full_space(self):
-        res = lambda_min_empirical(dense_op(np.eye(4)), FullSpace(4))
+        res = lambda_min_empirical(dense_op(np.eye(4)), Subspace(np.eye(4)))
         assert res.value == pytest.approx(1.0)
         assert res.mode == "exact" and res.certified
 
@@ -66,11 +65,11 @@ class TestExactModes:
 
     def test_full_space_matches_svd(self):
         op = gaussian_ensemble(12, 5, seed=3)
-        res = lambda_min_empirical(op, FullSpace(5))
-        assert res.value == pytest.approx(
-            np.linalg.svd(op.rows, compute_uv=False)[-1])
+        res = lambda_min_empirical(op, Subspace(np.eye(5)))
+        # the identity basis is exact: Phi @ I is Phi bit for bit
+        assert res.value == np.linalg.svd(op.rows, compute_uv=False)[-1]
 
-    @pytest.mark.parametrize("cone", [FullSpace(10), Subspace(np.eye(10, 8))])
+    @pytest.mark.parametrize("cone", [Subspace(np.eye(10)), Subspace(np.eye(10, 8))])
     def test_wide_restricted_matrix_has_zero_lambda(self, cone):
         # 5 rows restricted to 10 or 8 columns: Phi has a kernel in the cone
         op = gaussian_ensemble(5, 10, seed=0)
@@ -92,12 +91,12 @@ class TestExactModes:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            lambda_min_empirical(dense_op(np.eye(3)), FullSpace(4))
+            lambda_min_empirical(dense_op(np.eye(3)), Subspace(np.eye(4)))
 
     def test_lifted_operator_rejected(self):
         op = measure.lifted_phase_ensemble(3, 2, seed=0)
         with pytest.raises(ValueError):
-            lambda_min_empirical(op, FullSpace(4))
+            lambda_min_empirical(op, Subspace(np.eye(4)))
 
 
 class TestHeuristicMode:
@@ -162,7 +161,7 @@ class TestGordonValidity:
         hits = 0
         for trial in range(100):
             op = gaussian_ensemble(m, d, seed=1000 + trial)
-            lam = lambda_min_empirical(op, FullSpace(d)).value
+            lam = lambda_min_empirical(op, Subspace(np.eye(d))).value
             hits += lam >= bound
         assert hits / 100 >= 1.0 - math.exp(-t * t / 2.0) - 0.02
 

@@ -40,6 +40,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(trials=0)
 
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, float("nan")])
+    def test_rejects_nonpositive_success_threshold(self, threshold):
+        # a negative threshold would report 0 successes in every row
+        with pytest.raises(ValueError, match="success_threshold"):
+            small_config(success_threshold=threshold)
+
     @pytest.mark.parametrize("make", [
         lambda: SparseL1(s=0, d=8), lambda: SparseL1(s=9, d=8),
         lambda: LowRankS1(r=0, d1=4, d2=4), lambda: LowRankS1(r=3, d1=4, d2=2),
@@ -55,6 +61,17 @@ class TestConfig:
         assert a != small_config(seed=4).digest()
         assert a != small_config(problem=SparseL1(s=2, d=8)).digest()
         assert len(a) == 16
+        # the acceptance 01-03 sweeps: their CSVs carry these digests
+        acceptance = [
+            ExperimentConfig(SparseL1(s=4, d=128),
+                             (8, 16, 24, 32, 40, 48, 54, 64, 72, 80, 88, 96),
+                             trials=25, eta=0.0, seed=20260826),
+            ExperimentConfig(LowRankS1(r=1, d1=8, d2=8), (20, 55), trials=25,
+                             seed=7),
+            ExperimentConfig(PhaseRetrieval(d=16), (128,), trials=50, seed=11),
+        ]
+        assert [cfg.digest() for cfg in acceptance] == [
+            "7f8e1f206c5e4967", "b2f4d4669f7cc35f", "e8e893d8e8ea3730"]
 
 
 class TestSweep:
@@ -112,10 +129,8 @@ class TestErrorCurve:
     def test_zero_noise_recovers(self):
         cfg = ExperimentConfig(problem=SparseL1(s=1, d=16), m_grid=(16,),
                                trials=3, seed=5)
-        rows = run_error_curve(cfg, [0.0], m=16, lambda_hat=1.0,
-                               lambda_certified=True)
+        rows = run_error_curve(cfg, [0.0], m=16)
         assert rows[0].mean_error <= 1e-4
-        assert rows[0].violations == 0
         assert rows[0].nonconverged == 0
 
     def test_nonconverged_trials_counted(self):
@@ -127,27 +142,21 @@ class TestErrorCurve:
         assert [r.nonconverged for r in rows] == [3, 3]
 
     def test_bound_doubles_with_eta(self):
-        cfg = ExperimentConfig(problem=SparseL1(s=1, d=16), m_grid=(16,),
-                               trials=2, seed=5)
-        rows = run_error_curve(cfg, [0.1, 0.2], m=16, lambda_hat=2.0)
-        assert rows[1].bound == pytest.approx(2 * rows[0].bound)
-        assert rows[0].bound == pytest.approx(0.1)
-
-    def test_gordon_fallback_when_lambda_missing(self):
+        # at m=64 the Gordon lambda sqrt(63) - w - 2 is positive
         cfg = ExperimentConfig(problem=SparseL1(s=1, d=16), m_grid=(64,),
                                trials=2, seed=5)
-        rows = run_error_curve(cfg, [0.1], m=64)
-        assert isinstance(rows[0], ErrorCurveRow)
-        assert rows[0].bound > 0
-        assert rows[0].violations == 0   # uncertified bounds never flag
+        rows = run_error_curve(cfg, [0.1, 0.2], m=64)
+        lam = np.sqrt(63) - np.sqrt(SparseL1(s=1, d=16).width_sq()) - 2
+        assert rows[0].bound == pytest.approx(0.2 / lam)
+        assert rows[1].bound == pytest.approx(2 * rows[0].bound)
 
-    def test_observed_error_below_certified_bound(self):
-        # generous certified lambda: errors must stay under 2*eta/lambda
-        cfg = ExperimentConfig(problem=SparseL1(s=1, d=12), m_grid=(12,),
-                               trials=5, seed=6)
-        rows = run_error_curve(cfg, [0.05, 0.1], m=12, lambda_hat=0.1,
-                               lambda_certified=True)
-        assert all(r.violations == 0 for r in rows)
+    def test_gordon_fallback_when_lambda_missing(self):
+        # below the Gordon threshold lambda clips to 0 and the bound is inf
+        cfg = ExperimentConfig(problem=SparseL1(s=1, d=16), m_grid=(8,),
+                               trials=2, seed=5)
+        rows = run_error_curve(cfg, [0.0, 0.1], m=8)
+        assert isinstance(rows[0], ErrorCurveRow)
+        assert [r.bound for r in rows] == [float("inf")] * 2
 
     def test_lowrank_noisy_curve_pinned(self, monkeypatch):
         # every projection of these cells solves the eta > 0 secular

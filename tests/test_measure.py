@@ -8,6 +8,7 @@ import pytest
 from conicrecovery import measure
 from conicrecovery.measure import (
     Atom,
+    MeasurementOperator,
     OperatorKind,
     adjoint,
     apply,
@@ -20,6 +21,12 @@ from conicrecovery.measure import (
     uniform_atom,
 )
 from conicrecovery.rng import generator
+
+
+def lifted(vectors):
+    """The lifted operator of fixed sampling vectors psi_i (the rows)."""
+    return MeasurementOperator(OperatorKind.LIFTED, len(vectors),
+                               (vectors.shape[1],) * 2, vectors=vectors)
 
 
 class TestGaussianEnsemble:
@@ -76,12 +83,12 @@ class TestBoundedEnsemble:
 
 class TestLiftedEnsemble:
     def test_injected_identity_signal(self):
-        op = lifted_phase_ensemble(1, 2, seed=0, vectors=np.array([[1.0, 0.0]]))
+        op = lifted(np.array([[1.0, 0.0]]))
         y = apply(op, np.eye(2))
         assert y == pytest.approx([1.0])
 
     def test_injected_rank_one_signal(self):
-        op = lifted_phase_ensemble(1, 2, seed=0, vectors=np.array([[1.0, 1.0]]))
+        op = lifted(np.array([[1.0, 1.0]]))
         x = np.array([1.0, 0.0])
         y = apply(op, np.outer(x, x))
         assert y == pytest.approx([1.0])
@@ -99,8 +106,9 @@ class TestLiftedEnsemble:
         assert op.rows is None
 
     def test_injected_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            lifted_phase_ensemble(2, 2, seed=0, vectors=np.ones((3, 2)))
+        with pytest.raises(ValueError, match="m vectors of length d"):
+            MeasurementOperator(OperatorKind.LIFTED, 2, (2, 2),
+                                vectors=np.ones((3, 2)))
 
 
 def assert_gram_matches_columns(op):
@@ -151,7 +159,7 @@ class TestApplyAdjoint:
         assert_gram_matches_columns(op)
 
     def test_lifted_adjoint_all_ones(self):
-        op = lifted_phase_ensemble(1, 2, seed=0, vectors=np.array([[1.0, 1.0]]))
+        op = lifted(np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(adjoint(op, np.array([1.0])), np.ones((2, 2)))
 
     def test_shape_mismatch_rejected(self):

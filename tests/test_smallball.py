@@ -115,8 +115,9 @@ class TestEmpiricalWidth:
         # for the full sphere the per-trial sup is ||h||; with Gaussian
         # rows h is exactly N(0, I_d), so the mean is E||g_d||
         d = 9
-        est = estimate_mean_empirical_width(gaussian_row_sampler(d), "sphere",
-                                            m=7, trials=4000, seed=5)
+        est = estimate_mean_empirical_width(gaussian_row_sampler(d),
+                                            Subspace(np.eye(d)), m=7,
+                                            trials=4000, seed=5)
         exact = math.sqrt(2) * math.gamma(5.0) / math.gamma(4.5)
         assert abs(est.w_hat - exact) <= 4 * est.std_error
 
@@ -133,15 +134,15 @@ class TestEmpiricalWidth:
         # sphere sup ||h|| has the same distribution as ||phi_1|| = sqrt(d)
         d = 4
         est = estimate_mean_empirical_width(
-            bounded_row_sampler(d, rademacher_atom()), "sphere", m=1,
-            trials=200, seed=7)
+            bounded_row_sampler(d, rademacher_atom()), Subspace(np.eye(d)),
+            m=1, trials=200, seed=7)
         assert est.w_hat == pytest.approx(math.sqrt(d))
         assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            estimate_mean_empirical_width(gaussian_row_sampler(3), "sphere",
-                                          m=0, trials=10)
+            estimate_mean_empirical_width(gaussian_row_sampler(3),
+                                          Subspace(np.eye(3)), m=0, trials=10)
         with pytest.raises(TypeError):
             estimate_mean_empirical_width(gaussian_row_sampler(3), object(),
                                           m=3, trials=2)
@@ -269,7 +270,8 @@ class TestBowlingScheme:
         vals = [bowl, np.linalg.norm(hs, axis=1),
                 np.linalg.norm(hs @ sub.basis, axis=1)]
         ests = [bowling_width_descent(f, phi, m, trials, seed=seed),
-                estimate_mean_empirical_width(phi, "sphere", m, trials, seed),
+                estimate_mean_empirical_width(phi, Subspace(np.eye(d)), m,
+                                              trials, seed),
                 estimate_mean_empirical_width(phi, sub, m, trials, seed)]
         for est, v in zip(ests, vals):
             assert est.w_hat == float(np.mean(v))
