@@ -115,9 +115,9 @@ def _cmd_smallball(args) -> int:
     trials = int(_merged(args, cfg, "trials", 500))
     seed = int(_merged(args, cfg, "seed", 0))
 
+    phi = measure.gaussian_row_sampler(d)
     basis = _axes(d, k)
     sub = Subspace(basis)
-    phi = measure.gaussian_row_sampler(d)
 
     def dir_sampler(rng, n):
         g = rng.standard_normal((n, k))

@@ -190,6 +190,8 @@ def gaussian_row_sampler(shape: int | tuple[int, ...]):
     """Sampler of standard Gaussian rows in the given ambient shape."""
     if isinstance(shape, int):
         shape = (shape,)
+    if min(shape, default=0) < 1:
+        raise ValueError("row dimensions must be at least 1")
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.standard_normal((n, *shape))

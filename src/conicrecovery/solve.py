@@ -7,7 +7,11 @@ projection onto the data-consistency set.  In the eigenbasis of the Gram
 matrix G = Phi Phi^*, the ball projection's Lagrange multiplier solves a
 trust-region secular equation, which warm-started Newton solves in a few
 steps; the affine (eta = 0) projection is the pseudo-inverse correction.  It
-needs only Phi, Phi^* and G, so both operator kinds share it.
+needs only Phi, Phi^* and G, so both operator kinds share it.  A dense
+operator at eta = 0 applies the pseudo-inverse Phi^+ as one n x m matrix,
+built once from the same eigendecomposition of G; a lifted operator never
+forms it (it would be the m x d^2 design), so its projector keeps O(md)
+memory.
 """
 
 from __future__ import annotations
@@ -80,7 +84,11 @@ class _BallProjector:
     starts from the previous call's multiplier; the projector lives for one
     solve, so solves stay deterministic.  When delta^2 <= 0 (eta = 0, or an
     empty set) the projection is the mu -> infinity limit, the
-    pseudo-inverse correction p - Phi^*(Q (c / lam)).
+    pseudo-inverse correction p - Phi^+ (Phi p - y) with
+    Phi^+ = Phi^* Q diag(1/lam) Q^t.  For a dense operator Phi^+ is built
+    once here, an n x m matrix the size of Phi, from the same eigenvectors
+    and keep mask, so a projection costs two matrix-vector products; a
+    lifted operator applies Phi, Q^t, Q and Phi^* in turn.
     """
 
     def __init__(self, op: MeasurementOperator, y: np.ndarray, eta: float):
@@ -94,8 +102,13 @@ class _BallProjector:
         self.infeasible = math.sqrt(y_perp_sq) > max(eta, 1e-10 * max(1.0, ynorm))
         self.delta_sq = max(eta ** 2 - y_perp_sq, 0.0)
         self.mu = 0.0  # warm start for the next secular solve
+        self.pinv = None
+        if self.delta_sq == 0.0 and op.kind is OperatorKind.DENSE:
+            self.pinv = (op.rows.T @ (self.q / self.lam)) @ self.q.T
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
+        if self.pinv is not None:
+            return p - self.pinv @ (self.op.rows @ p - self.y)
         c = self.q.T @ (_forward(self.op, p) - self.y)  # range-space residual coords
         if self.delta_sq == 0.0:
             return p - _adjoint(self.op, self.q @ (c / self.lam))

@@ -81,6 +81,36 @@ def test_criterion_01_sparse_phase_transition(capsys, sparse_sweep):
            f"rate@16={rates[16]:.2f} (need <=0.2), isotonic TV={tv:.2f}")
 
 
+# (m, successes, nonconverged, mean_solve_iters, mean_rel_error) of each
+# sparse_sweep row, recorded with the eta = 0 projection taken through the
+# Gram eigenbasis (Phi, Q^t, Q, Phi^t per DR step)
+SPARSE_SWEEP_ROWS = [
+    (8, 0, 5, 9318.8, 1.065366508994422),
+    (16, 2, 5, 11136.0, 0.8396750418874652),
+    (24, 23, 1, 1736.4, 0.06281641610713494),
+    (32, 25, 0, 235.2, 1.2639661479511457e-08),
+    (40, 25, 0, 157.2, 9.649596020611571e-09),
+    (48, 25, 0, 120.0, 1.0257259857151689e-08),
+    (54, 25, 0, 102.0, 7.34713937192463e-09),
+    (64, 25, 0, 72.8, 1.016460403205946e-08),
+    (72, 25, 0, 65.2, 4.214005719040085e-09),
+    (80, 25, 0, 56.4, 4.602831877654505e-09),
+    (88, 25, 0, 45.2, 2.901781268125335e-09),
+    (96, 25, 0, 39.6, 1.8830361565282634e-09),
+]
+
+
+def test_criterion_01_rows_pinned(sparse_sweep):
+    # not a criterion of its own: a change of solver arithmetic must leave
+    # every verdict and iteration count of the sweep as recorded
+    rows = sparse_sweep.rows
+    assert [(r.m, r.successes, r.nonconverged, r.mean_solve_iters)
+            for r in rows] == [pin[:4] for pin in SPARSE_SWEEP_ROWS]
+    np.testing.assert_allclose([r.mean_rel_error for r in rows],
+                               [pin[4] for pin in SPARSE_SWEEP_ROWS],
+                               rtol=1e-6, atol=0)
+
+
 def test_criterion_02_lowrank_phase_transition(capsys):
     cfg = ExperimentConfig(problem=LowRankS1(r=1, d1=8, d2=8),
                            m_grid=(20, 55), trials=25, seed=7)

@@ -312,6 +312,8 @@ class TestProblemConfig:
         (("lambda-min", "--d", "10", "--m", "40", "--cone", "subspace",
           "--k", "-1"), "1 <= k <= d"),
         (("smallball", "--d", "20", "--subspace-dim", "-2"), "1 <= k <= d"),
+        (("smallball", "--d", "-3"), "must be at least 1"),
+        (("smallball", "--d", "0"), "must be at least 1"),
     ])
     def test_out_of_range_field_exits_1(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -15,6 +15,7 @@ from conicrecovery.measure import (
     bounded_symmetric_ensemble,
     gaussian_ensemble,
     gaussian_matrix_ensemble,
+    gaussian_row_sampler,
     lifted_phase_ensemble,
     measure_with_noise,
     rademacher_atom,
@@ -55,6 +56,12 @@ class TestGaussianEnsemble:
     def test_rejects_zero_dims(self, m, d):
         with pytest.raises(ValueError):
             gaussian_ensemble(m, d, seed=0)
+
+    @pytest.mark.parametrize("shape", [0, -3, (4, 0), ()])
+    def test_row_sampler_rejects_nonpositive_dims(self, shape):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            gaussian_row_sampler(shape)
+
 
 class TestBoundedEnsemble:
     def test_rademacher_support(self):

@@ -140,6 +140,7 @@ PROJECTOR_CASES = {
                               _lift(generator(43).standard_normal(4))),
 }
 SINGULAR_CASES = ["dense-12x5", "dense-40x8", "lifted-d2-m4", "lifted-d4-m30"]
+DENSE_CASES = [c for c in PROJECTOR_CASES if c.startswith("dense")]
 
 
 class TestBallProjector:
@@ -162,6 +163,33 @@ class TestBallProjector:
                 want = ball_projection_oracle(a, y, eta, p)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
                 assert np.linalg.norm(a @ got - y) <= eta + 1e-8
+
+    @pytest.mark.parametrize("case", DENSE_CASES)
+    def test_dense_eta_zero_matches_gram_correction(self, case):
+        # a dense operator at eta = 0 applies Phi^+ as one n x m matrix; it
+        # agrees with the correction taken through the Gram eigenbasis
+        op, x = PROJECTOR_CASES[case]()
+        a = explicit_design(op)
+        y = apply(op, x)
+        proj = _BallProjector(op, y, 0.0)
+        assert proj.pinv.shape == (a.shape[1], op.m)
+        rng = generator(48)
+        for _ in range(5):
+            p = 3.0 * rng.standard_normal(a.shape[1])
+            want = p - a.T @ (proj.q @ ((proj.q.T @ (a @ p - y)) / proj.lam))
+            np.testing.assert_allclose(proj(p), want, rtol=0,
+                                       atol=1e-12 * max(1.0, np.linalg.norm(p)))
+
+    @pytest.mark.parametrize("case, eta", [
+        (c, eta) for c in PROJECTOR_CASES for eta in (0.0, 0.3)
+        if not (c in DENSE_CASES and eta == 0.0)])
+    def test_no_pseudo_inverse_matrix_otherwise(self, case, eta):
+        # lifted: Phi^+ would be the m x d^2 design; eta > 0: the secular
+        # path forms its residual in the Gram eigenbasis
+        op, x = PROJECTOR_CASES[case]()
+        proj = _BallProjector(op, apply(op, x), eta)
+        n = math.prod(op.signal_shape)
+        assert not any(np.shape(v) == (n, op.m) for v in vars(proj).values())
 
     @pytest.mark.parametrize("case", SINGULAR_CASES)
     def test_singular_gram_consistent_data(self, case):
