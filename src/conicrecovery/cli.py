@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: width, smallball, lambda-min, recover, phaselift, sweep,
-error-curve.  A JSON config file may supply any option; explicit flags
-override config values.  All subcommands honor --seed and produce
-byte-identical output for identical invocations.
+error-curve; ``_COMMANDS`` holds each one's flags.  A JSON config file may
+set those flags and --seed by name; explicit flags override config values.
+All subcommands honor --seed: identical invocations give identical bytes.
 
 Exit codes: 0 success, 1 invalid config or usage, 2 solver
 non-convergence under --strict.
@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,35 +37,18 @@ def _load_config(path: str | None) -> dict:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read config {path!r}: {exc}")
+        raise ValueError(f"cannot read config {path!r}: {exc}")
     if not isinstance(cfg, dict):
-        raise SystemExit(f"error: config {path!r} must be a JSON object")
+        raise ValueError(f"config {path!r} must be a JSON object")
     return cfg
 
 
-def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None):
-    """Flag value if given, else config value, else default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is None:
-        val = cfg.get(key)
-    return default if val is None else val
-
-
-def _emit(records: list[dict], args, fieldnames: list[str]) -> None:
-    harness.write_records(records, fieldnames, args.out or sys.stdout,
-                          args.format)
-
-
-def _exit_code(args, nonconverged: bool) -> int:
-    """Exit status of a solving command: 2 on non-convergence under --strict."""
-    return EXIT_NONCONVERGED if args.strict and nonconverged else EXIT_OK
-
-
 # ---------------------------------------------------------------------------
+# Each command reads its parsed flags and ``args.config``, the loaded config;
+# it returns (records, meta, nonconverged) for ``main`` or raises ValueError.
 
 _PROBLEMS = {"sparse": harness.SparseL1, "lowrank": harness.LowRankS1,
              "phase": harness.PhaseRetrieval}
-_WIDTH_PROBLEMS = {"sparse": harness.SparseL1, "lowrank": harness.LowRankS1}
 
 
 def _build(cls, field_value):
@@ -78,43 +62,29 @@ def _axes(d: int, k: int) -> np.ndarray:
     return np.eye(d, max(k, 0))
 
 
-def _cmd_width(args) -> int:
-    cfg = _load_config(args.config)
-    kind = _merged(args, cfg, "problem", "sparse")
-    seed = int(_merged(args, cfg, "seed", 0))
-    trials = _merged(args, cfg, "trials")
-    if kind == "subspace":
-        k = int(_merged(args, cfg, "k", 0))
-        bound = width.subspace_width_sq(k)
-        estimate = functools.partial(width.mc_subspace_width_sq, k)
-    elif str(kind) in _WIDTH_PROBLEMS:
-        problem = _build(_WIDTH_PROBLEMS[str(kind)],
-                         lambda name: _merged(args, cfg, name, 1))
+def _cmd_width(args):
+    if args.problem == "subspace":
+        bound = width.subspace_width_sq(args.k)
+        estimate = functools.partial(width.mc_subspace_width_sq, args.k)
+    elif args.problem in ("sparse", "lowrank"):
+        problem = _build(_PROBLEMS[args.problem],
+                         functools.partial(getattr, args))
         bound, estimate = problem.width_sq(), problem.mc_width_sq
     else:
-        print(f"error: unknown width problem {kind!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"unknown width problem {args.problem!r}")
     recs = [{"value": f"{bound:.6f}", "std_error": 0.0, "trials": 0,
              "method": "closed-form-bound"}]
-    if trials is not None:
-        est = estimate(int(trials), seed)
+    if args.trials is not None:
+        est = estimate(args.trials, args.seed)
         recs.append({"value": f"{est.value:.6f}",
                      "std_error": f"{est.std_error:.6f}",
                      "trials": est.trials, "method": est.method.value})
-    _emit(recs, args, ["value", "std_error", "trials", "method"])
-    return EXIT_OK
+    return recs, None, False
 
 
-def _cmd_smallball(args) -> int:
-    cfg = _load_config(args.config)
-    d = int(_merged(args, cfg, "d", 20))
-    k = int(_merged(args, cfg, "subspace-dim", d))
-    m = int(_merged(args, cfg, "m", 50))
-    xi = float(_merged(args, cfg, "xi", 0.25))
-    t = float(_merged(args, cfg, "t", 1.0))
-    trials = int(_merged(args, cfg, "trials", 500))
-    seed = int(_merged(args, cfg, "seed", 0))
-
+def _cmd_smallball(args):
+    d, m, xi, t = args.d, args.m, args.xi, args.t
+    k = d if args.subspace_dim is None else args.subspace_dim
     phi = measure.gaussian_row_sampler(d)
     basis = _axes(d, k)
     sub = Subspace(basis)
@@ -125,120 +95,128 @@ def _cmd_smallball(args) -> int:
         return g @ basis.T
 
     tail = smallball.estimate_marginal_tail(phi, dir_sampler, 2 * xi,
-                                            n_dirs=50, n_samples=trials,
-                                            seed=seed)
-    wm = smallball.estimate_mean_empirical_width(phi, sub, m, trials, seed)
+                                            n_dirs=50, n_samples=args.trials,
+                                            seed=args.seed)
+    wm = smallball.estimate_mean_empirical_width(phi, sub, m, args.trials,
+                                                 args.seed)
     bound = smallball.small_ball_lower_bound(xi, m, tail.q_min, wm.w_hat, t)
     rec = {"xi": xi, "m": m, "q_hat_min": f"{tail.q_min:.6f}",
            "q_hat_mean": f"{tail.q_mean:.6f}", "w_hat": f"{wm.w_hat:.6f}",
            "bound": f"{bound:.6f}", "t": t,
            "confidence": f"{1.0 - math.exp(-t * t / 2.0):.6f}"}
-    _emit([rec], args, ["xi", "m", "q_hat_min", "q_hat_mean", "w_hat",
-                        "bound", "t", "confidence"])
-    return EXIT_OK
+    return [rec], None, False
 
 
-def _cmd_lambda_min(args) -> int:
-    cfg = _load_config(args.config)
-    d = int(_merged(args, cfg, "d", 10))
-    m = int(_merged(args, cfg, "m", 20))
-    seed = int(_merged(args, cfg, "seed", 0))
-    kind = _merged(args, cfg, "cone", "full")
-    op = measure.gaussian_ensemble(m, d, seed)
-    if kind == "full":
-        cone = Subspace(np.eye(d))
-    elif kind == "subspace":
-        cone = Subspace(_axes(d, int(_merged(args, cfg, "k", 1))))
+def _cmd_lambda_min(args):
+    op = measure.gaussian_ensemble(args.m, args.d, args.seed)
+    k = {"full": args.d, "subspace": args.k}.get(args.cone)
+    if k is None:
+        raise ValueError(f"unknown cone kind {args.cone!r}")
+    res = lambda_min_empirical(op, Subspace(_axes(args.d, k)))
+    return ([{"value": f"{res.value:.6f}", "mode": res.mode,
+              "certified": res.certified}], None, False)
+
+
+def _cmd_solve(args):
+    """recover or phaselift: draw one signal from --seed, measure it with
+    seed + 1 (noise from seed + 2) and recover it."""
+    if args.command == "recover":
+        problem, eta = harness.SparseL1(args.s, args.d), args.eta
     else:
-        print(f"error: unknown cone kind {kind!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    res = lambda_min_empirical(op, cone)
-    _emit([{"value": f"{res.value:.6f}", "mode": res.mode,
-            "certified": res.certified}], args, ["value", "mode", "certified"])
-    return EXIT_OK
-
-
-def _solve_one(args, cfg: dict, problem: harness.Problem, m: int,
-               eta: float) -> int:
-    """Draw one signal from --seed, measure it with seed + 1 (noise from
-    seed + 2) and recover it."""
-    seed = int(_merged(args, cfg, "seed", 0))
-    x = problem.draw(generator(seed))
-    res, rel = harness.solve_instance(problem, m, x, seed + 1, eta, seed + 2,
-                                      solve.SolverOptions())
+        problem, eta = harness.PhaseRetrieval(args.d), 0.0
+    x = problem.draw(generator(args.seed))
+    res, rel = harness.solve_instance(problem, args.m, x, args.seed + 1, eta,
+                                      args.seed + 2, solve.SolverOptions())
     rec = {"objective": f"{res.objective:.6e}",
            "residual": f"{res.residual_norm:.3e}",
            "iterations": res.iterations, "converged": res.converged,
            "rel_error": f"{rel:.3e}"}
-    _emit([rec], args, list(rec))
-    return _exit_code(args, not res.converged)
-
-
-def _cmd_recover(args) -> int:
-    cfg = _load_config(args.config)
-    problem = harness.SparseL1(int(_merged(args, cfg, "s", 4)),
-                               int(_merged(args, cfg, "d", 32)))
-    return _solve_one(args, cfg, problem, int(_merged(args, cfg, "m", 20)),
-                      float(_merged(args, cfg, "eta", 0.0)))
-
-
-def _cmd_phaselift(args) -> int:
-    cfg = _load_config(args.config)
-    problem = harness.PhaseRetrieval(int(_merged(args, cfg, "d", 2)))
-    return _solve_one(args, cfg, problem, int(_merged(args, cfg, "m", 3)), 0.0)
+    return [rec], None, not res.converged
 
 
 def _parse_problem(cfg: dict) -> harness.Problem:
     prob = cfg.get("problem")
     if not isinstance(prob, dict) or "kind" not in prob:
-        raise SystemExit("error: config needs problem.kind "
+        raise ValueError("config needs problem.kind "
                          "(sparse | lowrank | phase)")
     cls = _PROBLEMS.get(str(prob["kind"]))
     if cls is None:
-        raise SystemExit(f"error: unknown problem kind {prob['kind']!r}")
+        raise ValueError(f"unknown problem kind {prob['kind']!r}")
     try:
         return _build(cls, prob.__getitem__)
     except KeyError as exc:
-        raise SystemExit(f"error: problem spec missing field {exc}")
+        raise ValueError(f"problem spec missing field {exc}")
 
 
-def _experiment(args, trials: int):
-    """The --config file (required) and an ``ExperimentConfig`` constructor
-    bound to its problem, --trials (default ``trials``) and --seed."""
-    cfg = _load_config(args.config)
-    if not cfg:
-        raise SystemExit(f"error: {args.command} requires --config")
-    return cfg, functools.partial(
-        harness.ExperimentConfig, problem=_parse_problem(cfg),
-        trials=int(_merged(args, cfg, "trials", trials)),
-        seed=int(_merged(args, cfg, "seed", 0)))
+def _experiment(args):
+    """An ``ExperimentConfig`` constructor bound to the problem of the
+    --config file (required), --trials and --seed."""
+    if not args.config:
+        raise ValueError(f"{args.command} requires --config")
+    return functools.partial(
+        harness.ExperimentConfig, problem=_parse_problem(args.config),
+        trials=args.trials, seed=args.seed)
 
 
-def _cmd_sweep(args) -> int:
-    cfg, experiment = _experiment(args, 25)
-    config = experiment(
+def _cmd_sweep(args):
+    cfg = args.config
+    result = harness.run_phase_transition(_experiment(args)(
         m_grid=tuple(cfg.get("m_grid", [])), eta=float(cfg.get("eta", 0.0)),
-        success_threshold=float(cfg.get("success_threshold", 1e-4)))
-    result = harness.run_phase_transition(config)
-    harness.emit_csv(result, args.out or sys.stdout, args.format)
-    return _exit_code(args, any(r.nonconverged for r in result.rows))
+        success_threshold=float(cfg.get("success_threshold", 1e-4))))
+    meta, records = harness.sweep_records(result)
+    return records, meta, any(r.nonconverged for r in result.rows)
 
 
-def _cmd_error_curve(args) -> int:
-    cfg, experiment = _experiment(args, 10)
-    eta_grid, m = cfg.get("eta_grid"), cfg.get("m")
+def _cmd_error_curve(args):
+    experiment = _experiment(args)
+    eta_grid, m = args.config.get("eta_grid"), args.config.get("m")
     if not eta_grid or m is None:
-        raise SystemExit("error: error-curve config needs eta_grid and m")
+        raise ValueError("error-curve config needs eta_grid and m")
     rows = harness.run_error_curve(experiment(m_grid=(int(m),)),
                                    [float(e) for e in eta_grid], int(m))
     recs = [{"eta": f"{r.eta:.6g}", "mean_error": f"{r.mean_error:.6e}",
              "bound": f"{r.bound:.6e}", "nonconverged": r.nonconverged}
             for r in rows]
-    _emit(recs, args, ["eta", "mean_error", "bound", "nonconverged"])
-    return _exit_code(args, any(r.nonconverged for r in rows))
+    return recs, None, any(r.nonconverged for r in rows)
 
 
 # ---------------------------------------------------------------------------
+
+class _Command(NamedTuple):
+    run: Callable
+    help: str
+    flags: dict  # own flags in usage order: name -> (type, default[, choices])
+    strict: bool = False  # takes --strict
+
+
+_COMMANDS = {
+    "width": _Command(_cmd_width, "closed-form and MC width bounds", {
+        "problem": (str, "sparse", ("sparse", "lowrank", "subspace")),
+        "s": (int, 1), "d": (int, 1), "r": (int, 1), "d1": (int, 1),
+        "d2": (int, 1), "k": (int, 0),
+        "trials": (int, None)}),  # None: no Monte Carlo row
+    "smallball": _Command(_cmd_smallball, "marginal tail / empirical width", {
+        "d": (int, 20), "m": (int, 50),
+        "subspace-dim": (int, None),  # None: d
+        "xi": (float, 0.25), "t": (float, 1.0), "trials": (int, 500)}),
+    "lambda-min": _Command(_cmd_lambda_min, "minimum conic singular value", {
+        "d": (int, 10), "m": (int, 20), "k": (int, 1),
+        "cone": (str, "full", ("full", "subspace"))}),
+    "recover": _Command(_cmd_solve, "solve one sparse recovery instance", {
+        "s": (int, 4), "d": (int, 32), "m": (int, 20), "eta": (float, 0.0)},
+        strict=True),
+    "phaselift": _Command(_cmd_solve, "solve one phase retrieval instance",
+                          {"d": (int, 2), "m": (int, 3)}, strict=True),
+    "sweep": _Command(_cmd_sweep, "phase-transition sweep over m",
+                      {"trials": (int, 25)}, strict=True),
+    "error-curve": _Command(_cmd_error_curve, "error vs noise level",
+                            {"trials": (int, 10)}, strict=True),
+}
+# the flags every subcommand takes; of these a config may set only seed
+_SHARED = {"config": (str, None), "seed": (int, 0), "out": (str, None)}
+_HELP = {"config": "JSON config file", "seed": "64-bit RNG seed override",
+         "out": "output path (default stdout)"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -247,81 +225,46 @@ def build_parser() -> argparse.ArgumentParser:
                     "phase-transition experiments.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, trials=False, strict=False):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="64-bit RNG seed override")
-        p.add_argument("--out", help="output path (default stdout)")
-        if trials:
-            p.add_argument("--trials", type=int)
-        if strict:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        # usage order: own flags, the shared ones, --trials, --strict, --format
+        own = dict(command.flags)
+        trials = {"trials": own.pop("trials")} if "trials" in own else {}
+        for flag, (typ, _, *choices) in {**own, **_SHARED, **trials}.items():
+            p.add_argument(f"--{flag}", type=typ, help=_HELP.get(flag),
+                           choices=choices[0] if choices else None)
+        if command.strict:
             p.add_argument("--strict", action="store_true",
                            help="exit 2 on solver non-convergence")
         p.add_argument("--format", choices=["csv", "json-lines"],
                        default="csv")
-
-    p = sub.add_parser("width", help="closed-form and MC width bounds")
-    p.add_argument("--problem", choices=["sparse", "lowrank", "subspace"])
-    for flag in ("--s", "--d", "--r", "--d1", "--d2", "--k"):
-        p.add_argument(flag, type=int)
-    common(p, trials=True)
-    p.set_defaults(func=_cmd_width)
-
-    p = sub.add_parser("smallball", help="marginal tail / empirical width")
-    for flag in ("--d", "--m", "--subspace-dim"):
-        p.add_argument(flag, type=int)
-    p.add_argument("--xi", type=float)
-    p.add_argument("--t", type=float)
-    common(p, trials=True)
-    p.set_defaults(func=_cmd_smallball)
-
-    p = sub.add_parser("lambda-min", help="minimum conic singular value")
-    for flag in ("--d", "--m", "--k"):
-        p.add_argument(flag, type=int)
-    p.add_argument("--cone", choices=["full", "subspace"])
-    common(p)
-    p.set_defaults(func=_cmd_lambda_min)
-
-    p = sub.add_parser("recover", help="solve one sparse recovery instance")
-    for flag in ("--s", "--d", "--m"):
-        p.add_argument(flag, type=int)
-    p.add_argument("--eta", type=float)
-    common(p, strict=True)
-    p.set_defaults(func=_cmd_recover)
-
-    p = sub.add_parser("phaselift", help="solve one phase retrieval instance")
-    for flag in ("--d", "--m"):
-        p.add_argument(flag, type=int)
-    common(p, strict=True)
-    p.set_defaults(func=_cmd_phaselift)
-
-    p = sub.add_parser("sweep", help="phase-transition sweep over m")
-    common(p, trials=True, strict=True)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("error-curve", help="error vs noise level")
-    common(p, trials=True, strict=True)
-    p.set_defaults(func=_cmd_error_curve)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; the contract is 1
         return EXIT_CONFIG if exc.code not in (0, None) else 0
+    command = _COMMANDS[args.command]
     try:
-        return args.func(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return EXIT_CONFIG
-        return exc.code if exc.code is not None else 0
+        # flag if given, else config value (null: absent), else default
+        args.config = _load_config(args.config)
+        for flag, (typ, default, *_) in {**command.flags,
+                                         "seed": _SHARED["seed"]}.items():
+            dest = flag.replace("-", "_")
+            if getattr(args, dest) is None:
+                value = args.config.get(flag)
+                setattr(args, dest, default if value is None else typ(value))
+        records, meta, nonconverged = command.run(args)
+        harness.write_records(records, list(records[0]),
+                              args.out or sys.stdout, args.format, meta)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    strict = command.strict and args.strict
+    return EXIT_NONCONVERGED if strict and nonconverged else EXIT_OK
 
 
 if __name__ == "__main__":

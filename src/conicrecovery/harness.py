@@ -150,6 +150,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         grid = tuple(int(m) for m in self.m_grid)
+        if not grid:
+            raise ValueError("m_grid must not be empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("m_grid must be strictly increasing")
         object.__setattr__(self, "m_grid", grid)
@@ -319,20 +321,27 @@ def write_records(records, fieldnames, out, fmt: str = "csv",
         raise OSError(f"failed writing records to {out!r}: {exc}") from exc
 
 
-def emit_csv(result: SweepResult, path_or_file, fmt: str = "csv") -> None:
-    """Write a sweep's rows in grid order, headed by its metadata (config
-    digest, seed, predicted width^2 and m); see ``write_records``."""
+_SWEEP_FIELDS = ["m", "successes", "trials", "success_rate", "mean_rel_error",
+                 "mean_solve_iters", "nonconverged"]
+
+
+def sweep_records(result: SweepResult) -> tuple[dict, list[dict]]:
+    """A sweep's metadata (config digest, seed, predicted width^2 and m)
+    and one record per row, in grid order."""
     meta = {"config_digest": result.config_digest, "seed": result.seed,
             "predicted_width_sq": f"{result.predicted_width_sq:.6f}",
             "predicted_m": result.predicted_m}
-    records = [{"m": row.m, "successes": row.successes, "trials": row.trials,
-                "success_rate": f"{row.success_rate:.6f}",
-                "mean_rel_error": f"{row.mean_rel_error:.6e}",
-                "mean_solve_iters": f"{row.mean_solve_iters:.1f}",
-                "nonconverged": row.nonconverged} for row in result.rows]
-    write_records(records, ["m", "successes", "trials", "success_rate",
-                            "mean_rel_error", "mean_solve_iters",
-                            "nonconverged"], path_or_file, fmt, meta)
+    records = [dict(zip(_SWEEP_FIELDS, (
+        row.m, row.successes, row.trials, f"{row.success_rate:.6f}",
+        f"{row.mean_rel_error:.6e}", f"{row.mean_solve_iters:.1f}",
+        row.nonconverged))) for row in result.rows]
+    return meta, records
+
+
+def emit_csv(result: SweepResult, path_or_file) -> None:
+    """Write ``sweep_records(result)`` as CSV, the header even without rows."""
+    meta, records = sweep_records(result)
+    write_records(records, _SWEEP_FIELDS, path_or_file, "csv", meta)
 
 
 def sweep_csv_text(result: SweepResult) -> str:

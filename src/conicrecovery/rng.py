@@ -1,9 +1,12 @@
 """Seeded random number generation and the Monte Carlo mean.
 
 All randomness in the package flows through Philox, a counter-based 64-bit
-generator.  Experiments derive independent per-trial streams by spawning
-from a single root ``SeedSequence``, so trial-level parallelism cannot
-perturb determinism.  Gaussian variates use numpy's ziggurat sampler.
+generator.  An experiment seeds each (grid point, trial) cell on its own:
+its seed is the first 8 bytes (little-endian) of the SHA-256 of
+``"root:index:trial"`` (``harness._cell_seed``), and the cell's
+``generator`` draws its signal, then its operator seed, then its noise
+seed.  So the order in which cells run cannot perturb determinism.
+Gaussian variates use numpy's ziggurat sampler.
 
 One draw of n rows continues a Philox stream exactly as n draws of one
 row, so every mean-of-trials estimator goes through ``mc_mean``: it draws

@@ -86,8 +86,10 @@ def estimate_marginal_tail(phi_sampler: RowSampler,
     ``rng.chunks`` and only their exceedance counts are kept.
     Directions must be unit norm elements of the index set.
     """
-    if n_dirs < 1 or n_samples < 1:
-        raise ValueError("need n_dirs >= 1 and n_samples >= 1")
+    if n_dirs < 1:
+        raise ValueError("need n_dirs >= 1")
+    if n_samples < 1:
+        raise ValueError("need n_samples >= 1")
     xis = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.any(xis < 0):
         raise ValueError("thresholds must be nonnegative")

@@ -3,16 +3,30 @@ output formats, determinism."""
 
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from conicrecovery import __version__, harness
-from conicrecovery.cli import _parse_problem, main
+from conicrecovery.cli import _parse_problem, build_parser, main
 
 SMALL_SWEEP = {"problem": {"kind": "sparse", "s": 1, "d": 8},
                "m_grid": [4, 8], "trials": 2, "seed": 3}
 SMALL_CURVE = {"problem": {"kind": "sparse", "s": 1, "d": 8},
                "eta_grid": [0.0, 0.1], "m": 8, "trials": 2, "seed": 3}
+# every flag of each one-shot subcommand that a config may set
+ONE_SHOT = {
+    "width": {"problem": "lowrank", "s": 2, "d": 12, "r": 1, "d1": 4,
+              "d2": 5, "k": 3, "trials": 20, "seed": 5},
+    "smallball": {"d": 8, "subspace-dim": 3, "m": 10, "xi": 0.5, "t": 2.0,
+                  "trials": 50, "seed": 5},
+    "lambda-min": {"d": 6, "m": 12, "cone": "subspace", "k": 2, "seed": 5},
+    "recover": {"s": 1, "d": 12, "m": 10, "eta": 0.05, "seed": 5},
+    "phaselift": {"d": 2, "m": 4, "seed": 5},
+}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -26,6 +40,11 @@ def config_path(tmp_path, cfg, name="cfg.json"):
     with open(path, "w") as fh:
         json.dump(cfg, fh)
     return path
+
+
+def as_flags(values):
+    return [arg for key, value in values.items()
+            for arg in (f"--{key}", str(value))]
 
 
 @pytest.fixture
@@ -143,6 +162,53 @@ class TestSolverCommands:
                            "--cone", "full")
         assert code == 0
         assert "exact,True" in out
+
+
+class TestOneShotConfig:
+    @pytest.mark.parametrize("command", list(ONE_SHOT))
+    def test_config_equals_flags(self, capsys, tmp_path, command):
+        path = config_path(tmp_path, ONE_SHOT[command])
+        code, from_config, err = run(capsys, command, "--config", path)
+        assert code == 0 and from_config and err == ""
+        assert from_config == run(capsys, command,
+                                  *as_flags(ONE_SHOT[command]))[1]
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("width", "d2", 6), ("smallball", "xi", 0.25),
+        ("lambda-min", "k", 3), ("recover", "m", 11), ("phaselift", "m", 3),
+    ])
+    def test_flag_overrides_config(self, capsys, tmp_path, command, flag,
+                                   value):
+        path = config_path(tmp_path, ONE_SHOT[command])
+        code, out, _ = run(capsys, command, "--config", path,
+                           f"--{flag}", str(value))
+        assert code == 0
+        assert out == run(capsys, command, *as_flags(
+            {**ONE_SHOT[command], flag: value}))[1]
+        assert out != run(capsys, command, "--config", path)[1]
+
+    def test_null_trials_gives_no_monte_carlo_row(self, capsys, tmp_path):
+        path = config_path(tmp_path, {"problem": "subspace", "k": 3,
+                                      "trials": None})
+        code, out, _ = run(capsys, "width", "--config", path)
+        assert code == 0 and "monte-carlo" not in out
+        assert out == run(capsys, "width", "--problem", "subspace",
+                          "--k", "3")[1]
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("width", {"s": "x"}), ("smallball", {"m": "x"}),
+        ("lambda-min", {"m": "x"}), ("recover", {"s": "x"}),
+        ("phaselift", {"m": "x"}),
+        # a value is converted even where this run does not read the flag,
+        # as the same value given as a flag is
+        ("width", {"problem": "sparse", "r": "x"}),
+        ("lambda-min", {"cone": "full", "k": "x"}),
+    ])
+    def test_non_integer_value_exits_1(self, capsys, tmp_path, command, cfg):
+        code, out, err = run(capsys, command, "--config",
+                             config_path(tmp_path, cfg))
+        assert code == 1 and out == ""
+        assert "invalid literal for int()" in err
 
 
 class TestSweepCommand:
@@ -297,9 +363,18 @@ class TestProblemConfig:
         ("width", "--problem", "sparse", "--s", "2", "--d", "16"),
     ])
     def test_zero_trials_rejected(self, capsys, config_paths, argv):
-        code, out, _ = run(capsys, *[a.format(**config_paths) for a in argv],
-                           "--trials", "0")
+        argv = [a.format(**config_paths) for a in argv]
+        code, out, err = run(capsys, *argv, "--trials", "0")
         assert code == 1 and out == ""
+        if argv[0] == "smallball":  # --trials is its sample count
+            assert err == "error: need n_samples >= 1\n"
+
+    def test_sweep_without_m_grid_exits_1(self, capsys, tmp_path):
+        cfg = {"problem": {"kind": "sparse", "s": 1, "d": 8}, "trials": 2}
+        code, out, err = run(capsys, "sweep", "--config",
+                             config_path(tmp_path, cfg))
+        assert code == 1 and out == ""
+        assert "m_grid must not be empty" in err
 
 
     @pytest.mark.parametrize("argv, message", [
@@ -358,3 +433,33 @@ class TestUsage:
         code, out, _ = run(capsys, "--version")
         assert code == 0
         assert __version__ in out
+
+
+def readme_cli_section():
+    return README.read_text().split("\n## CLI\n", 1)[1]
+
+
+class TestReadme:
+    def test_one_shot_examples_run(self, capsys):
+        block = readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True)
+                 for line in block.splitlines()]
+        examples = [argv[1:] for argv in lines
+                    if argv and "--config" not in argv]
+        assert len(examples) == 6
+        for argv in examples:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out, argv
+
+    def test_flag_table_matches_parser(self):
+        shared = {"command", "config", "seed", "out", "format"}
+        table = {}
+        for row in re.findall(r"^\| (`.*?`) \| (.*) \|$",
+                              readme_cli_section(), re.M):
+            for command in re.findall(r"`([\w-]+)`", row[0]):
+                table[command] = {flag.replace("-", "_") for flag in
+                                  re.findall(r"`--([\w-]+)", row[1])} - shared
+        parser = build_parser()
+        parsed = {command: set(vars(parser.parse_args([command]))) - shared
+                  for command in table}
+        assert len(table) == 7 and table == parsed
