@@ -260,7 +260,9 @@ def main(argv: list[str] | None = None) -> int:
         records, meta, nonconverged = command.run(args)
         harness.write_records(records, list(records[0]),
                               args.out or sys.stdout, args.format, meta)
-    except (ValueError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
+        # TypeError: a config value of the wrong JSON type, such as null or
+        # a list where a number belongs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     strict = command.strict and args.strict

@@ -11,7 +11,9 @@ needs only Phi, Phi^* and G, so both operator kinds share it.  A dense
 operator at eta = 0 applies the pseudo-inverse Phi^+ as one n x m matrix,
 built once from the same eigendecomposition of G; a lifted operator never
 forms it (it would be the m x d^2 design), so its projector keeps O(md)
-memory.
+memory.  Norm minimization takes the prox step 1; trace minimization takes
+0.3 * mean(y), a fixed fraction of the trace that the data imply (see
+``phase_retrieval_sdp``).
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ _EIG_CUT = 10.0 * np.finfo(float).eps
 # Newton converges in 2-3 steps from a warm start; the cap only bounds a
 # stall at rounding level
 _NEWTON_MAX_STEPS = 100
+# PhaseLift's DR prox step, as a fraction of the trace scale mean(y)
+_TRACE_STEP = 0.3
 
 
 class _BallProjector:
@@ -137,9 +141,10 @@ class _BallProjector:
 
 
 def _douglas_rachford(f: Regularizer, proj: _BallProjector, shape, scale: float,
-                      opts: SolverOptions, feas_fn):
-    """DR iteration on f + indicator(C) over flat signals of the given shape;
-    returns (x_feas, v_prox, iters, conv), never converged when C is empty.
+                      opts: SolverOptions, feas_fn, gamma: float):
+    """DR iteration on gamma * f + indicator(C) over flat signals of the
+    given shape, with prox step gamma > 0; returns (x_feas, v_prox, iters,
+    conv), never converged when C is empty.
 
     ``feas_fn(v)`` measures the constraint violation of the prox iterate,
     used with the primal residual ||v - x|| for stopping.
@@ -151,7 +156,7 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector, shape, scale: float,
     gate = opts.tol * scale
     for it in range(1, opts.max_iters + 1):
         x = proj(w)
-        v = f.prox((2.0 * x - w).reshape(shape), 1.0).ravel()
+        v = f.prox((2.0 * x - w).reshape(shape), gamma).ravel()
         step = v - x
         w = w + step
         if it % 10 == 0 or it == opts.max_iters:
@@ -179,7 +184,8 @@ def recover_constrained(f: Regularizer, op: MeasurementOperator,
     def feas(vflat):
         return max(0.0, float(np.linalg.norm(_forward(op, vflat) - y)) - eta)
 
-    x, v, iters, converged = _douglas_rachford(f, proj, shape, scale, opts, feas)
+    x, v, iters, converged = _douglas_rachford(f, proj, shape, scale, opts, feas,
+                                               1.0)
     estimate = x.reshape(shape)  # projection output: feasible by construction
     residual = float(np.linalg.norm(_forward(op, x) - y))
     return RecoveryResult(estimate, f.value(estimate), residual, iters,
@@ -192,6 +198,21 @@ def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray,
 
     The estimate returned is the PSD prox iterate; its per-measurement
     violation max_i |trace(X Psi_i) - y_i| is reported as the residual.
+
+    DR runs on gamma * (trace + PSD indicator) with gamma = 0.3 * mean(y)
+    (gamma = 1 when y = 0, whose solution X = 0 is reached at once).  The
+    prox shifts the spectrum down by gamma, so gamma is measured in units
+    of trace(X).  Scaling y by c > 0 scales the affine set, the solution
+    and, with gamma proportional to y, every DR iterate by c, so the
+    iteration count does not depend on the signal's norm (while
+    max y_i >= 1, where the stopping gate scales too).  For Gaussian
+    sampling vectors E[y_i] = E[(psi_i^t x)^2] = ||x||^2 = trace(x x^t), so
+    mean(y) is the data's estimate of trace(X).  A fixed gamma = 1 is the
+    whole trace of a unit signal.  Measured on unit signals, fractions 0.2
+    to 0.5 of mean(y) take 2 to 2.6 times fewer DR iterations than
+    gamma = 1 at d = 48, m = 6d to 8d, and converge in more near-threshold
+    cells at d = 8 and 16; 0.3 took the fewest iterations in the d = 8 rows
+    at m = 14 to 20 and was within 10% of the fewest (0.4) at d = 48.
     """
     if op.kind is not OperatorKind.LIFTED:
         raise ValueError("phase retrieval needs a lifted rank-one operator")
@@ -208,8 +229,10 @@ def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray,
     def feas(vflat):
         return float(np.max(np.abs(_forward(op, vflat) - y))) if op.m else 0.0
 
+    mean_y = float(np.mean(y))
+    gamma = _TRACE_STEP * mean_y if mean_y > 0 else 1.0
     x, v, iters, converged = _douglas_rachford(
-        TracePSD(d=d), proj, (d, d), scale, opts, feas)
+        TracePSD(d=d), proj, (d, d), scale, opts, feas, gamma)
     estimate = v.reshape(d, d)   # prox output: PSD by construction
     estimate = 0.5 * (estimate + estimate.T)
     violation = float(np.max(np.abs(_forward(op, estimate.ravel()) - y)))

@@ -377,6 +377,21 @@ class TestProblemConfig:
         assert "m_grid must not be empty" in err
 
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("sweep", {**SMALL_SWEEP, "eta": None}),
+        ("sweep", {**SMALL_SWEEP, "m_grid": None}),
+        ("sweep", {**SMALL_SWEEP, "problem": {"kind": "sparse", "s": None,
+                                               "d": 8}}),
+        ("sweep", {**SMALL_SWEEP, "problem": {"kind": "phase", "d": [1]}}),
+        ("phaselift", {"d": [1]}),
+    ])
+    def test_wrong_json_type_exits_1(self, capsys, tmp_path, command, cfg):
+        # null or a list where a number belongs: one error line, no traceback
+        code, out, err = run(capsys, command, "--config",
+                             config_path(tmp_path, cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, message", [
         (("recover", "--s", "0", "--d", "16", "--m", "8"), "1 <= s <= d"),
         (("recover", "--s", "20", "--d", "16"), "1 <= s <= d"),

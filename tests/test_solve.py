@@ -454,6 +454,20 @@ class TestPhaseRetrievalSdp:
         assert res.converged
         np.testing.assert_allclose(res.estimate, np.zeros((3, 3)), atol=1e-8)
 
+    @pytest.mark.parametrize("c", [2.0, 1.0 / 64.0])
+    def test_estimate_scales_with_data(self, c):
+        # the prox step follows mean(y), so scaling y by c scales every DR
+        # iterate by c; a fixed step of 1 took 430 iterations at c = 1/64
+        # against 50 at c = 1 (m = 24 < d(d+1)/2: X is not fixed by the data)
+        op = lifted_phase_ensemble(24, 8, seed=15)
+        x = generator(16).standard_normal(8)
+        y = apply(op, np.outer(x, x))
+        res, res_c = phase_retrieval_sdp(op, y), phase_retrieval_sdp(op, c * y)
+        assert res.converged and res_c.converged
+        np.testing.assert_allclose(res_c.estimate, c * res.estimate,
+                                   rtol=1e-8, atol=0)
+        assert abs(res_c.iterations - res.iterations) <= 10
+
     def test_d16_rank_one_recovery(self):
         d, m = 16, 128
         rng = generator(11)
