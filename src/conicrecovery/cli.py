@@ -4,6 +4,8 @@ Subcommands: width, smallball, lambda-min, recover, phaselift, sweep,
 error-curve; ``_COMMANDS`` holds each one's flags.  A JSON config file may
 set those flags and --seed by name; explicit flags override config values.
 All subcommands honor --seed: identical invocations give identical bytes.
+Each subcommand formats its own records, and ``write_records`` writes them
+as CSV or JSON lines.
 
 Exit codes: 0 success, 1 invalid config or usage, 2 solver
 non-convergence under --strict.
@@ -12,6 +14,8 @@ non-convergence under --strict.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import dataclasses
 import functools
 import json
@@ -73,7 +77,7 @@ def _cmd_width(args):
     else:
         raise ValueError(f"unknown width problem {args.problem!r}")
     recs = [{"value": f"{bound:.6f}", "std_error": 0.0, "trials": 0,
-             "method": "closed-form-bound"}]
+             "method": width.WidthMethod.CLOSED_FORM_BOUND.value}]
     if args.trials is not None:
         est = estimate(args.trials, args.seed)
         recs.append({"value": f"{est.value:.6f}",
@@ -163,8 +167,15 @@ def _cmd_sweep(args):
     result = harness.run_phase_transition(_experiment(args)(
         m_grid=tuple(cfg.get("m_grid", [])), eta=float(cfg.get("eta", 0.0)),
         success_threshold=float(cfg.get("success_threshold", 1e-4))))
-    meta, records = harness.sweep_records(result)
-    return records, meta, any(r.nonconverged for r in result.rows)
+    meta = {"config_digest": result.config_digest, "seed": result.seed,
+            "predicted_width_sq": f"{result.predicted_width_sq:.6f}",
+            "predicted_m": result.predicted_m}
+    recs = [{"m": r.m, "successes": r.successes, "trials": r.trials,
+             "success_rate": f"{r.success_rate:.6f}",
+             "mean_rel_error": f"{r.mean_rel_error:.6e}",
+             "mean_solve_iters": f"{r.mean_solve_iters:.1f}",
+             "nonconverged": r.nonconverged} for r in result.rows]
+    return recs, meta, any(r.nonconverged for r in result.rows)
 
 
 def _cmd_error_curve(args):
@@ -181,6 +192,35 @@ def _cmd_error_curve(args):
 
 
 # ---------------------------------------------------------------------------
+
+def write_records(records, out, fmt: str = "csv",
+                  meta: dict | None = None) -> None:
+    """Write a non-empty list of dict records to a path or an open text file.
+
+    ``fmt="csv"``: an optional ``# k=v ...`` line from ``meta``, a header of
+    the first record's keys, then one RFC-4180 row per record in that order.
+    ``fmt="json-lines"``: ``meta`` as the first object, then one object per
+    record, keys sorted.  Output is deterministic: no timestamps, records in
+    the order given.
+    """
+    if fmt not in ("csv", "json-lines"):
+        raise ValueError(f"unknown record format {fmt!r}")
+    try:
+        with (open(out, "w", newline="") if isinstance(out, str)
+              else contextlib.nullcontext(out)) as fh:
+            if fmt == "json-lines":
+                for rec in ([meta] if meta else []) + records:
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                return
+            if meta:
+                fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items())
+                         + "\n")
+            writer = csv.DictWriter(fh, list(records[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(records)
+    except OSError as exc:
+        raise OSError(f"failed writing records to {out!r}: {exc}") from exc
+
 
 class _Command(NamedTuple):
     run: Callable
@@ -258,8 +298,7 @@ def main(argv: list[str] | None = None) -> int:
                 value = args.config.get(flag)
                 setattr(args, dest, default if value is None else typ(value))
         records, meta, nonconverged = command.run(args)
-        harness.write_records(records, list(records[0]),
-                              args.out or sys.stdout, args.format, meta)
+        write_records(records, args.out or sys.stdout, args.format, meta)
     except (ValueError, TypeError, OSError) as exc:
         # TypeError: a config value of the wrong JSON type, such as null or
         # a list where a number belongs

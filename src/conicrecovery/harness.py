@@ -1,17 +1,14 @@
-"""Declarative experiments: the problem table, phase-transition sweeps,
-error-vs-noise curves, and record output.
+"""Declarative experiments: the problem table, phase-transition sweeps
+and error-vs-noise curves.
 
 Every (m, trial) cell gets its own derived Philox stream, so sweeps are
-reproducible byte-for-byte from (config, seed) and cells could run in any
+reproducible bit for bit from (config, seed) and cells could run in any
 order; reduction happens in index order.
 """
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -287,64 +284,3 @@ def run_error_curve(config: ExperimentConfig, eta_grid,
                                   deterministic_error_bound(eta, lam),
                                   conv.count(False)))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# record output
-
-def write_records(records, fieldnames, out, fmt: str = "csv",
-                  meta: dict | None = None) -> None:
-    """Write dict records to a path or an open text file.
-
-    ``fmt="csv"``: an optional ``# k=v ...`` line from ``meta``, the header,
-    then one RFC-4180 row per record in ``fieldnames`` order.
-    ``fmt="json-lines"``: ``meta`` as the first object, then one object per
-    record, keys sorted.  Output is deterministic: no timestamps, records in
-    the order given.
-    """
-    if fmt not in ("csv", "json-lines"):
-        raise ValueError(f"unknown record format {fmt!r}")
-    try:
-        with (open(out, "w", newline="") if isinstance(out, str)
-              else contextlib.nullcontext(out)) as fh:
-            if fmt == "json-lines":
-                for rec in ([meta] if meta else []) + list(records):
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
-                return
-            if meta:
-                fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items())
-                         + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(fieldnames)
-            writer.writerows([rec[k] for k in fieldnames] for rec in records)
-    except OSError as exc:
-        raise OSError(f"failed writing records to {out!r}: {exc}") from exc
-
-
-_SWEEP_FIELDS = ["m", "successes", "trials", "success_rate", "mean_rel_error",
-                 "mean_solve_iters", "nonconverged"]
-
-
-def sweep_records(result: SweepResult) -> tuple[dict, list[dict]]:
-    """A sweep's metadata (config digest, seed, predicted width^2 and m)
-    and one record per row, in grid order."""
-    meta = {"config_digest": result.config_digest, "seed": result.seed,
-            "predicted_width_sq": f"{result.predicted_width_sq:.6f}",
-            "predicted_m": result.predicted_m}
-    records = [dict(zip(_SWEEP_FIELDS, (
-        row.m, row.successes, row.trials, f"{row.success_rate:.6f}",
-        f"{row.mean_rel_error:.6e}", f"{row.mean_solve_iters:.1f}",
-        row.nonconverged))) for row in result.rows]
-    return meta, records
-
-
-def emit_csv(result: SweepResult, path_or_file) -> None:
-    """Write ``sweep_records(result)`` as CSV, the header even without rows."""
-    meta, records = sweep_records(result)
-    write_records(records, _SWEEP_FIELDS, path_or_file, "csv", meta)
-
-
-def sweep_csv_text(result: SweepResult) -> str:
-    buf = io.StringIO()
-    emit_csv(result, buf)
-    return buf.getvalue()

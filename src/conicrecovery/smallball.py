@@ -1,6 +1,6 @@
 """Small-ball machinery: marginal tail function, mean empirical width
 (over a subspace's unit sphere; descent cones by duality), and assembly of
-the small-ball, subgaussian, and bowling-scheme bounds.
+the small-ball and bowling-scheme bounds.
 
 All estimators are Monte Carlo with deterministic Philox streams; the
 Rademacher signs and the measurement rows use distinct child streams of
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -56,43 +56,26 @@ class EmpiricalWidthEstimate:
             raise ValueError("standard error must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SubgaussianParams:
-    alpha: float
-    sigma: float
-    c5: float = 1.0  # spectral width constant, unspecified by the theory
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.sigma <= 0 or self.c5 <= 0:
-            raise ValueError("parameters must be positive")
-
-    @property
-    def rho(self) -> float:
-        return self.sigma / self.alpha
-
-
 # ---------------------------------------------------------------------------
 
 def estimate_marginal_tail(phi_sampler: RowSampler,
                            direction_sampler: Callable[[np.random.Generator, int], np.ndarray],
-                           xi: float | Sequence[float],
+                           xi: float,
                            n_dirs: int = 50,
                            n_samples: int = 2000,
-                           seed: int = 0) -> TailEstimate | list[TailEstimate]:
+                           seed: int = 0) -> TailEstimate:
     """Estimate Q_xi = inf over unit directions of P{|<u, phi>| >= xi}.
 
-    A sequence of thresholds shares one sample set, which makes the
-    estimates exactly nonincreasing in xi.  The samples are drawn in
-    ``rng.chunks`` and only their exceedance counts are kept.
-    Directions must be unit norm elements of the index set.
+    The samples are drawn in ``rng.chunks`` and only their exceedance
+    counts are kept.  Directions must be unit norm elements of the index
+    set.
     """
     if n_dirs < 1:
         raise ValueError("need n_dirs >= 1")
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
-    xis = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(xis < 0):
-        raise ValueError("thresholds must be nonnegative")
+    if xi < 0:
+        raise ValueError("threshold must be nonnegative")
     rng_dirs, rng_phi = spawn_generators(seed, 2)
     dirs = np.asarray(direction_sampler(rng_dirs, n_dirs), dtype=float)
     dirs = dirs.reshape(n_dirs, -1)
@@ -101,19 +84,14 @@ def estimate_marginal_tail(phi_sampler: RowSampler,
         raise ValueError("direction sampler produced a (near) zero vector")
     if np.any(np.abs(norms - 1.0) > 1e-8):
         raise ValueError("directions must be unit norm")
-    counts = np.zeros((len(xis), n_dirs), dtype=np.int64)
+    counts = np.zeros(n_dirs, dtype=np.int64)
     for start, stop in chunks(n_samples, dirs.shape[1]):
         n = stop - start
         phis = np.asarray(phi_sampler(rng_phi, n), dtype=float).reshape(n, -1)
-        inner = np.abs(phis @ dirs.T)  # (n, n_dirs)
-        for i, x in enumerate(xis):
-            counts[i] += np.count_nonzero(inner >= x, axis=0)
-    out = []
-    for x, count in zip(xis, counts):
-        freq = count / n_samples  # per direction
-        out.append(TailEstimate(float(x), float(freq.min()), float(freq.mean()),
-                                n_dirs, n_samples, seed))
-    return out[0] if np.isscalar(xi) else out
+        counts += np.count_nonzero(np.abs(phis @ dirs.T) >= xi, axis=0)
+    freq = counts / n_samples  # per direction
+    return TailEstimate(float(xi), float(freq.min()), float(freq.mean()),
+                        n_dirs, n_samples, seed)
 
 
 def _mean_empirical_sup(phi_sampler: RowSampler, m: int, trials: int,
@@ -193,15 +171,6 @@ def paley_zygmund_tail(alpha: float, sigma: float, xi: float) -> float:
     if 2.0 * xi >= alpha:
         raise ValueError("bound requires 2*xi < alpha")
     return min(1.0, (alpha - 2.0 * xi) ** 2 / (4.0 * sigma ** 2))
-
-
-def subgaussian_conic_bound(params: SubgaussianParams, m: int, w: float,
-                            t: float) -> float:
-    """(1/54)(alpha^3/sigma^2) sqrt(m) - c5 * sigma * w - (alpha/6) t."""
-    if m < 0 or w < 0 or t < 0:
-        raise ValueError("need nonnegative m, w, t")
-    a, s = params.alpha, params.sigma
-    return (a ** 3 / s ** 2) * math.sqrt(m) / 54.0 - params.c5 * s * w - a * t / 6.0
 
 
 def phase_second_moment(u: np.ndarray, n_samples: int = 100_000,

@@ -2,18 +2,30 @@
 output formats, determinism."""
 
 import dataclasses
+import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import conicrecovery
 from conicrecovery import __version__, harness
-from conicrecovery.cli import _parse_problem, build_parser, main
+from conicrecovery.cli import _parse_problem, build_parser, main, write_records
 
 SMALL_SWEEP = {"problem": {"kind": "sparse", "s": 1, "d": 8},
                "m_grid": [4, 8], "trials": 2, "seed": 3}
+# the bytes `sweep --config` prints for SMALL_SWEEP
+SMALL_SWEEP_CSV = """\
+# config_digest=2e8afecdebd9521b seed=3 predicted_width_sq=6.158883 predicted_m=14
+m,successes,trials,success_rate,mean_rel_error,mean_solve_iters,nonconverged
+4,2,2,1.000000,2.853082e-09,65.0,0
+8,2,2,1.000000,2.624479e-12,10.0,0
+"""
 SMALL_CURVE = {"problem": {"kind": "sparse", "s": 1, "d": 8},
                "eta_grid": [0.0, 0.1], "m": 8, "trials": 2, "seed": 3}
 # every flag of each one-shot subcommand that a config may set
@@ -324,13 +336,74 @@ class TestRecordFormats:
         assert [(r["m"], r["successes"]) for r in rows] == [
             (row.m, row.successes) for row in result.rows]
 
-    def test_sweep_csv_is_harness_csv(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "sweep", "--config",
-                           config_path(tmp_path, SMALL_SWEEP))
+    def test_sweep_csv_pinned(self, capsys, config_paths):
+        code, out, _ = run(capsys, "sweep", "--config", config_paths["sweep"])
         assert code == 0
-        assert out == harness.sweep_csv_text(harness.run_phase_transition(
-            harness.ExperimentConfig(harness.SparseL1(1, 8), (4, 8),
-                                     trials=2, seed=3)))
+        assert out == SMALL_SWEEP_CSV
+
+
+class TestRecordOutput:
+    def test_byte_identical_rerun(self, capsys, config_paths):
+        a = run(capsys, "sweep", "--config", config_paths["sweep"])
+        b = run(capsys, "sweep", "--config", config_paths["sweep"])
+        assert a == b and a[1]
+
+    def test_metadata_comment_line(self, capsys, config_paths):
+        _, out, _ = run(capsys, "sweep", "--config", config_paths["sweep"])
+        digest = harness.ExperimentConfig(harness.SparseL1(1, 8), (4, 8),
+                                          trials=2, seed=3).digest()
+        assert out.splitlines()[0].startswith(f"# config_digest={digest} ")
+
+    def test_grid_rows_emitted(self, capsys, tmp_path):
+        cfg = {**SMALL_SWEEP, "m_grid": list(range(2, 26, 2))}
+        _, out, _ = run(capsys, "sweep", "--config", config_path(tmp_path, cfg))
+        lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert len(lines) == 1 + 12  # header + rows
+
+    def test_file_output(self, capsys, config_paths, tmp_path):
+        path = str(tmp_path / "sweep.csv")
+        code, out, _ = run(capsys, "sweep", "--config", config_paths["sweep"],
+                           "--out", path)
+        assert code == 0 and out == ""
+        with open(path) as fh:
+            assert fh.read() == SMALL_SWEEP_CSV
+
+    def test_write_failure_has_path_context(self, capsys, config_paths,
+                                            tmp_path):
+        bad = str(tmp_path / "no" / "such" / "dir.csv")
+        code, out, err = run(capsys, "sweep", "--config",
+                             config_paths["sweep"], "--out", bad)
+        assert code == 1 and out == ""
+        assert err.startswith("error: failed writing records to ")
+        assert "dir.csv" in err
+
+    def test_unknown_format_rejected(self):
+        # argparse restricts --format, so only a direct call can reach this
+        with pytest.raises(ValueError, match="unknown record format"):
+            write_records([{"m": 1}], io.StringIO(), "xml")
+
+
+class TestEntryPoint:
+    """``python -m conicrecovery.cli`` through ``sys.exit(main())``."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(conicrecovery.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-m", "conicrecovery.cli",
+                               *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    def test_sweep_prints_pinned_csv(self, config_paths):
+        proc = self.run_module("sweep", "--config", config_paths["sweep"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == SMALL_SWEEP_CSV
+
+    def test_empty_m_grid_exits_1(self, tmp_path):
+        path = config_path(tmp_path, {**SMALL_SWEEP, "m_grid": []})
+        proc = self.run_module("sweep", "--config", path)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: m_grid must not be empty\n"
 
 
 class TestProblemConfig:

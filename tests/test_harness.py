@@ -1,5 +1,6 @@
-"""Phase-transition sweeps, error curves, and record output."""
+"""Phase-transition sweeps, error curves, and their records as CSV."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -13,13 +14,11 @@ from conicrecovery.harness import (
     SparseL1,
     SweepRow,
     SweepResult,
-    emit_csv,
     run_error_curve,
     run_phase_transition,
-    sweep_csv_text,
-    write_records,
 )
 from conicrecovery import solve
+from conicrecovery.cli import write_records
 from conicrecovery.solve import SolverOptions
 
 
@@ -203,52 +202,27 @@ class TestErrorCurve:
             400, 410, 430, 490, 500, 340, 370, 390, 350, 380]
 
 
+def sweep_csv(result, out):
+    write_records([dataclasses.asdict(r) for r in result.rows], out,
+                  meta={"config_digest": result.config_digest})
+
+
 class TestCsv:
-    def test_byte_identical_rerun(self):
-        cfg = small_config()
-        a = sweep_csv_text(run_phase_transition(cfg))
-        b = sweep_csv_text(run_phase_transition(cfg))
-        assert a == b
-
-    def test_empty_sweep_header_only(self):
-        res = SweepResult((), "abc", 0, 1.0, 2)
-        text = sweep_csv_text(res)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("#")
-        assert lines[1].split(",")[0] == "m"
-        assert len(lines) == 2
-
-    def test_grid_rows_emitted(self):
-        cfg = small_config(m_grid=tuple(range(2, 26, 2)))
-        text = sweep_csv_text(run_phase_transition(cfg))
-        lines = [ln for ln in text.strip().split("\n")
-                 if ln and not ln.startswith("#")]
-        assert len(lines) == 1 + 12  # header + rows
-
-    def test_metadata_comment_line(self):
-        res = run_phase_transition(small_config())
-        text = sweep_csv_text(res)
-        assert text.startswith(f"# config_digest={res.config_digest}")
-
     def test_file_output(self, tmp_path):
         res = run_phase_transition(small_config())
         path = str(tmp_path / "sweep.csv")
-        emit_csv(res, path)
+        sweep_csv(res, path)
+        buf = io.StringIO()
+        sweep_csv(res, buf)
         with open(path) as fh:
-            assert fh.read() == sweep_csv_text(res)
-
-    def test_write_failure_has_path_context(self, tmp_path):
-        res = run_phase_transition(small_config())
-        bad = str(tmp_path / "no" / "such" / "dir.csv")
-        with pytest.raises(OSError, match="dir.csv"):
-            emit_csv(res, bad)
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            write_records([], ["m"], io.StringIO(), "xml")
+            assert fh.read() == buf.getvalue()
 
     def test_stringio_target(self):
         res = run_phase_transition(small_config())
         buf = io.StringIO()
-        emit_csv(res, buf)
-        assert buf.getvalue() == sweep_csv_text(res)
+        sweep_csv(res, buf)
+        meta, header, *rows = buf.getvalue().splitlines()
+        assert meta == f"# config_digest={res.config_digest}"
+        assert header.split(",") == [f.name for f in
+                                     dataclasses.fields(SweepRow)]
+        assert [int(row.split(",")[0]) for row in rows] == [4, 8]

@@ -454,19 +454,25 @@ class TestPhaseRetrievalSdp:
         assert res.converged
         np.testing.assert_allclose(res.estimate, np.zeros((3, 3)), atol=1e-8)
 
-    @pytest.mark.parametrize("c", [2.0, 1.0 / 64.0])
+    @pytest.mark.parametrize("c", [2.0, 1.0 / 64.0, 1e-3, 1e-6])
     def test_estimate_scales_with_data(self, c):
-        # the prox step follows mean(y), so scaling y by c scales every DR
-        # iterate by c; a fixed step of 1 took 430 iterations at c = 1/64
-        # against 50 at c = 1 (m = 24 < d(d+1)/2: X is not fixed by the data)
+        # the prox step follows mean(y) and the stopping gate max y_i, so
+        # scaling y by c scales every DR iterate and the gate by c; a fixed
+        # step of 1 took 430 iterations at c = 1/64 against 50 at c = 1, and
+        # a gate floored at 1 stopped after 10 at c = 1e-6, at 3.9e-3
+        # relative error (m = 24 < d(d+1)/2: X is not fixed by the data)
         op = lifted_phase_ensemble(24, 8, seed=15)
         x = generator(16).standard_normal(8)
-        y = apply(op, np.outer(x, x))
+        xx = np.outer(x, x)
+        y = apply(op, xx)
         res, res_c = phase_retrieval_sdp(op, y), phase_retrieval_sdp(op, c * y)
         assert res.converged and res_c.converged
         np.testing.assert_allclose(res_c.estimate, c * res.estimate,
                                    rtol=1e-8, atol=0)
-        assert abs(res_c.iterations - res.iterations) <= 10
+        assert res_c.iterations == res.iterations
+        rel = np.linalg.norm(res.estimate - xx) / np.linalg.norm(xx)
+        rel_c = np.linalg.norm(res_c.estimate - c * xx) / np.linalg.norm(c * xx)
+        assert rel_c == pytest.approx(rel, rel=1e-3)
 
     def test_d16_rank_one_recovery(self):
         d, m = 16, 128
