@@ -162,10 +162,19 @@ def _experiment(args):
         trials=args.trials, seed=args.seed)
 
 
+def _grid(cfg: dict, key: str) -> list:
+    """The JSON list at ``cfg[key]`` (empty when absent or null); a string
+    or any other non-list is rejected, not read element by element."""
+    grid = cfg.get(key) or []
+    if not isinstance(grid, list):
+        raise ValueError(f"{key} must be a JSON list, got {grid!r}")
+    return grid
+
+
 def _cmd_sweep(args):
     cfg = args.config
     result = harness.run_phase_transition(_experiment(args)(
-        m_grid=tuple(cfg.get("m_grid", [])), eta=float(cfg.get("eta", 0.0)),
+        m_grid=tuple(_grid(cfg, "m_grid")), eta=float(cfg.get("eta", 0.0)),
         success_threshold=float(cfg.get("success_threshold", 1e-4))))
     meta = {"config_digest": result.config_digest, "seed": result.seed,
             "predicted_width_sq": f"{result.predicted_width_sq:.6f}",
@@ -180,7 +189,7 @@ def _cmd_sweep(args):
 
 def _cmd_error_curve(args):
     experiment = _experiment(args)
-    eta_grid, m = args.config.get("eta_grid"), args.config.get("m")
+    eta_grid, m = _grid(args.config, "eta_grid"), args.config.get("m")
     if not eta_grid or m is None:
         raise ValueError("error-curve config needs eta_grid and m")
     rows = harness.run_error_curve(experiment(m_grid=(int(m),)),

@@ -230,7 +230,14 @@ def _run_cell(problem: Problem, m: int, cell_seed: int, eta: float,
 def _run_grid(config: ExperimentConfig, points, index0: int = 0):
     """Run ``config.trials`` cells at each (m, eta) point, seeding the cells
     of point i by its index ``index0 + i``; returns, per point, the cells'
-    (success, rel_error, iters, converged) in trial order."""
+    (success, rel_error, iters, converged) in trial order.
+
+    PhaseLift measurements carry no noise, so a nonzero eta is rejected
+    for ``PhaseRetrieval`` before any cell runs."""
+    if isinstance(config.problem, PhaseRetrieval) and any(
+            eta != 0 for _, eta in points):
+        raise ValueError("phase retrieval measurements are noiseless; "
+                         "eta must be 0")
     return [[_run_cell(config.problem, m,
                        _cell_seed(config.seed, index0 + i, trial), eta,
                        config.success_threshold, config.solver)

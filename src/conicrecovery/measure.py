@@ -61,10 +61,10 @@ class Atom:
     """Symmetric bounded scalar distribution used as an i.i.d. entry law.
 
     ``sampler(rng, size)`` draws variates; ``bound`` is an a.s. bound on
-    |X| (doubles as the subgaussian scale sigma via Hoeffding).
+    |X| (doubles as the subgaussian scale sigma via Hoeffding).  Every draw
+    is checked against both declarations.
     """
 
-    name: str
     sampler: Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
     bound: float
     symmetric: bool = True
@@ -72,7 +72,6 @@ class Atom:
 
 def rademacher_atom() -> Atom:
     return Atom(
-        name="rademacher",
         sampler=lambda rng, size: rng.choice([-1.0, 1.0], size=size),
         bound=1.0,
     )
@@ -80,10 +79,21 @@ def rademacher_atom() -> Atom:
 
 def uniform_atom(half_width: float = 1.0) -> Atom:
     return Atom(
-        name=f"uniform[{-half_width},{half_width}]",
         sampler=lambda rng, size: rng.uniform(-half_width, half_width, size=size),
         bound=half_width,
     )
+
+
+def _atom_draw(atom: Atom, rng: np.random.Generator,
+               size: tuple[int, ...]) -> np.ndarray:
+    """The atom's variates of the given size; raises unless the atom is
+    declared symmetric and the draw stays within its declared bound."""
+    if not atom.symmetric:
+        raise ValueError("atom distribution must be symmetric about 0")
+    x = np.asarray(atom.sampler(rng, size), dtype=float)
+    if np.max(np.abs(x), initial=0.0) > atom.bound + 1e-12:
+        raise ValueError("atom sample exceeded its declared bound")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +120,7 @@ def bounded_symmetric_ensemble(m: int, d: int, atom: Atom,
     """m x d matrix of i.i.d. copies of a symmetric bounded atom."""
     if m < 1 or d < 1:
         raise ValueError("m and d must be at least 1")
-    if not atom.symmetric:
-        raise ValueError("atom distribution must be symmetric about 0")
-    rows = np.asarray(atom.sampler(generator(seed), (m, d)), dtype=float)
-    if np.max(np.abs(rows)) > atom.bound + 1e-12:
-        raise ValueError("atom sample exceeded its declared bound")
+    rows = _atom_draw(atom, generator(seed), (m, d))
     return MeasurementOperator(OperatorKind.DENSE, m, (d,), rows=rows, seed=seed)
 
 
@@ -200,9 +206,10 @@ def gaussian_row_sampler(shape: int | tuple[int, ...]):
 
 
 def bounded_row_sampler(d: int, atom: Atom):
-    """Sampler of i.i.d.-atom rows in R^d."""
+    """Sampler of i.i.d.-atom rows in R^d, checked as in
+    ``bounded_symmetric_ensemble``."""
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.asarray(atom.sampler(rng, (n, d)), dtype=float)
+        return _atom_draw(atom, rng, (n, d))
 
     return sample
 

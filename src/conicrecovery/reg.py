@@ -1,21 +1,21 @@
-"""Convex regularizers: values, prox maps, and subdifferential distances.
+"""Convex regularizers: values, prox maps, and descent-cone distances.
 
-Each regularizer carries a reference point at which descent-cone
-quantities are taken.  ``subdiff_dist_sq(g, tau)`` is the exact squared
-distance from g to tau * (subdifferential at the reference point), in
-closed form.  For all three regularizers it has the shape
+Each regularizer may carry a reference point x at which descent-cone
+quantities are taken.  For a stack of points g, ``dist_terms`` returns the
+coefficients (base, r, c, a) of the squared distance from g to tau times
+the subdifferential of f at x,
 
-    base + r tau^2 - 2 c tau + sum_j (a_j - tau)_+^2,
+    dist^2(g, tau * df(x)) = base + r tau^2 - 2 c tau + sum_j (a_j - tau)_+^2,
 
 with a_j the off-support |g_i| (l1), the singular values of the block of
 g outside the reference frame (Schatten-1) or the eigenvalues of that
-block (trace+PSD); ``dist_terms`` returns (base, r, c, a) for a stack of
-points.  The map is convex and piecewise quadratic in tau, so
-``min_dist_sq`` minimizes it exactly after one sort of a (the statistical
-dimension calculus of Amelunxen-Lotz-McCoy-Tropp, "Living on the edge",
-2014).  ``level_threshold`` is the matching sort for the prox step that
-lands on a level set of f (Duchi et al., "Efficient projections onto the
-l1-ball", 2008).
+block (trace+PSD, where the form holds for tau > 0).  The map is convex
+and piecewise quadratic in tau, so ``min_dist_sq`` minimizes it exactly
+after one sort of a (the statistical dimension calculus of
+Amelunxen-Lotz-McCoy-Tropp, "Living on the edge", 2014).
+``level_threshold`` is the matching sort for the prox step that lands on
+a level set of f (Duchi et al., "Efficient projections onto the l1-ball",
+2008).
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ def level_threshold(a: np.ndarray, level: float) -> float:
 
 
 class Regularizer:
-    """Base class; subclasses implement the closed forms."""
+    """Base class; subclasses implement value, prox, spectrum and
+    dist_terms."""
 
     ambient_shape: tuple[int, ...]
 
@@ -77,20 +78,17 @@ class Regularizer:
         """The a_j with f(prox(z, t)) = sum_j (a_j - t)_+ for t >= 0."""
         raise NotImplementedError
 
-    def subdiff_dist_sq(self, g: np.ndarray, tau: float) -> float:
-        raise NotImplementedError
-
     def dist_terms(self, g: np.ndarray) -> tuple[np.ndarray, int, np.ndarray,
                                                   np.ndarray]:
-        """(base, r, c, a) of subdiff_dist_sq for each point of the stack g,
-        of shape (n, *ambient_shape); see the module docstring."""
+        """(base, r, c, a) of dist^2(g, tau * df(x_ref)) for each point of
+        the stack g, of shape (n, *ambient_shape); see the module docstring."""
         raise NotImplementedError
 
     def min_subdiff_dist_sq(self, g: np.ndarray) -> tuple[float, float]:
-        """Return (tau*, inf over tau >= 0 of subdiff_dist_sq(g, tau)).
+        """Return (tau*, inf over tau >= 0 of dist^2(g, tau * df(x_ref))).
 
-        At tau* = 0 the value is the tau -> 0+ limit of the closed form,
-        which for TracePSD lies below subdiff_dist_sq(g, 0) = ||g||^2.
+        At tau* = 0 the value is the tau -> 0+ limit of the ``dist_terms``
+        form, which for TracePSD lies below the distance ||g||^2 at tau = 0.
         """
         tau, val = min_dist_sq(*self.dist_terms(np.asarray(g, dtype=float)[None]))
         return float(tau[0]), float(val[0])
@@ -119,24 +117,13 @@ class L1Norm(Regularizer):
     def spectrum(self, z):
         return np.abs(np.asarray(z, dtype=float)).ravel()
 
-    def _support(self):
+    def dist_terms(self, g):
         if self.x_ref is None:
             raise ValueError("descent-cone operations need a reference point")
         supp = np.abs(self.x_ref) > ZERO_TOL
         if not np.any(supp):
             raise ValueError("subdifferential at 0 contains the origin; "
                              "reference point must be nonzero")
-        return supp
-
-    def subdiff_dist_sq(self, g, tau):
-        supp = self._support()
-        g = np.asarray(g, dtype=float)
-        on = g[supp] - tau * np.sign(self.x_ref[supp])
-        off = np.maximum(np.abs(g[~supp]) - tau, 0.0)
-        return float(np.dot(on, on) + np.dot(off, off))
-
-    def dist_terms(self, g):
-        supp = self._support()
         on = g[:, supp]
         return (np.sum(on * on, axis=1), int(np.count_nonzero(supp)),
                 on @ np.sign(self.x_ref[supp]), np.abs(g[:, ~supp]))
@@ -170,33 +157,14 @@ class Schatten1Norm(Regularizer):
     def spectrum(self, z):
         return np.linalg.svd(np.asarray(z, dtype=float), compute_uv=False)
 
-    def _frame(self):
+    def dist_terms(self, g):
         if self.x_ref is None:
             raise ValueError("descent-cone operations need a reference point")
-        if self._rank == 0:
+        r = self._rank
+        if r == 0:
             raise ValueError("subdifferential at 0 contains the origin; "
                              "reference point must be nonzero")
-        return self._u, self._vt, self._rank
-
-    def subdiff_dist_sq(self, g, tau):
-        u, vt, r = self._frame()
-        gp = u.T @ np.asarray(g, dtype=float) @ vt.T  # reference frame
-        g11 = gp[:r, :r]
-        g12 = gp[:r, r:]
-        g21 = gp[r:, :r]
-        g22 = gp[r:, r:]
-        corner = np.linalg.norm(g11 - tau * np.eye(r)) ** 2
-        cross = np.linalg.norm(g12) ** 2 + np.linalg.norm(g21) ** 2
-        if g22.size:
-            sv = np.linalg.svd(g22, compute_uv=False)
-            tail = float(np.sum(np.maximum(sv - tau, 0.0) ** 2))
-        else:
-            tail = 0.0
-        return float(corner + cross + tail)
-
-    def dist_terms(self, g):
-        u, vt, r = self._frame()
-        gp = u.T @ g @ vt.T
+        gp = self._u.T @ g @ self._vt.T  # reference frame
         base = (np.sum(gp[:, :r] ** 2, axis=(1, 2))
                 + np.sum(gp[:, r:, :r] ** 2, axis=(1, 2)))
         c = np.trace(gp[:, :r, :r], axis1=1, axis2=2)
@@ -206,9 +174,8 @@ class Schatten1Norm(Regularizer):
 class TracePSD(Regularizer):
     """trace(X) + indicator of the PSD cone, on symmetric d x d matrices.
 
-    The subdifferential closed form is taken at a rank-one PSD reference
-    matrix (the lifted phase-retrieval signal); other references are
-    rejected.
+    Descent-cone distances are taken at a rank-one PSD reference matrix
+    (the lifted phase-retrieval signal); other references are rejected.
     """
 
     def __init__(self, x_ref: np.ndarray | None = None, d: int | None = None):
@@ -249,27 +216,6 @@ class TracePSD(Regularizer):
     def spectrum(self, z):
         z = np.asarray(z, dtype=float)
         return np.linalg.eigvalsh(0.5 * (z + z.T))
-
-    def subdiff_dist_sq(self, g, tau):
-        if self.x_ref is None:
-            raise ValueError("descent-cone operations need a reference point")
-        g = np.asarray(g, dtype=float)
-        if tau == 0.0:
-            # the scaled set collapses to {0}; the tau > 0 closed form does
-            # not limit to this because the subdifferential is unbounded
-            return float(np.sum(g * g))
-        q = self._frame_q
-        h = q.T @ g @ q
-        h11 = h[0, 0]
-        h21 = h[1:, 0]
-        h22 = h[1:, 1:]
-        head = (h11 - tau) ** 2 + 2.0 * float(np.dot(h21, h21))
-        if h22.size:
-            lam = np.linalg.eigvalsh(0.5 * (h22 + h22.T))
-            tail = float(np.sum(np.maximum(lam - tau, 0.0) ** 2))
-        else:
-            tail = 0.0
-        return float(head + tail)
 
     def dist_terms(self, g):
         if self.x_ref is None:

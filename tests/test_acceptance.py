@@ -303,7 +303,8 @@ def test_criterion_10_property_suites(capsys):
                 ok = False
     notes.append("adjoint")
 
-    # subdifferential distance vs projection oracles, d <= 6
+    # closed-form subdifferential distance vs projection oracles, d <= 6
+    closed_form = test_reg.closed_form_dist_sq
     for _ in range(10):
         d = int(rng.integers(2, 7))
         xv = rng.standard_normal(d)
@@ -312,19 +313,19 @@ def test_criterion_10_property_suites(capsys):
             xv[0] = 1.0
         g = rng.standard_normal(d)
         tau = float(rng.uniform(0, 2))
-        if abs(L1Norm(xv).subdiff_dist_sq(g, tau)
+        if abs(closed_form(L1Norm(xv), g, tau)
                - test_reg.l1_dist_sq_oracle(xv, g, tau)) > 1e-6:
             ok = False
         v = rng.standard_normal(d)
         gm = rng.standard_normal((d, d))
         gm = 0.5 * (gm + gm.T)
-        if abs(TracePSD(np.outer(v, v)).subdiff_dist_sq(gm, tau + 0.05)
+        if abs(closed_form(TracePSD(np.outer(v, v)), gm, tau + 0.05)
                - test_reg.trace_psd_dist_sq_oracle(np.outer(v, v), gm,
                                                    tau + 0.05)) > 1e-6:
             ok = False
         xm = np.outer(rng.standard_normal(d), rng.standard_normal(d))
         gm2 = rng.standard_normal((d, d))
-        if abs(Schatten1Norm(xm).subdiff_dist_sq(gm2, tau + 0.05)
+        if abs(closed_form(Schatten1Norm(xm), gm2, tau + 0.05)
                - test_reg.s1_dist_sq_oracle(xm, gm2, tau + 0.05)) > 1e-6:
             ok = False
     notes.append("subdiff-oracle")

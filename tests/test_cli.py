@@ -457,6 +457,8 @@ class TestProblemConfig:
                                                "d": 8}}),
         ("sweep", {**SMALL_SWEEP, "problem": {"kind": "phase", "d": [1]}}),
         ("phaselift", {"d": [1]}),
+        ("sweep", {**SMALL_SWEEP, "m_grid": "48"}),
+        ("error-curve", {**SMALL_CURVE, "eta_grid": "12"}),
     ])
     def test_wrong_json_type_exits_1(self, capsys, tmp_path, command, cfg):
         # null or a list where a number belongs: one error line, no traceback
@@ -464,6 +466,20 @@ class TestProblemConfig:
                              config_path(tmp_path, cfg))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("sweep", {"problem": {"kind": "phase", "d": 3}, "m_grid": [12],
+                   "trials": 2, "eta": 0.5}),
+        ("error-curve", {"problem": {"kind": "phase", "d": 3}, "m": 30,
+                         "eta_grid": [0.1, 1.0]}),
+    ])
+    def test_phase_with_noise_exits_1(self, capsys, tmp_path, command, cfg):
+        # PhaseLift measurements are noiseless; eta is refused, not dropped
+        code, out, err = run(capsys, command, "--config",
+                             config_path(tmp_path, cfg))
+        assert code == 1 and out == ""
+        assert err == ("error: phase retrieval measurements are noiseless; "
+                       "eta must be 0\n")
 
     @pytest.mark.parametrize("argv, message", [
         (("recover", "--s", "0", "--d", "16", "--m", "8"), "1 <= s <= d"),

@@ -17,7 +17,7 @@ from conicrecovery.harness import (
     run_error_curve,
     run_phase_transition,
 )
-from conicrecovery import solve
+from conicrecovery import harness, solve
 from conicrecovery.cli import write_records
 from conicrecovery.solve import SolverOptions
 
@@ -108,6 +108,19 @@ class TestSweep:
         res = run_phase_transition(ExperimentConfig(
             problem=PhaseRetrieval(d=4), m_grid=(32,), trials=2, seed=2))
         assert res.rows[0].success_rate == 1.0
+
+    def test_phase_rejects_noise_before_any_cell(self, monkeypatch):
+        # PhaseLift measurements carry no noise: a nonzero eta would be
+        # dropped, so both experiments refuse it before solving anything
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_run_cell", no_cell)
+        cfg = ExperimentConfig(PhaseRetrieval(d=3), (12,), trials=2)
+        with pytest.raises(ValueError, match="eta must be 0"):
+            run_phase_transition(dataclasses.replace(cfg, eta=0.5))
+        with pytest.raises(ValueError, match="eta must be 0"):
+            run_error_curve(cfg, [0.0, 0.1], 30)
 
     def test_fifty_percent_interpolation(self):
         rows = (SweepRow(10, 2, 10, 0.2, 0.5, 10.0, 0),

@@ -12,6 +12,7 @@ from conicrecovery.measure import (
     OperatorKind,
     adjoint,
     apply,
+    bounded_row_sampler,
     bounded_symmetric_ensemble,
     gaussian_ensemble,
     gaussian_matrix_ensemble,
@@ -82,11 +83,29 @@ class TestBoundedEnsemble:
                                       atom.sampler(generator(4), (6, 5)))
 
     def test_rejects_asymmetric_atom(self):
-        atom = Atom(name="shifted",
-                    sampler=lambda rng, size: rng.uniform(0, 1, size=size),
+        atom = Atom(sampler=lambda rng, size: rng.uniform(0, 1, size=size),
                     bound=1.0, symmetric=False)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="symmetric"):
             bounded_symmetric_ensemble(2, 2, atom, seed=0)
+        with pytest.raises(ValueError, match="symmetric"):
+            bounded_row_sampler(2, atom)(generator(0), 2)
+
+    def test_rejects_atom_beyond_its_bound(self):
+        # Uniform[-1, 1] declared with bound 0.5
+        atom = Atom(sampler=uniform_atom().sampler, bound=0.5)
+        with pytest.raises(ValueError, match="declared bound"):
+            bounded_symmetric_ensemble(6, 5, atom, seed=4)
+        with pytest.raises(ValueError, match="declared bound"):
+            bounded_row_sampler(5, atom)(generator(4), 6)
+
+    @pytest.mark.parametrize("atom", [rademacher_atom(), uniform_atom()],
+                             ids=["rademacher", "uniform"])
+    def test_row_sampler_matches_ensemble(self, atom):
+        # same atom, same stream: the row sampler draws the ensemble's rows
+        np.testing.assert_array_equal(
+            bounded_row_sampler(5, atom)(generator(4), 6),
+            bounded_symmetric_ensemble(6, 5, atom, seed=4).rows)
+
 
 class TestLiftedEnsemble:
     def test_injected_identity_signal(self):

@@ -1,9 +1,10 @@
 """Regularizer values, prox maps, and subdifferential-distance evaluators.
 
-The nontrivial distance formulas are cross-checked against independent
-iterative oracles: projected gradient over the explicit description of
-the scaled subdifferential set, and dense tau-grid search and a bounded
-Brent search for the minimization over the scale.  The exact level-set
+The test's own closed form ``closed_form_dist_sq`` is cross-checked
+against independent iterative oracles: projected gradient over the
+explicit description of the scaled subdifferential set.  The library's
+sorted minimization over the scale is checked against that closed form
+by dense tau-grid search and a bounded Brent search.  The exact level-set
 threshold is checked against a bisection on f(prox(z, t)).
 """
 
@@ -103,11 +104,53 @@ def trace_psd_dist_sq_oracle(x_ref, g, tau, iters=4000):
     return float(fixed + np.linalg.norm(h22 - tau * y) ** 2)
 
 
+def closed_form_dist_sq(f, g, tau):
+    """dist^2(g, tau * (subdifferential of f at f.x_ref)) in closed form, at
+    a scalar tau >= 0 (a float) or at each entry of an array of them.
+
+    The reference frame comes from f.x_ref here, not from the regularizer:
+    - l1: on the support the coordinate is pinned at tau*sign(x_j), off it
+      the excess (|g_j| - tau)_+ remains;
+    - Schatten-1, in the singular frame of a rank-r x_ref:
+      ||G11 - tau I||^2 + ||G12||^2 + ||G21||^2 + sum (sigma(G22) - tau)_+^2;
+    - trace+PSD, in the eigenframe of a rank-one x_ref with the signal
+      direction first: (h11 - tau)^2 + 2 ||h21||^2 + sum (lambda(H22) - tau)_+^2
+      for tau > 0, and ||g||^2 at tau = 0, where the scaled set is {0}
+      (the subdifferential is unbounded, so the tau > 0 form does not limit
+      to it).
+    """
+    g = np.asarray(g, dtype=float)
+    t = np.asarray(tau, dtype=float)[..., None]
+    if isinstance(f, L1Norm):
+        supp = np.abs(f.x_ref) > 1e-12
+        on = g[supp] - t * np.sign(f.x_ref[supp])
+        fixed = np.sum(on * on, axis=-1)
+        a = np.abs(g[~supp])
+    elif isinstance(f, Schatten1Norm):
+        u, s, vt = np.linalg.svd(f.x_ref)
+        r = int(np.count_nonzero(s > 1e-12))
+        gp = u.T @ g @ vt.T
+        corner = gp[:r, :r] - t[..., None] * np.eye(r)
+        fixed = (np.sum(corner ** 2, axis=(-2, -1)) + np.sum(gp[:r, r:] ** 2)
+                 + np.sum(gp[r:, :r] ** 2))
+        a = np.linalg.svd(gp[r:, r:], compute_uv=False)
+    else:
+        lam, vecs = np.linalg.eigh(f.x_ref)
+        q = vecs[:, np.argsort(lam)[::-1]]
+        h = q.T @ g @ q
+        fixed = (h[0, 0] - t[..., 0]) ** 2 + 2.0 * np.sum(h[1:, 0] ** 2)
+        a = np.linalg.eigvalsh(0.5 * (h[1:, 1:] + h[1:, 1:].T))
+    val = fixed + np.sum(np.maximum(a - t, 0.0) ** 2, axis=-1)
+    if isinstance(f, TracePSD):
+        val = np.where(t[..., 0] == 0.0, np.sum(g * g), val)
+    return float(val) if val.ndim == 0 else val
+
+
 TAU_GRID = np.arange(0.0, 10.0 + 1e-9, 1e-3)
 
 
 def grid_min_dist_sq(f, g):
-    return min(f.subdiff_dist_sq(g, t) for t in TAU_GRID)
+    return float(np.min(closed_form_dist_sq(f, g, TAU_GRID)))
 
 
 def rank_one(v):
@@ -115,14 +158,14 @@ def rank_one(v):
 
 
 def brent_min_dist_sq(f, g):
-    """Bounded Brent search of subdiff_dist_sq over tau in (0, 2||g|| + 1],
-    then the value at tau = 0.  The minimizer is at most ||g||: it is
-    (c + sum of the active a) / (r + k) with c <= sqrt(r) ||g|| and every
-    a <= ||g||."""
-    res = minimize_scalar(lambda t: f.subdiff_dist_sq(g, t),
+    """Bounded Brent search of closed_form_dist_sq over tau in
+    (0, 2||g|| + 1], then the value at tau = 0.  The minimizer is at most
+    ||g||: it is (c + sum of the active a) / (r + k) with c <= sqrt(r) ||g||
+    and every a <= ||g||."""
+    res = minimize_scalar(lambda t: closed_form_dist_sq(f, g, t),
                           bounds=(0.0, 2.0 * float(np.linalg.norm(g)) + 1.0),
                           method="bounded", options={"xatol": 1e-9})
-    at_zero = f.subdiff_dist_sq(g, 0.0)
+    at_zero = closed_form_dist_sq(f, g, 0.0)
     return (0.0, at_zero) if at_zero < res.fun else (float(res.x), float(res.fun))
 
 
@@ -287,13 +330,14 @@ class TestProjectPsd:
 class TestSubdiffDist:
     def test_l1_hand_value(self):
         f = L1Norm(np.array([1.0, 0.0]))
-        assert f.subdiff_dist_sq(np.array([0.5, 2.0]), 1.0) == pytest.approx(1.25)
+        assert closed_form_dist_sq(f, np.array([0.5, 2.0]),
+                                   1.0) == pytest.approx(1.25)
 
     def test_l1_member_is_zero(self):
         x = np.array([2.0, 0.0, -1.0, 0.0])
         f = L1Norm(x)
         g = 0.7 * np.array([1.0, 0.0, -1.0, 0.0])  # tau*sign on support
-        assert f.subdiff_dist_sq(g, 0.7) == pytest.approx(0.0, abs=1e-14)
+        assert closed_form_dist_sq(f, g, 0.7) == pytest.approx(0.0, abs=1e-14)
 
     def test_l1_matches_projection_oracle(self):
         rng = generator(41)
@@ -306,7 +350,7 @@ class TestSubdiffDist:
             f = L1Norm(x)
             g = rng.standard_normal(d) * 2
             tau = float(rng.uniform(0, 3))
-            assert f.subdiff_dist_sq(g, tau) == pytest.approx(
+            assert closed_form_dist_sq(f, g, tau) == pytest.approx(
                 l1_dist_sq_oracle(x, g, tau), abs=1e-6)
 
     def test_s1_diag_case_grid_oracle(self):
@@ -314,7 +358,7 @@ class TestSubdiffDist:
         # the diagonal is (tau, clip(g22)); dense grid over the free entry
         f = Schatten1Norm(np.diag([3.0, 0.0]))
         g = np.diag([1.0, 2.0])
-        val = f.subdiff_dist_sq(g, 1.0)
+        val = closed_form_dist_sq(f, g, 1.0)
         ys = np.linspace(-1, 1, 20001)
         grid = np.min((1.0 - 1.0) ** 2 + (2.0 - 1.0 * ys) ** 2)
         assert val == pytest.approx(float(grid), abs=1e-7)
@@ -329,7 +373,7 @@ class TestSubdiffDist:
             f = Schatten1Norm(x)
             g = rng.standard_normal((d1, d2)) * 2
             tau = float(rng.uniform(0.05, 3))
-            assert f.subdiff_dist_sq(g, tau) == pytest.approx(
+            assert closed_form_dist_sq(f, g, tau) == pytest.approx(
                 s1_dist_sq_oracle(x, g, tau), abs=1e-6)
 
     def test_trace_psd_matches_projection_oracle(self):
@@ -342,24 +386,24 @@ class TestSubdiffDist:
             g = rng.standard_normal((d, d))
             g = 0.5 * (g + g.T)
             tau = float(rng.uniform(0.05, 3))
-            assert f.subdiff_dist_sq(g, tau) == pytest.approx(
+            assert closed_form_dist_sq(f, g, tau) == pytest.approx(
                 trace_psd_dist_sq_oracle(x, g, tau), abs=1e-6)
 
     def test_trace_psd_tau_zero_is_norm_sq(self):
         v = np.array([1.0, 2.0])
         f = TracePSD(np.outer(v, v))
         g = np.array([[1.0, 0.5], [0.5, -2.0]])
-        assert f.subdiff_dist_sq(g, 0.0) == pytest.approx(np.sum(g * g))
+        assert closed_form_dist_sq(f, g, 0.0) == pytest.approx(np.sum(g * g))
 
     def test_rejects_zero_reference(self):
-        with pytest.raises(ValueError):
-            L1Norm(np.zeros(3)).subdiff_dist_sq(np.ones(3), 1.0)
-        with pytest.raises(ValueError):
-            Schatten1Norm(np.zeros((2, 2))).subdiff_dist_sq(np.ones((2, 2)), 1.0)
+        with pytest.raises(ValueError, match="must be nonzero"):
+            L1Norm(np.zeros(3)).dist_terms(np.ones((1, 3)))
+        with pytest.raises(ValueError, match="must be nonzero"):
+            Schatten1Norm(np.zeros((2, 2))).dist_terms(np.ones((1, 2, 2)))
 
     def test_rejects_missing_reference(self):
-        with pytest.raises(ValueError):
-            L1Norm(d=3).subdiff_dist_sq(np.ones(3), 1.0)
+        with pytest.raises(ValueError, match="need a reference point"):
+            L1Norm(d=3).dist_terms(np.ones((1, 3)))
 
     def test_trace_psd_rejects_bad_reference(self):
         with pytest.raises(ValueError):
@@ -433,7 +477,7 @@ class TestSortedKernel:
             if tau > 0.0:
                 assert val == pytest.approx(val_b, abs=1e-12 * scale)
                 assert tau == pytest.approx(tau_b, abs=1e-6)
-                assert val == pytest.approx(f.subdiff_dist_sq(g, tau),
+                assert val == pytest.approx(closed_form_dist_sq(f, g, tau),
                                             abs=1e-12 * scale)
             else:  # Brent stops within its tolerance of the bound
                 assert val == pytest.approx(val_b, abs=1e-8 * scale)
@@ -502,7 +546,7 @@ class TestSortedKernel:
         tau, val = f.min_subdiff_dist_sq(g)
         assert tau == 0.0
         assert val == pytest.approx(1.25, abs=1e-15)
-        assert f.subdiff_dist_sq(g, 0.0) == pytest.approx(5.25)
+        assert closed_form_dist_sq(f, g, 0.0) == pytest.approx(5.25)
         assert brent_min_dist_sq(f, g)[1] == pytest.approx(1.25, abs=1e-6)
 
 
