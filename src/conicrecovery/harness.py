@@ -232,8 +232,10 @@ def _run_grid(config: ExperimentConfig, points, index0: int = 0):
     of point i by its index ``index0 + i``; returns, per point, the cells'
     (success, rel_error, iters, converged) in trial order.
 
-    PhaseLift measurements carry no noise, so a nonzero eta is rejected
-    for ``PhaseRetrieval`` before any cell runs."""
+    A negative eta, or for ``PhaseRetrieval``, whose measurements carry no
+    noise, a nonzero one, is rejected before any cell runs."""
+    if any(eta < 0 for _, eta in points):
+        raise ValueError("eta must be nonnegative")
     if isinstance(config.problem, PhaseRetrieval) and any(
             eta != 0 for _, eta in points):
         raise ValueError("phase retrieval measurements are noiseless; "

@@ -34,9 +34,7 @@ class TailEstimate:
     xi: float
     q_min: float
     q_mean: float
-    n_dirs: int
     n_samples: int
-    seed: int
 
     def __post_init__(self):
         if not (0.0 <= self.q_min <= 1.0 and 0.0 <= self.q_mean <= 1.0):
@@ -45,11 +43,8 @@ class TailEstimate:
 
 @dataclass(frozen=True)
 class EmpiricalWidthEstimate:
-    m: int
     w_hat: float
     std_error: float
-    trials: int
-    seed: int
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -91,7 +86,7 @@ def estimate_marginal_tail(phi_sampler: RowSampler,
         counts += np.count_nonzero(np.abs(phis @ dirs.T) >= xi, axis=0)
     freq = counts / n_samples  # per direction
     return TailEstimate(float(xi), float(freq.min()), float(freq.mean()),
-                        n_dirs, n_samples, seed)
+                        n_samples)
 
 
 def _mean_empirical_sup(phi_sampler: RowSampler, m: int, trials: int,
@@ -112,7 +107,7 @@ def _mean_empirical_sup(phi_sampler: RowSampler, m: int, trials: int,
         return sup(np.sum(phis, axis=1) / math.sqrt(m))
 
     w_hat, se = mc_mean(trials, m * row_size, sample)
-    return EmpiricalWidthEstimate(m, w_hat, se, trials, seed)
+    return EmpiricalWidthEstimate(w_hat, se)
 
 
 def estimate_mean_empirical_width(phi_sampler: RowSampler,

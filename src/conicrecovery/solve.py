@@ -14,6 +14,10 @@ forms it (it would be the m x d^2 design), so its projector keeps O(md)
 memory.  Norm minimization takes the prox step 1; trace minimization takes
 0.3 * mean(y), a fixed fraction of the trace that the data imply (see
 ``phase_retrieval_sdp``).
+
+The projector owns a solve's data y and eta and its misfit norm (max |.| for
+PhaseLift), which scales the stopping gate and measures the residual.  Its
+infeasibility test ||y_perp|| > max(eta, 1e-10 ||y||) has no absolute floor.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ class SolverOptions:
     """``max_iters`` caps the DR iterations.  ``tol`` is the relative
     stopping tolerance: a solve converges once both the DR step ||v - x||
     and the constraint violation of the prox iterate v are at most
-    ``tol * scale``, with scale = ||y|| (max |y_i| for PhaseLift), or 1
-    when y = 0.  The gate is thus relative at every signal scale."""
+    ``tol * scale``, scale = the misfit norm of y (||y||, max |y_i| for
+    PhaseLift), or 1 when y = 0: relative at every signal scale."""
 
     max_iters: int = 20_000
     tol: float = 1e-8
@@ -92,18 +96,26 @@ class _BallProjector:
     Phi^+ = Phi^* Q diag(1/lam) Q^t.  For a dense operator Phi^+ is built
     once here, an n x m matrix the size of Phi, from the same eigenvectors
     and keep mask, so a projection costs two matrix-vector products; a
-    lifted operator applies Phi, Q^t, Q and Phi^* in turn.
+    lifted operator applies Phi, Q^t, Q and Phi^* in turn.  ``misfit(v)`` is
+    norm(Phi v - y) in the solve's norm; ``scale`` = norm(y) or 1 sets the gate.
     """
 
-    def __init__(self, op: MeasurementOperator, y: np.ndarray, eta: float):
-        self.op, self.y = op, y
+    def __init__(self, op: MeasurementOperator, y: np.ndarray, eta: float,
+                 norm=np.linalg.norm):
+        y = np.asarray(y, dtype=float)
+        if y.shape != (op.m,):
+            raise ValueError("measurement vector length mismatch")
+        if eta < 0:
+            raise ValueError("eta must be nonnegative")
+        self.op, self.y, self.eta, self.norm = op, y, eta, norm
+        self.scale = float(norm(y)) or 1.0
         lam, q = np.linalg.eigh(gram(op))
         keep = lam > _EIG_CUT * op.m * np.max(lam, initial=0.0)
         self.lam, self.q = lam[keep], q[:, keep]
         y_perp = y - self.q @ (self.q.T @ y)  # part of y outside range(Phi)
         y_perp_sq = float(np.dot(y_perp, y_perp))
-        ynorm = float(np.linalg.norm(y))
-        self.infeasible = math.sqrt(y_perp_sq) > max(eta, 1e-10 * max(1.0, ynorm))
+        self.infeasible = (math.sqrt(y_perp_sq)
+                           > max(eta, 1e-10 * float(np.linalg.norm(y))))
         self.delta_sq = max(eta ** 2 - y_perp_sq, 0.0)
         self.mu = 0.0  # warm start for the next secular solve
         self.pinv = None
@@ -120,6 +132,9 @@ class _BallProjector:
             return p
         mu = self._secular_root(c)
         return p - _adjoint(self.op, self.q @ (mu * c / (1.0 + mu * self.lam)))
+
+    def misfit(self, v: np.ndarray) -> float:
+        return float(self.norm(_forward(self.op, v.ravel()) - self.y))
 
     def _secular_root(self, c: np.ndarray) -> float:
         """Newton on psi from the last multiplier; needs ||c||^2 > delta^2."""
@@ -140,27 +155,29 @@ class _BallProjector:
         return mu
 
 
-def _douglas_rachford(f: Regularizer, proj: _BallProjector, shape, scale: float,
-                      opts: SolverOptions, feas_fn, gamma: float):
+def _douglas_rachford(f: Regularizer, proj: _BallProjector, shape,
+                      opts: SolverOptions, gamma: float):
     """DR iteration on gamma * f + indicator(C) over flat signals of the
     given shape, with prox step gamma > 0; returns (x_feas, v_prox, iters,
     conv), never converged when C is empty.
 
-    ``feas_fn(v)`` measures the constraint violation of the prox iterate,
-    used with the primal residual ||v - x|| for stopping.
+    It stops once the primal residual ||v - x|| and the prox iterate's
+    constraint violation ``proj.misfit(v) - proj.eta`` are both at most
+    ``opts.tol * proj.scale``.
     """
     w = np.zeros(math.prod(shape))
     x = v = w
     converged = False
     it = 0
-    gate = opts.tol * scale
+    gate = opts.tol * proj.scale
     for it in range(1, opts.max_iters + 1):
         x = proj(w)
         v = f.prox((2.0 * x - w).reshape(shape), gamma).ravel()
         step = v - x
         w = w + step
         if it % 10 == 0 or it == opts.max_iters:
-            if np.linalg.norm(step) <= gate and feas_fn(v) <= gate:
+            if (np.linalg.norm(step) <= gate
+                    and proj.misfit(v) - proj.eta <= gate):
                 converged = True
                 break
     return x, v, it, converged and not proj.infeasible
@@ -170,26 +187,16 @@ def recover_constrained(f: Regularizer, op: MeasurementOperator,
                         y: np.ndarray, eta: float,
                         opts: SolverOptions | None = None) -> RecoveryResult:
     """Minimize f(x) subject to ||Phi x - y|| <= eta."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
     opts = opts or SolverOptions()
     if op.kind is not OperatorKind.DENSE:
         raise ValueError("constrained recovery needs a dense operator; "
                          "use phase_retrieval_sdp for lifted ensembles")
-    y = np.asarray(y, dtype=float)
     proj = _BallProjector(op, y, eta)
     shape = op.signal_shape
-    scale = float(np.linalg.norm(y)) or 1.0
-
-    def feas(vflat):
-        return max(0.0, float(np.linalg.norm(_forward(op, vflat) - y)) - eta)
-
-    x, v, iters, converged = _douglas_rachford(f, proj, shape, scale, opts, feas,
-                                               1.0)
+    x, v, iters, converged = _douglas_rachford(f, proj, shape, opts, 1.0)
     estimate = x.reshape(shape)  # projection output: feasible by construction
-    residual = float(np.linalg.norm(_forward(op, x) - y))
-    return RecoveryResult(estimate, f.value(estimate), residual, iters,
-                          converged, infeasible=proj.infeasible)
+    return RecoveryResult(estimate, f.value(estimate), proj.misfit(estimate),
+                          iters, converged, infeasible=proj.infeasible)
 
 
 def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray,
@@ -216,26 +223,18 @@ def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray,
     """
     if op.kind is not OperatorKind.LIFTED:
         raise ValueError("phase retrieval needs a lifted rank-one operator")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.m,):
-        raise ValueError("measurement vector length mismatch")
-    if np.any(y < -1e-10):
+    proj = _BallProjector(op, y, 0.0, lambda r: np.max(np.abs(r), initial=0.0))
+    if np.any(proj.y < -1e-10):
         raise ValueError("phase retrieval measurements are magnitudes (y >= 0)")
     opts = opts or SolverOptions()
     d = op.signal_shape[0]
-    proj = _BallProjector(op, y, 0.0)
-    scale = float(np.max(np.abs(y), initial=0.0)) or 1.0
-
-    def feas(vflat):
-        return float(np.max(np.abs(_forward(op, vflat) - y))) if op.m else 0.0
-
-    mean_y = float(np.mean(y))
+    mean_y = float(np.mean(proj.y))
     gamma = _TRACE_STEP * mean_y if mean_y > 0 else 1.0
-    x, v, iters, converged = _douglas_rachford(
-        TracePSD(d=d), proj, (d, d), scale, opts, feas, gamma)
+    x, v, iters, converged = _douglas_rachford(TracePSD(d=d), proj, (d, d),
+                                               opts, gamma)
     estimate = v.reshape(d, d)   # prox output: PSD by construction
     estimate = 0.5 * (estimate + estimate.T)
-    violation = float(np.max(np.abs(_forward(op, estimate.ravel()) - y)))
-    return RecoveryResult(estimate, float(np.trace(estimate)), violation,
-                          iters, converged, infeasible=proj.infeasible)
+    return RecoveryResult(estimate, float(np.trace(estimate)),
+                          proj.misfit(estimate), iters, converged,
+                          infeasible=proj.infeasible)
 

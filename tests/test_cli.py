@@ -481,6 +481,23 @@ class TestProblemConfig:
         assert err == ("error: phase retrieval measurements are noiseless; "
                        "eta must be 0\n")
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("sweep", {**SMALL_SWEEP, "eta": -0.5}),
+        ("error-curve", {**SMALL_CURVE, "eta_grid": [0.1, -0.1]}),
+    ])
+    def test_negative_eta_exits_1_before_any_cell(self, capsys, tmp_path,
+                                                  monkeypatch, command, cfg):
+        # a negative noise level anywhere in the grid fails up front, not
+        # after the cells before it have run
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_run_cell", no_cell)
+        code, out, err = run(capsys, command, "--config",
+                             config_path(tmp_path, cfg))
+        assert code == 1 and out == ""
+        assert err == "error: eta must be nonnegative\n"
+
     @pytest.mark.parametrize("argv, message", [
         (("recover", "--s", "0", "--d", "16", "--m", "8"), "1 <= s <= d"),
         (("recover", "--s", "20", "--d", "16"), "1 <= s <= d"),

@@ -417,6 +417,38 @@ class TestConstrainedRecovery:
         res = recover_constrained(L1Norm(d=2), op2, y, eta=0.1)
         assert res.infeasible and not res.converged
 
+    @pytest.mark.parametrize("c", [1.0, 1e-8, 1e-10])
+    def test_infeasible_at_every_data_scale(self, c):
+        # y leaves range(A) by 1e-5 ||y|| at every scale c; the verdict is
+        # relative to ||y||, also where ||y_perp|| is far below 1e-10
+        op = gaussian_ensemble(40, 20, seed=3)
+        x = np.zeros(20)
+        x[[2, 9, 15]] = [1.0, -2.0, 0.5]
+        y = apply(op, x)
+        u = np.linalg.svd(op.rows)[0][:, 20:]   # orthogonal to range(A)
+        e = u @ generator(4).standard_normal(20)
+        y_off = c * (y + 1e-5 * np.linalg.norm(y) * e / np.linalg.norm(e))
+        assert _BallProjector(op, y_off, 0.0).infeasible
+        res = recover_constrained(L1Norm(d=20), op, y_off, 0.0,
+                                  SolverOptions(max_iters=50))
+        assert res.stop_reason == "infeasible"
+
+    @pytest.mark.parametrize("op", [
+        gaussian_ensemble(40, 20, seed=3), gaussian_ensemble(20, 40, seed=5),
+        lifted_phase_ensemble(24, 8, seed=15)], ids=["40x20", "20x40", "lifted"])
+    def test_consistent_tiny_data_stays_feasible(self, op):
+        x = generator(6).standard_normal(op.signal_shape[0])
+        y = apply(op, np.outer(x, x) if op.kind is OperatorKind.LIFTED else x)
+        assert not _BallProjector(op, 1e-12 * y, 0.0).infeasible
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_rejects_wrong_length_y(self, eta):
+        op = gaussian_ensemble(6, 4, seed=0)
+        with pytest.raises(ValueError, match="measurement vector length"):
+            recover_constrained(L1Norm(d=4), op, np.ones(5), eta)
+        with pytest.raises(ValueError, match="measurement vector length"):
+            phase_retrieval_sdp(lifted_phase_ensemble(3, 2, seed=0), np.ones(4))
+
     def test_rejects_negative_eta_and_lifted(self):
         op = gaussian_ensemble(3, 2, seed=0)
         with pytest.raises(ValueError):
