@@ -11,9 +11,10 @@ needs only Phi, Phi^* and G, so both operator kinds share it.  A dense
 operator at eta = 0 applies the pseudo-inverse Phi^+ as one n x m matrix,
 built once from the same eigendecomposition of G; a lifted operator never
 forms it (it would be the m x d^2 design), so its projector keeps O(md)
-memory.  Norm minimization takes the prox step 1; trace minimization takes
-0.3 * mean(y), a fixed fraction of the trace that the data imply (see
-``phase_retrieval_sdp``).
+memory.  Norm minimization takes the prox step 0.2 * eta, a fixed fraction
+of the noise level, and 1 at eta = 0 (see ``recover_constrained``); trace
+minimization takes 0.3 * mean(y), a fixed fraction of the trace that the
+data imply (see ``phase_retrieval_sdp``).
 
 The projector owns a solve's data y and eta and its misfit norm (max |.| for
 PhaseLift), which scales the stopping gate and measures the residual.  Its
@@ -77,6 +78,8 @@ _EIG_CUT = 10.0 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 100
 # PhaseLift's DR prox step, as a fraction of the trace scale mean(y)
 _TRACE_STEP = 0.3
+# the norm problems' DR prox step at eta > 0, as a fraction of eta
+_BALL_STEP = 0.2
 
 
 class _BallProjector:
@@ -186,14 +189,38 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector, shape,
 def recover_constrained(f: Regularizer, op: MeasurementOperator,
                         y: np.ndarray, eta: float,
                         opts: SolverOptions | None = None) -> RecoveryResult:
-    """Minimize f(x) subject to ||Phi x - y|| <= eta."""
+    """Minimize f(x) subject to ||Phi x - y|| <= eta.
+
+    For eta > 0, DR runs on gamma * f + indicator(ball) with
+    gamma = 0.2 * eta; at eta = 0 it keeps gamma = 1.  f is a norm, so
+    prox_{gamma f}(c z) = c prox_{(gamma / c) f}(z) for c > 0: scaling
+    (y, eta) by c scales the ball, the solution, the step and, by
+    induction from w = 0, every DR iterate by c, and the stopping gate
+    scales with ||y||, so an eta > 0 solve takes the same iterations at
+    every data scale.  A fixed gamma = 1 is a different step relative to
+    the data at each scale.  Measured on the 60 cells of the Schatten-1
+    8 x 8 rank-1 error curve at m = 55, eta in {0.1, 0.3, 1.0} (seed 1),
+    against a reference solve at tol 1e-13:
+
+        step           DR iterations   max deviation / ||x||
+        gamma = 1             90,570   9.0e-8
+        0.1 * eta              9,390   2.5e-7
+        0.2 * eta              7,730   8.0e-8
+        0.5 * eta             11,900   8.8e-8
+
+    Too small a step (0.1 * eta) stops farther from the solution at the
+    same tolerance.  At eta = 0 the set is affine, with no length scale
+    of its own; gamma = 1 is kept there, so the eta = 0 iteration count
+    still depends on the scale of y.
+    """
     opts = opts or SolverOptions()
     if op.kind is not OperatorKind.DENSE:
         raise ValueError("constrained recovery needs a dense operator; "
                          "use phase_retrieval_sdp for lifted ensembles")
     proj = _BallProjector(op, y, eta)
     shape = op.signal_shape
-    x, v, iters, converged = _douglas_rachford(f, proj, shape, opts, 1.0)
+    gamma = _BALL_STEP * eta if eta > 0 else 1.0
+    x, v, iters, converged = _douglas_rachford(f, proj, shape, opts, gamma)
     estimate = x.reshape(shape)  # projection output: feasible by construction
     return RecoveryResult(estimate, f.value(estimate), proj.misfit(estimate),
                           iters, converged, infeasible=proj.infeasible)

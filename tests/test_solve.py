@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conicrecovery.harness import LowRankS1, SparseL1
 from conicrecovery.measure import (
     MeasurementOperator,
     OperatorKind,
@@ -16,6 +17,7 @@ from conicrecovery.measure import (
     gaussian_ensemble,
     gaussian_matrix_ensemble,
     lifted_phase_ensemble,
+    measure_with_noise,
 )
 from conicrecovery.reg import L1Norm, Schatten1Norm
 from conicrecovery.rng import generator
@@ -103,6 +105,31 @@ def ball_projection_oracle(a, y, eta, p):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if resid_sq(mid) > eta ** 2 else (lo, mid)
     return shrunk(hi)
+
+
+def l1_kkt_residuals(a, y, eta, x):
+    """KKT residuals of x for min ||x||_1 s.t. ||A x - y|| <= eta, eta > 0,
+    with the constraint active (eta < ||y||).
+
+    At the optimum, lam * g is a subgradient of ||.||_1 at x for
+    g = -A^t (A x - y) and a multiplier lam > 0: lam g_i = sign x_i on the
+    support and |lam g_i| <= 1 off it.  The support is |x_i| above 1e-6
+    max |x|, and lam = 1 / mean |g_i| over it.  Returns the relative
+    misfit error | ||A x - y|| - eta | / eta, max |lam g_i - sign x_i| on
+    the support and max |lam g_i| off it.
+    """
+    r = a @ x - y
+    g = -a.T @ r
+    supp = np.abs(x) > 1e-6 * np.max(np.abs(x))
+    lam = 1.0 / np.mean(np.abs(g[supp]))
+    return (abs(np.linalg.norm(r) - eta) / eta,
+            float(np.max(np.abs(lam * g[supp] - np.sign(x[supp])))),
+            float(np.max(np.abs(lam * g[~supp]), initial=0.0)))
+
+
+def l1_kkt_ok(a, y, eta, x):
+    misfit, on, off = l1_kkt_residuals(a, y, eta, x)
+    return misfit <= 1e-9 and on <= 1e-5 and off <= 1 + 1e-5
 
 
 def _lift(x):
@@ -457,6 +484,39 @@ class TestConstrainedRecovery:
         with pytest.raises(ValueError):
             recover_constrained(L1Norm(d=2), lop, np.zeros(3), eta=0.0)
 
+    @pytest.mark.parametrize("c", [1e-3, 1e-6])
+    @pytest.mark.parametrize("problem, m, eta", [
+        (SparseL1(4, 64), 40, 0.1), (LowRankS1(1, 8, 8), 55, 0.3)],
+        ids=["l1", "s1"])
+    def test_noisy_solve_scale_covariant(self, problem, m, eta, c):
+        # the eta > 0 prox step is 0.2 * eta and the gate follows ||y||, so
+        # scaling (y, eta) by c scales every DR iterate by c: the same
+        # iterations and estimate / c at every data scale
+        x = problem.draw(generator(7))
+        op = problem.operator(m, 8)
+        y = measure_with_noise(op, x, noise_norm=eta, seed=9)
+        f = problem.regularizer()
+        res = recover_constrained(f, op, y, eta)
+        res_c = recover_constrained(f, op, c * y, c * eta)
+        assert res.converged and res_c.converged
+        assert res_c.iterations == res.iterations
+        np.testing.assert_allclose(
+            res_c.estimate / c, res.estimate,
+            rtol=0, atol=1e-12 * np.linalg.norm(res.estimate))
+
+    @pytest.mark.parametrize("factor", [1.0, 10.0])
+    @pytest.mark.parametrize("problem, m", [
+        (SparseL1(4, 64), 40), (LowRankS1(1, 8, 8), 55)], ids=["l1", "s1"])
+    def test_eta_at_least_norm_y_gives_zero(self, problem, m, factor):
+        # x = 0 is feasible once eta >= ||y||, and f(0) = 0 is the minimum
+        x = problem.draw(generator(7))
+        op = problem.operator(m, 8)
+        y = apply(op, x)
+        res = recover_constrained(problem.regularizer(), op, y,
+                                  factor * float(np.linalg.norm(y)))
+        assert res.converged and res.iterations == 10
+        assert np.max(np.abs(res.estimate)) <= 1e-12 * np.linalg.norm(x)
+
     def test_nonconvergence_reported(self):
         op = gaussian_ensemble(6, 12, seed=9)
         x = generator(10).standard_normal(12)
@@ -465,6 +525,39 @@ class TestConstrainedRecovery:
                                   SolverOptions(max_iters=3))
         assert not res.converged
         assert res.iterations == 3
+
+
+class TestL1KktOracle:
+    """min ||x||_1 s.t. ||A x - y|| <= eta against its optimality
+    conditions, the eta > 0 counterpart of the LP oracle at eta = 0."""
+
+    @staticmethod
+    def cell(m, eta, trial):
+        problem = SparseL1(4, 128)
+        rng = generator(1000 * m + 10 * trial + round(10 * eta))
+        x = problem.draw(rng)
+        op = problem.operator(m, int(rng.integers(0, 2 ** 62)))
+        y = measure_with_noise(op, x, noise_norm=eta,
+                               seed=int(rng.integers(0, 2 ** 62)))
+        return problem.regularizer(), op, y
+
+    @pytest.mark.parametrize("eta", [0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("m", [24, 54])
+    def test_converged_estimates_satisfy_kkt(self, m, eta):
+        for trial in range(3):
+            f, op, y = self.cell(m, eta, trial)
+            res = recover_constrained(f, op, y, eta)
+            assert res.converged
+            assert l1_kkt_ok(op.rows, y, eta, res.estimate), \
+                l1_kkt_residuals(op.rows, y, eta, res.estimate)
+
+    @pytest.mark.parametrize("eta", [0.1, 1.0])
+    def test_rejects_early_stopped_estimate(self, eta):
+        # 50 DR iterations leave the support's subgradient off by about 2.5
+        f, op, y = self.cell(54, eta, 0)
+        res = recover_constrained(f, op, y, eta, SolverOptions(max_iters=50))
+        assert not res.converged
+        assert not l1_kkt_ok(op.rows, y, eta, res.estimate)
 
 
 class TestPhaseRetrievalSdp:
