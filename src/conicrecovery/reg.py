@@ -111,8 +111,10 @@ class L1Norm(Regularizer):
         return float(np.sum(np.abs(x)))
 
     def prox(self, z, t):
+        # z minus its clip to [-t, t]: sign(z) (|z| - t)_+ with the same
+        # values in three ufuncs (an exact zero comes out as +0)
         z = np.asarray(z, dtype=float)
-        return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+        return z - np.minimum(np.maximum(z, -t), t)
 
     def spectrum(self, z):
         return np.abs(np.asarray(z, dtype=float)).ravel()

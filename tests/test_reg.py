@@ -209,6 +209,18 @@ class TestProx:
         out = L1Norm(d=3).prox(np.array([3.0, -1.0, 0.5]), 1.0)
         np.testing.assert_allclose(out, [2.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_l1_prox_matches_sign_formula(self, t):
+        # the same values as sign(z) (|z| - t)_+, also at |z| = t, at z = 0,
+        # just either side of t and at step 0, for arrays and lists
+        z = np.concatenate([3.0 * generator(25).standard_normal(200),
+                            [t, -t, 0.0, -0.0, np.nextafter(t, 1.0),
+                             -np.nextafter(t, 1.0), np.nextafter(t, -1.0)]])
+        want = np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+        f = L1Norm(d=z.size)
+        assert np.array_equal(f.prox(z, t), want)
+        assert np.array_equal(f.prox(list(z), t), want)
+
     def test_schatten1_singular_threshold(self):
         out = Schatten1Norm(shape=(2, 2)).prox(np.diag([3.0, 0.5]), 1.0)
         np.testing.assert_allclose(out, np.diag([2.0, 0.0]), atol=1e-12)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conicrecovery.harness import LowRankS1, SparseL1
+from conicrecovery import solve
+from conicrecovery.harness import LowRankS1, PhaseRetrieval, SparseL1
 from conicrecovery.measure import (
     MeasurementOperator,
     OperatorKind,
@@ -256,6 +257,17 @@ class TestBallProjector:
         bad = solve(op, y + 1.0, SolverOptions(max_iters=50))
         assert bad.infeasible and not bad.converged
 
+    @pytest.mark.parametrize("case", ["dense-6x10", "lifted-d5-m12"])
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    def test_returns_fresh_array(self, case, eta):
+        # the DR loop updates its iterate in place after projecting it; x
+        # itself is inside the ball, and at eta = 0 a dense operator takes
+        # the Phi^+ branch
+        op, x = PROJECTOR_CASES[case]()
+        p = x.ravel().copy()
+        proj = _BallProjector(op, apply(op, x), eta)
+        assert not np.shares_memory(proj(p), p)
+
     def test_lifted_memory_stays_below_design(self):
         # the m x d^2 lifted design alone would take m * d^2 * 8 bytes
         d, m = 64, 512
@@ -342,6 +354,78 @@ class TestSecularSolve:
             res = recover_constrained(L1Norm(d=x.size), op, y, eta,
                                       SolverOptions(max_iters=50))
             assert res.infeasible and res.stop_reason == "infeasible"
+
+
+def reference_douglas_rachford(f, proj, shape, opts, gamma):
+    """The DR loop written with a fresh array for every intermediate, the
+    l1 prox as sign(z) (|z| - t)_+ and Phi^+ applied with ``@``: the
+    arithmetic that the solver's in-place loop must reproduce bit for bit."""
+    def prox(z, t):
+        if isinstance(f, L1Norm):
+            return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+        return f.prox(z, t)
+
+    def project(p):
+        if proj.pinv is not None:
+            return p - proj.pinv @ (proj.op.rows @ p - proj.y)
+        return proj(p)
+
+    w = np.zeros(math.prod(shape))
+    x = v = w
+    converged = False
+    it = 0
+    gate = opts.tol * proj.scale
+    for it in range(1, opts.max_iters + 1):
+        x = project(w)
+        v = prox((2.0 * x - w).reshape(shape), gamma).ravel()
+        step = v - x
+        w = w + step
+        if it % 10 == 0 or it == opts.max_iters:
+            if (np.linalg.norm(step) <= gate
+                    and proj.misfit(v) - proj.eta <= gate):
+                converged = True
+                break
+    return x, v, it, converged and not proj.infeasible
+
+
+# (problem, m, eta, trial): the l1 cells at m = 16 and 54 take the Phi^+
+# branch, the low-rank ones the secular solve (eta = 0.3) and the
+# inside-ball branch (eta = 3 ||y||)
+REFERENCE_CELLS = (
+    [(SparseL1(4, 128), m, 0.0, t) for m in (16, 54) for t in range(6)]
+    + [(LowRankS1(1, 8, 8), 55, eta, t) for eta in (0.3, "3|y|")
+       for t in range(3)]
+    + [(PhaseRetrieval(8), 24, 0.0, t) for t in range(3)])
+
+
+def solve_reference_cell(problem, m, eta, trial):
+    rng = generator(1000 * m + trial)
+    x = problem.draw(rng)
+    op = problem.operator(m, int(rng.integers(0, 2 ** 62)))
+    if isinstance(problem, PhaseRetrieval):
+        return phase_retrieval_sdp(op, apply(op, _lift(x)))
+    if eta == "3|y|":
+        y = apply(op, x)
+        eta = 3.0 * float(np.linalg.norm(y))
+    else:
+        y = measure_with_noise(op, x, noise_norm=eta,
+                               seed=int(rng.integers(0, 2 ** 62)))
+    return recover_constrained(problem.regularizer(), op, y, eta)
+
+
+class TestInPlaceDrStep:
+    @pytest.mark.parametrize("problem, m, eta, trial", REFERENCE_CELLS,
+                             ids=[f"{type(p).__name__}-m{m}-eta{e}-t{t}"
+                                  for p, m, e, t in REFERENCE_CELLS])
+    def test_bit_identical_to_allocating_loop(self, monkeypatch, problem, m,
+                                              eta, trial):
+        got = solve_reference_cell(problem, m, eta, trial)
+        monkeypatch.setattr(solve, "_douglas_rachford",
+                            reference_douglas_rachford)
+        want = solve_reference_cell(problem, m, eta, trial)
+        assert got.estimate.tobytes() == want.estimate.tobytes()
+        assert got.iterations == want.iterations
+        assert got.stop_reason == want.stop_reason
 
 
 class TestConstrainedRecovery:
