@@ -7,6 +7,7 @@ projected-minimization heuristic whose answer is an upper bound only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,15 +113,19 @@ def lambda_min_empirical(op: MeasurementOperator, cone: ConeDescriptor,
     """Minimum conic singular value of the operator with respect to a cone."""
     mat = _dense_matrix(op)
     if isinstance(cone, Subspace):
-        if cone.basis.shape[0] != mat.shape[1]:
-            raise ValueError("cone dimension mismatch")
-        restricted = mat @ cone.basis
-        # fewer rows than columns: the restricted map has a kernel
-        rows, cols = restricted.shape
-        value = (0.0 if rows < cols else
-                 float(np.linalg.svd(restricted, compute_uv=False)[-1]))
-        return LambdaMinResult(value, "exact", True)
+        dim = cone.basis.shape[0]
+    elif isinstance(cone, DescentCone):
+        dim = math.prod(cone.f.ambient_shape)  # needs f's reference point
+    else:
+        raise TypeError(f"unsupported cone descriptor: {type(cone)!r}")
+    if dim != mat.shape[1]:
+        raise ValueError("cone dimension mismatch")
     if isinstance(cone, DescentCone):
         val = _heuristic_descent_lambda(mat, cone.f, restarts, iters, seed)
         return LambdaMinResult(val, "upper-bound (heuristic)", False)
-    raise TypeError(f"unsupported cone descriptor: {type(cone)!r}")
+    restricted = mat @ cone.basis
+    # fewer rows than columns: the restricted map has a kernel
+    rows, cols = restricted.shape
+    value = (0.0 if rows < cols else
+             float(np.linalg.svd(restricted, compute_uv=False)[-1]))
+    return LambdaMinResult(value, "exact", True)

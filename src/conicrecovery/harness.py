@@ -53,7 +53,7 @@ class SparseL1:
         return measure.gaussian_ensemble(m, self.d, seed=seed)
 
     def regularizer(self) -> L1Norm:
-        return L1Norm(d=self.d)
+        return L1Norm()
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class LowRankS1:
         return measure.gaussian_matrix_ensemble(m, self.d1, self.d2, seed=seed)
 
     def regularizer(self) -> Schatten1Norm:
-        return Schatten1Norm(shape=(self.d1, self.d2))
+        return Schatten1Norm()
 
 
 @dataclass(frozen=True)

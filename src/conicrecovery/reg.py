@@ -64,9 +64,20 @@ def level_threshold(a: np.ndarray, level: float) -> float:
 
 class Regularizer:
     """Base class; subclasses implement value, prox, spectrum and
-    dist_terms."""
+    dist_terms.  Descent cones are taken at the optional reference point
+    x_ref, checked on construction, and ``ambient_shape`` is its shape;
+    value and prox need none (a solve reads its operator's signal shape)."""
 
-    ambient_shape: tuple[int, ...]
+    x_ref: np.ndarray | None = None
+
+    @property
+    def ambient_shape(self) -> tuple[int, ...]:
+        return self._reference().shape
+
+    def _reference(self) -> np.ndarray:
+        if self.x_ref is None:
+            raise ValueError("descent-cone operations need a reference point")
+        return self.x_ref
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -94,18 +105,22 @@ class Regularizer:
         return float(tau[0]), float(val[0])
 
 
-class L1Norm(Regularizer):
-    """l1 norm on R^d with reference point x_ref (nonzero for cone ops)."""
+def _nonzero_rank(rank: int) -> int:
+    if rank == 0:
+        raise ValueError("subdifferential at 0 contains the origin; "
+                         "reference point must be nonzero")
+    return rank
 
-    def __init__(self, x_ref: np.ndarray | None = None, d: int | None = None):
+
+class L1Norm(Regularizer):
+    """l1 norm, with an optional nonzero reference point x_ref."""
+
+    def __init__(self, x_ref: np.ndarray | None = None):
         if x_ref is not None:
             self.x_ref = np.asarray(x_ref, dtype=float)
-            self.ambient_shape = self.x_ref.shape
-        elif d is not None:
-            self.x_ref = None
-            self.ambient_shape = (d,)
-        else:
-            raise ValueError("need x_ref or d")
+            self._supp = np.abs(self.x_ref) > ZERO_TOL
+            self._rank = _nonzero_rank(int(np.count_nonzero(self._supp)))
+            self._signs = np.sign(self.x_ref[self._supp])
 
     def value(self, x):
         return float(np.sum(np.abs(x)))
@@ -120,33 +135,20 @@ class L1Norm(Regularizer):
         return np.abs(np.asarray(z, dtype=float)).ravel()
 
     def dist_terms(self, g):
-        if self.x_ref is None:
-            raise ValueError("descent-cone operations need a reference point")
-        supp = np.abs(self.x_ref) > ZERO_TOL
-        if not np.any(supp):
-            raise ValueError("subdifferential at 0 contains the origin; "
-                             "reference point must be nonzero")
-        on = g[:, supp]
-        return (np.sum(on * on, axis=1), int(np.count_nonzero(supp)),
-                on @ np.sign(self.x_ref[supp]), np.abs(g[:, ~supp]))
+        self._reference()
+        on = g[:, self._supp]
+        return (np.sum(on * on, axis=1), self._rank, on @ self._signs,
+                np.abs(g[:, ~self._supp]))
 
 
 class Schatten1Norm(Regularizer):
-    """Schatten 1-norm on d1 x d2 matrices, reference point of rank r."""
+    """Schatten 1-norm, with an optional nonzero reference point x_ref."""
 
-    def __init__(self, x_ref: np.ndarray | None = None,
-                 shape: tuple[int, int] | None = None):
+    def __init__(self, x_ref: np.ndarray | None = None):
         if x_ref is not None:
             self.x_ref = np.asarray(x_ref, dtype=float)
-            self.ambient_shape = self.x_ref.shape
-            u, s, vt = np.linalg.svd(self.x_ref)
-            self._u, self._vt = u, vt
-            self._rank = int(np.count_nonzero(s > ZERO_TOL))
-        elif shape is not None:
-            self.x_ref = None
-            self.ambient_shape = tuple(shape)
-        else:
-            raise ValueError("need x_ref or shape")
+            self._u, s, self._vt = np.linalg.svd(self.x_ref)
+            self._rank = _nonzero_rank(int(np.count_nonzero(s > ZERO_TOL)))
 
     def value(self, x):
         return float(np.sum(np.linalg.svd(np.asarray(x, dtype=float),
@@ -160,12 +162,8 @@ class Schatten1Norm(Regularizer):
         return np.linalg.svd(np.asarray(z, dtype=float), compute_uv=False)
 
     def dist_terms(self, g):
-        if self.x_ref is None:
-            raise ValueError("descent-cone operations need a reference point")
+        self._reference()
         r = self._rank
-        if r == 0:
-            raise ValueError("subdifferential at 0 contains the origin; "
-                             "reference point must be nonzero")
         gp = self._u.T @ g @ self._vt.T  # reference frame
         base = (np.sum(gp[:, :r] ** 2, axis=(1, 2))
                 + np.sum(gp[:, r:, :r] ** 2, axis=(1, 2)))
@@ -180,7 +178,7 @@ class TracePSD(Regularizer):
     (the lifted phase-retrieval signal); other references are rejected.
     """
 
-    def __init__(self, x_ref: np.ndarray | None = None, d: int | None = None):
+    def __init__(self, x_ref: np.ndarray | None = None):
         if x_ref is not None:
             x_ref = np.asarray(x_ref, dtype=float)
             if not np.allclose(x_ref, x_ref.T, atol=1e-10):
@@ -192,15 +190,9 @@ class TracePSD(Regularizer):
             if np.count_nonzero(positive) != 1:
                 raise ValueError("reference matrix must have rank exactly one")
             self.x_ref = x_ref
-            self.ambient_shape = x_ref.shape
             # eigenframe with the signal direction first
             order = np.argsort(lam)[::-1]
             self._frame_q = vecs[:, order]
-        elif d is not None:
-            self.x_ref = None
-            self.ambient_shape = (d, d)
-        else:
-            raise ValueError("need x_ref or d")
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -220,8 +212,7 @@ class TracePSD(Regularizer):
         return np.linalg.eigvalsh(0.5 * (z + z.T))
 
     def dist_terms(self, g):
-        if self.x_ref is None:
-            raise ValueError("descent-cone operations need a reference point")
+        self._reference()
         q = self._frame_q
         h = q.T @ g @ q
         h11 = h[:, 0, 0]

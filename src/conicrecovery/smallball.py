@@ -17,7 +17,7 @@ import numpy as np
 
 from .conic import Subspace
 from .reg import Regularizer, min_dist_sq
-from .rng import chunks, generator, mc_mean, spawn_generators
+from .rng import chunks, mc_mean, spawn_generators
 
 RowSampler = Callable[[np.random.Generator, int], np.ndarray]
 
@@ -90,14 +90,13 @@ def estimate_marginal_tail(phi_sampler: RowSampler,
 
 
 def _mean_empirical_sup(phi_sampler: RowSampler, m: int, trials: int,
-                        seed: int, sup: Callable[[np.ndarray], np.ndarray]
+                        seed: int, row_size: int,
+                        sup: Callable[[np.ndarray], np.ndarray]
                         ) -> EmpiricalWidthEstimate:
     """``rng.mc_mean`` of sup(h) over draws of h = m^{-1/2} sum_i eps_i phi_i;
-    ``sup`` maps n draws, flattened to rows, to n values."""
+    ``sup`` maps n draws, flattened to rows of row_size entries, to n values."""
     if m < 1:
         raise ValueError("need m >= 1")
-    # the chunk bound needs the row size; probe it on a private stream
-    row_size = np.asarray(phi_sampler(generator(0), 1)).size
     rng_phi, rng_signs = spawn_generators(seed, 2)
 
     def sample(n: int) -> np.ndarray:
@@ -124,7 +123,8 @@ def estimate_mean_empirical_width(phi_sampler: RowSampler,
     if not isinstance(index_set, Subspace):
         raise TypeError(f"unsupported index set: {index_set!r}")
     sup = lambda h: np.linalg.norm(h @ index_set.basis, axis=1)
-    return _mean_empirical_sup(phi_sampler, m, trials, seed, sup)
+    return _mean_empirical_sup(phi_sampler, m, trials, seed,
+                               index_set.basis.shape[0], sup)
 
 
 def bowling_width_descent(f: Regularizer, phi_sampler: RowSampler,
@@ -140,7 +140,8 @@ def bowling_width_descent(f: Regularizer, phi_sampler: RowSampler,
         _, dist_sq = min_dist_sq(*f.dist_terms(h.reshape(-1, *f.ambient_shape)))
         return np.sqrt(np.maximum(dist_sq, 0.0))
 
-    return _mean_empirical_sup(phi_sampler, m, trials, seed, dist)
+    return _mean_empirical_sup(phi_sampler, m, trials, seed,
+                               math.prod(f.ambient_shape), dist)
 
 
 # ---------------------------------------------------------------------------

@@ -163,11 +163,11 @@ class _BallProjector:
         return mu
 
 
-def _douglas_rachford(f: Regularizer, proj: _BallProjector, shape,
+def _douglas_rachford(f: Regularizer, proj: _BallProjector,
                       opts: SolverOptions, gamma: float):
-    """DR iteration on gamma * f + indicator(C) over flat signals of the
-    given shape, with prox step gamma > 0; returns (x_feas, v_prox, iters,
-    conv), never converged when C is empty.
+    """DR iteration on gamma * f + indicator(C) over flat signals of shape
+    ``proj.op.signal_shape``, with prox step gamma > 0; returns (x_feas,
+    v_prox, iters, conv), never converged when C is empty.
 
     It stops once the primal residual ||v - x|| and the prox iterate's
     constraint violation ``proj.misfit(v) - proj.eta`` are both at most
@@ -178,6 +178,7 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector, shape,
     projector and the prox return fresh arrays, so x and v never alias
     them.
     """
+    shape = proj.op.signal_shape
     n = math.prod(shape)
     w, z, step = np.zeros(n), np.empty(n), np.empty(n)
     z_signal = z.reshape(shape)  # a view: the prox reads z as a signal
@@ -232,10 +233,9 @@ def recover_constrained(f: Regularizer, op: MeasurementOperator,
         raise ValueError("constrained recovery needs a dense operator; "
                          "use phase_retrieval_sdp for lifted ensembles")
     proj = _BallProjector(op, y, eta)
-    shape = op.signal_shape
     gamma = _BALL_STEP * eta if eta > 0 else 1.0
-    x, v, iters, converged = _douglas_rachford(f, proj, shape, opts, gamma)
-    estimate = x.reshape(shape)  # projection output: feasible by construction
+    x, v, iters, converged = _douglas_rachford(f, proj, opts, gamma)
+    estimate = x.reshape(op.signal_shape)  # projection output: feasible
     return RecoveryResult(estimate, f.value(estimate), proj.misfit(estimate),
                           iters, converged, infeasible=proj.infeasible)
 
@@ -268,12 +268,10 @@ def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray,
     if np.any(proj.y < -1e-10):
         raise ValueError("phase retrieval measurements are magnitudes (y >= 0)")
     opts = opts or SolverOptions()
-    d = op.signal_shape[0]
     mean_y = float(np.mean(proj.y))
     gamma = _TRACE_STEP * mean_y if mean_y > 0 else 1.0
-    x, v, iters, converged = _douglas_rachford(TracePSD(d=d), proj, (d, d),
-                                               opts, gamma)
-    estimate = v.reshape(d, d)   # prox output: PSD by construction
+    x, v, iters, converged = _douglas_rachford(TracePSD(), proj, opts, gamma)
+    estimate = v.reshape(op.signal_shape)   # prox output: PSD by construction
     estimate = 0.5 * (estimate + estimate.T)
     return RecoveryResult(estimate, float(np.trace(estimate)),
                           proj.misfit(estimate), iters, converged,

@@ -79,8 +79,9 @@ def mc_width_sq_descent(f: Regularizer, trials: int = 2000,
                         seed: int = 0) -> WidthEstimate:
     """Monte Carlo upper-bound estimate of the descent cone's squared width.
 
-    Averages min_subdiff_dist_sq over i.i.d. standard Gaussian ambient
-    points through ``rng.mc_mean``, deterministically in (f, trials, seed).
+    Averages ``min_dist_sq`` of f's ``dist_terms`` over i.i.d. standard
+    Gaussian points of f's reference shape through ``rng.mc_mean``,
+    deterministically in (f, trials, seed).
     """
     rng, shape = generator(seed), f.ambient_shape
     mean, se = mc_mean(trials, math.prod(shape), lambda n: min_dist_sq(

@@ -265,7 +265,7 @@ def test_criterion_10_property_suites(capsys):
 
     # prox optimality + nonexpansiveness (l1; spectral cases covered in
     # the module suite, spot-checked here)
-    f = L1Norm(d=6)
+    f = L1Norm()
     for _ in range(1000):
         z = rng.standard_normal(6) * 2
         t = float(rng.uniform(0.05, 3))
@@ -282,7 +282,7 @@ def test_criterion_10_property_suites(capsys):
     notes.append("prox")
 
     # PSD projection (the trace+PSD prox at step 0) idempotence
-    psd = TracePSD(d=5)
+    psd = TracePSD()
     for _ in range(100):
         p = psd.prox(rng.standard_normal((5, 5)), 0.0)
         if not np.allclose(psd.prox(p, 0.0), p, atol=1e-10):

@@ -90,8 +90,13 @@ class TestExactModes:
             Subspace(np.ones(shape))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            lambda_min_empirical(dense_op(np.eye(3)), Subspace(np.eye(4)))
+        op = dense_op(np.eye(3))
+        with pytest.raises(ValueError, match="cone dimension mismatch"):
+            lambda_min_empirical(op, Subspace(np.eye(4)))
+        with pytest.raises(ValueError, match="cone dimension mismatch"):
+            lambda_min_empirical(op, DescentCone(L1Norm(np.ones(4))))
+        with pytest.raises(ValueError, match="need a reference point"):
+            lambda_min_empirical(op, DescentCone(L1Norm()))
 
     def test_lifted_operator_rejected(self):
         op = measure.lifted_phase_ensemble(3, 2, seed=0)

@@ -189,16 +189,16 @@ def bisection_threshold(f, z, level, scale):
 
 class TestValue:
     def test_l1(self):
-        assert L1Norm(d=2).value(np.array([3.0, -4.0])) == 7.0
+        assert L1Norm().value(np.array([3.0, -4.0])) == 7.0
 
     def test_schatten1(self):
-        assert Schatten1Norm(shape=(2, 2)).value(np.diag([2.0, 5.0])) == pytest.approx(7.0)
+        assert Schatten1Norm().value(np.diag([2.0, 5.0])) == pytest.approx(7.0)
 
     def test_trace_psd_infeasible(self):
-        assert TracePSD(d=2).value(np.diag([1.0, -0.1])) == float("inf")
+        assert TracePSD().value(np.diag([1.0, -0.1])) == float("inf")
 
     def test_trace_psd_feasible(self):
-        assert TracePSD(d=2).value(np.diag([1.0, 0.5])) == pytest.approx(1.5)
+        assert TracePSD().value(np.diag([1.0, 0.5])) == pytest.approx(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ class TestValue:
 
 class TestProx:
     def test_l1_soft_threshold(self):
-        out = L1Norm(d=3).prox(np.array([3.0, -1.0, 0.5]), 1.0)
+        out = L1Norm().prox(np.array([3.0, -1.0, 0.5]), 1.0)
         np.testing.assert_allclose(out, [2.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("t", [0.0, 0.7])
@@ -217,21 +217,21 @@ class TestProx:
                             [t, -t, 0.0, -0.0, np.nextafter(t, 1.0),
                              -np.nextafter(t, 1.0), np.nextafter(t, -1.0)]])
         want = np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-        f = L1Norm(d=z.size)
+        f = L1Norm()
         assert np.array_equal(f.prox(z, t), want)
         assert np.array_equal(f.prox(list(z), t), want)
 
     def test_schatten1_singular_threshold(self):
-        out = Schatten1Norm(shape=(2, 2)).prox(np.diag([3.0, 0.5]), 1.0)
+        out = Schatten1Norm().prox(np.diag([3.0, 0.5]), 1.0)
         np.testing.assert_allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
 
     def test_trace_psd_shift_clip(self):
-        out = TracePSD(d=2).prox(np.diag([2.0, -3.0]), 1.0)
+        out = TracePSD().prox(np.diag([2.0, -3.0]), 1.0)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_l1_prox_optimality_random(self):
         # subgradient condition: (z - p)/t is in the l1 subdifferential at p
-        f = L1Norm(d=8)
+        f = L1Norm()
         rng = generator(21)
         for _ in range(1000):
             z = rng.standard_normal(8) * rng.uniform(0.1, 5)
@@ -244,7 +244,7 @@ class TestProx:
 
     def test_schatten1_prox_optimality_random(self):
         # spectral subgradient condition via the prox's singular frame
-        f = Schatten1Norm(shape=(4, 5))
+        f = Schatten1Norm()
         rng = generator(22)
         for _ in range(200):
             z = rng.standard_normal((4, 5)) * rng.uniform(0.1, 5)
@@ -263,7 +263,7 @@ class TestProx:
     def test_trace_psd_prox_optimality_random(self):
         # p minimizes trace(u) + iota_psd(u) + ||u - z||^2/(2t):
         # z - p - t*I must be in the normal cone of the PSD cone at p
-        f = TracePSD(d=4)
+        f = TracePSD()
         rng = generator(23)
         for _ in range(200):
             z = rng.standard_normal((4, 4)) * rng.uniform(0.1, 5)
@@ -282,14 +282,14 @@ class TestProx:
            st.floats(0.01, 10.0))
     @settings(max_examples=200, deadline=None)
     def test_l1_prox_nonexpansive(self, z1, z2, t):
-        f = L1Norm(d=4)
+        f = L1Norm()
         z1, z2 = np.asarray(z1), np.asarray(z2)
         lhs = np.linalg.norm(f.prox(z1, t) - f.prox(z2, t))
         assert lhs <= np.linalg.norm(z1 - z2) + 1e-9
 
     def test_matrix_prox_nonexpansive(self):
         rng = generator(24)
-        for f in (Schatten1Norm(shape=(3, 3)), TracePSD(d=3)):
+        for f in (Schatten1Norm(), TracePSD()):
             for _ in range(200):
                 z1 = rng.standard_normal((3, 3)) * rng.uniform(0.1, 5)
                 z2 = rng.standard_normal((3, 3)) * rng.uniform(0.1, 5)
@@ -303,7 +303,7 @@ class TestProx:
 def project_psd(z):
     """Nearest PSD matrix to the symmetric part of z: the trace+PSD prox at
     step 0."""
-    return TracePSD(d=z.shape[0]).prox(z, 0.0)
+    return TracePSD().prox(z, 0.0)
 
 
 class TestProjectPsd:
@@ -408,14 +408,20 @@ class TestSubdiffDist:
         assert closed_form_dist_sq(f, g, 0.0) == pytest.approx(np.sum(g * g))
 
     def test_rejects_zero_reference(self):
+        # on construction, before any descent-cone operation
         with pytest.raises(ValueError, match="must be nonzero"):
-            L1Norm(np.zeros(3)).dist_terms(np.ones((1, 3)))
+            L1Norm(np.zeros(3))
         with pytest.raises(ValueError, match="must be nonzero"):
-            Schatten1Norm(np.zeros((2, 2))).dist_terms(np.ones((1, 2, 2)))
+            Schatten1Norm(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="rank exactly one"):
+            TracePSD(np.zeros((2, 2)))
 
     def test_rejects_missing_reference(self):
-        with pytest.raises(ValueError, match="need a reference point"):
-            L1Norm(d=3).dist_terms(np.ones((1, 3)))
+        for f in (L1Norm(), Schatten1Norm(), TracePSD()):
+            with pytest.raises(ValueError, match="need a reference point"):
+                f.dist_terms(np.ones((1, 2, 2)))
+            with pytest.raises(ValueError, match="need a reference point"):
+                f.ambient_shape
 
     def test_trace_psd_rejects_bad_reference(self):
         with pytest.raises(ValueError):

@@ -248,7 +248,7 @@ class TestBallProjector:
             solve = phase_retrieval_sdp
         else:
             def solve(op, y, opts=None):
-                return recover_constrained(L1Norm(d=x.size), op, y, 0.0, opts)
+                return recover_constrained(L1Norm(), op, y, 0.0, opts)
         y = apply(op, x)
         res = solve(op, y)
         assert res.converged and not res.infeasible
@@ -351,15 +351,17 @@ class TestSecularSolve:
             assert proj.infeasible
             p = generator(55).standard_normal(a.shape[1])
             np.testing.assert_array_equal(proj(p), _BallProjector(op, y, 0.0)(p))
-            res = recover_constrained(L1Norm(d=x.size), op, y, eta,
+            res = recover_constrained(L1Norm(), op, y, eta,
                                       SolverOptions(max_iters=50))
             assert res.infeasible and res.stop_reason == "infeasible"
 
 
-def reference_douglas_rachford(f, proj, shape, opts, gamma):
+def reference_douglas_rachford(f, proj, opts, gamma):
     """The DR loop written with a fresh array for every intermediate, the
     l1 prox as sign(z) (|z| - t)_+ and Phi^+ applied with ``@``: the
     arithmetic that the solver's in-place loop must reproduce bit for bit."""
+    shape = proj.op.signal_shape
+
     def prox(z, t):
         if isinstance(f, L1Norm):
             return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
@@ -433,7 +435,7 @@ class TestConstrainedRecovery:
         # min |x1|+|x2| s.t. (x1-3)^2 + x2^2 <= 1
         op = dense_op(np.eye(2))
         y = np.array([3.0, 0.0])
-        res = recover_constrained(L1Norm(d=2), op, y, eta=1.0)
+        res = recover_constrained(L1Norm(), op, y, eta=1.0)
         assert res.converged
         np.testing.assert_allclose(res.estimate, [2.0, 0.0], atol=1e-6)
         xs = np.linspace(1.5, 3.5, 401)
@@ -447,7 +449,7 @@ class TestConstrainedRecovery:
         rng = generator(1)
         a = rng.standard_normal((4, 4))
         x = rng.standard_normal(4)
-        res = recover_constrained(L1Norm(d=4), dense_op(a), a @ x, eta=0.0)
+        res = recover_constrained(L1Norm(), dense_op(a), a @ x, eta=0.0)
         assert res.converged
         np.testing.assert_allclose(res.estimate, x, atol=1e-6)
 
@@ -459,7 +461,7 @@ class TestConstrainedRecovery:
             x = np.zeros(d)
             x[rng.integers(0, d)] = float(rng.choice([-1.0, 1.0]))
             op = gaussian_ensemble(m, d, seed=300 + trial)
-            res = recover_constrained(L1Norm(d=d), op, apply(op, x), eta=0.0)
+            res = recover_constrained(L1Norm(), op, apply(op, x), eta=0.0)
             assert res.converged
             assert np.linalg.norm(res.estimate - x) <= 1e-4
 
@@ -472,7 +474,7 @@ class TestConstrainedRecovery:
             x = np.zeros(d)
             x[rng.integers(0, d)] = float(rng.choice([-1.0, 1.0]))
             y = a @ x
-            res = recover_constrained(L1Norm(d=d), dense_op(a), y, eta=0.0)
+            res = recover_constrained(L1Norm(), dense_op(a), y, eta=0.0)
             assert res.converged
             assert res.objective <= l1_equality_oracle(a, y) + 1e-5
 
@@ -481,7 +483,7 @@ class TestConstrainedRecovery:
         rng = generator(3)
         x = np.outer(rng.standard_normal(d1), rng.standard_normal(d2))
         op = gaussian_matrix_ensemble(30, d1, d2, seed=4)
-        f = Schatten1Norm(shape=(d1, d2))
+        f = Schatten1Norm()
         res = recover_constrained(f, op, apply(op, x), eta=0.0)
         assert res.converged
         assert np.linalg.norm(res.estimate - x) / np.linalg.norm(x) <= 1e-4
@@ -495,7 +497,7 @@ class TestConstrainedRecovery:
             x = rng.standard_normal(d)
             eta = float(rng.uniform(0.0, 0.5))
             y = a @ x + (rng.standard_normal(m) * 0.01 if eta else 0.0)
-            res = recover_constrained(L1Norm(d=d), dense_op(a), y, eta, opts)
+            res = recover_constrained(L1Norm(), dense_op(a), y, eta, opts)
             if res.converged:
                 scale = max(1.0, float(np.linalg.norm(y)))
                 assert res.residual_norm <= eta + 10 * opts.tol * scale
@@ -525,7 +527,7 @@ class TestConstrainedRecovery:
         a2 = np.array([[1.0, 0.0], [1.0, 0.0]])
         op2 = dense_op(a2)
         y = np.array([1.0, -1.0])   # needs opposite signs: impossible
-        res = recover_constrained(L1Norm(d=2), op2, y, eta=0.1)
+        res = recover_constrained(L1Norm(), op2, y, eta=0.1)
         assert res.infeasible and not res.converged
 
     @pytest.mark.parametrize("c", [1.0, 1e-8, 1e-10])
@@ -540,7 +542,7 @@ class TestConstrainedRecovery:
         e = u @ generator(4).standard_normal(20)
         y_off = c * (y + 1e-5 * np.linalg.norm(y) * e / np.linalg.norm(e))
         assert _BallProjector(op, y_off, 0.0).infeasible
-        res = recover_constrained(L1Norm(d=20), op, y_off, 0.0,
+        res = recover_constrained(L1Norm(), op, y_off, 0.0,
                                   SolverOptions(max_iters=50))
         assert res.stop_reason == "infeasible"
 
@@ -556,17 +558,17 @@ class TestConstrainedRecovery:
     def test_rejects_wrong_length_y(self, eta):
         op = gaussian_ensemble(6, 4, seed=0)
         with pytest.raises(ValueError, match="measurement vector length"):
-            recover_constrained(L1Norm(d=4), op, np.ones(5), eta)
+            recover_constrained(L1Norm(), op, np.ones(5), eta)
         with pytest.raises(ValueError, match="measurement vector length"):
             phase_retrieval_sdp(lifted_phase_ensemble(3, 2, seed=0), np.ones(4))
 
     def test_rejects_negative_eta_and_lifted(self):
         op = gaussian_ensemble(3, 2, seed=0)
         with pytest.raises(ValueError):
-            recover_constrained(L1Norm(d=2), op, np.zeros(3), eta=-1.0)
+            recover_constrained(L1Norm(), op, np.zeros(3), eta=-1.0)
         lop = lifted_phase_ensemble(3, 2, seed=0)
         with pytest.raises(ValueError):
-            recover_constrained(L1Norm(d=2), lop, np.zeros(3), eta=0.0)
+            recover_constrained(L1Norm(), lop, np.zeros(3), eta=0.0)
 
     @pytest.mark.parametrize("c", [1e-3, 1e-6])
     @pytest.mark.parametrize("problem, m, eta", [
@@ -605,7 +607,7 @@ class TestConstrainedRecovery:
         op = gaussian_ensemble(6, 12, seed=9)
         x = generator(10).standard_normal(12)
         y = apply(op, x)
-        res = recover_constrained(L1Norm(d=12), op, y, 0.0,
+        res = recover_constrained(L1Norm(), op, y, 0.0,
                                   SolverOptions(max_iters=3))
         assert not res.converged
         assert res.iterations == 3
@@ -731,18 +733,18 @@ class TestStopReason:
     def test_converged(self):
         op = gaussian_ensemble(6, 12, seed=9)
         y = apply(op, np.eye(12)[3])
-        res = recover_constrained(L1Norm(d=12), op, y, 0.1)
+        res = recover_constrained(L1Norm(), op, y, 0.1)
         assert res.converged and res.stop_reason == "converged"
 
     def test_max_iters(self):
         op = gaussian_ensemble(6, 12, seed=9)
         y = apply(op, generator(10).standard_normal(12))
-        res = recover_constrained(L1Norm(d=12), op, y, 0.1,
+        res = recover_constrained(L1Norm(), op, y, 0.1,
                                   SolverOptions(max_iters=3))
         assert res.iterations == 3 and res.stop_reason == "max_iters"
 
     def test_infeasible(self):
         # two equal rows cannot reach opposite signs
         op = dense_op([[1.0, 0.0], [1.0, 0.0]])
-        res = recover_constrained(L1Norm(d=2), op, np.array([1.0, -1.0]), 0.1)
+        res = recover_constrained(L1Norm(), op, np.array([1.0, -1.0]), 0.1)
         assert not res.converged and res.stop_reason == "infeasible"
