@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__, harness, measure, smallball, solve, width
 from .conic import Subspace, lambda_min_empirical
-from .rng import generator
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -57,7 +56,8 @@ _PROBLEMS = {"sparse": harness.SparseL1, "lowrank": harness.LowRankS1,
 
 def _build(cls, field_value):
     """``cls`` from its integer dataclass fields, read by field_value(name)."""
-    return cls(*(int(field_value(f.name)) for f in dataclasses.fields(cls)))
+    return cls(*(harness.as_int(field_value(f.name), f.name)
+                 for f in dataclasses.fields(cls)))
 
 
 def _axes(d: int, k: int) -> np.ndarray:
@@ -122,15 +122,14 @@ def _cmd_lambda_min(args):
 
 
 def _cmd_solve(args):
-    """recover or phaselift: draw one signal from --seed, measure it with
-    seed + 1 (noise from seed + 2) and recover it."""
+    """recover or phaselift: solve the instance that a sweep cell seeded
+    with --seed solves."""
     if args.command == "recover":
         problem, eta = harness.SparseL1(args.s, args.d), args.eta
     else:
         problem, eta = harness.PhaseRetrieval(args.d), 0.0
-    x = problem.draw(generator(args.seed))
-    res, rel = harness.solve_instance(problem, args.m, x, args.seed + 1, eta,
-                                      args.seed + 2, solve.SolverOptions())
+    res, rel = harness.solve_instance(problem, args.m, args.seed, eta,
+                                      solve.SolverOptions())
     rec = {"objective": f"{res.objective:.6e}",
            "residual": f"{res.residual_norm:.3e}",
            "iterations": res.iterations, "converged": res.converged,
@@ -192,8 +191,8 @@ def _cmd_error_curve(args):
     eta_grid, m = _grid(args.config, "eta_grid"), args.config.get("m")
     if not eta_grid or m is None:
         raise ValueError("error-curve config needs eta_grid and m")
-    rows = harness.run_error_curve(experiment(m_grid=(int(m),)),
-                                   [float(e) for e in eta_grid], int(m))
+    m = harness.as_int(m, "m")
+    rows = harness.run_error_curve(experiment(m_grid=(m,)), eta_grid, m)
     recs = [{"eta": f"{r.eta:.6g}", "mean_error": f"{r.mean_error:.6e}",
              "bound": f"{r.bound:.6e}", "nonconverged": r.nonconverged}
             for r in rows]
@@ -305,7 +304,9 @@ def main(argv: list[str] | None = None) -> int:
             dest = flag.replace("-", "_")
             if getattr(args, dest) is None:
                 value = args.config.get(flag)
-                setattr(args, dest, default if value is None else typ(value))
+                setattr(args, dest, default if value is None else (
+                    harness.as_int(value, flag) if typ is int
+                    else typ(value)))
         records, meta, nonconverged = command.run(args)
         write_records(records, args.out or sys.stdout, args.format, meta)
     except (ValueError, TypeError, OSError) as exc:

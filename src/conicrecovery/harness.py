@@ -1,9 +1,9 @@
 """Declarative experiments: the problem table, phase-transition sweeps
 and error-vs-noise curves.
 
-Every (m, trial) cell gets its own derived Philox stream, so sweeps are
-reproducible bit for bit from (config, seed) and cells could run in any
-order; reduction happens in index order.
+Every (m, trial) cell has its own seed, from which ``solve_instance`` draws
+its instance, so sweeps are reproducible bit for bit from (config, seed)
+and any cell replays alone; reduction happens in index order.
 """
 
 from __future__ import annotations
@@ -19,6 +19,15 @@ from . import measure, solve, width
 from .conic import deterministic_error_bound
 from .reg import L1Norm, Schatten1Norm
 from .rng import generator
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as the integer field ``name``; a bool or a fraction is
+    refused, not truncated (8.0 and "10" are read as integers)."""
+    if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +124,20 @@ Problem = SparseL1 | LowRankS1 | PhaseRetrieval
 MARGIN = 3.0  # C in the sample-complexity threshold ceil(w^2 + C w)
 
 
-def solve_instance(problem: Problem, m: int, x: np.ndarray, op_seed: int,
-                   eta: float, noise_seed: int, opts: solve.SolverOptions):
-    """Measure ``x`` with m draws of the problem's ensemble and recover it.
+def solve_instance(problem: Problem, m: int, seed: int, eta: float,
+                   opts: solve.SolverOptions):
+    """Draw from ``generator(seed)`` the signal x, then the operator seed,
+    then the noise seed; measure x with m draws of the problem's ensemble
+    and recover it.
 
     Returns (result, rel_error): ||x_hat - x|| / ||x|| for the norm problems,
     ||X_hat - x x^t|| / ||x||^2 for PhaseLift, whose measurements carry no
-    noise (``eta`` and ``noise_seed`` are unused).
+    noise (``eta`` is unused).
     """
-    op = problem.operator(m, op_seed)
+    rng = generator(seed)
+    x = problem.draw(rng)
+    op = problem.operator(m, int(rng.integers(0, 2 ** 62)))
+    noise_seed = int(rng.integers(0, 2 ** 62))
     if isinstance(problem, PhaseRetrieval):
         x_lift = np.outer(x, x)
         y = measure.apply(op, x_lift)
@@ -146,7 +160,7 @@ class ExperimentConfig:
     solver: solve.SolverOptions = field(default_factory=solve.SolverOptions)
 
     def __post_init__(self):
-        grid = tuple(int(m) for m in self.m_grid)
+        grid = tuple(as_int(m, "m_grid entry") for m in self.m_grid)
         if not grid:
             raise ValueError("m_grid must not be empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -215,22 +229,10 @@ def _cell_seed(root: int, m_index: int, trial: int) -> int:
     return int.from_bytes(h[:8], "little")
 
 
-def _run_cell(problem: Problem, m: int, cell_seed: int, eta: float,
-              threshold: float, opts: solve.SolverOptions):
-    """Solve one instance; returns (success, rel_error, iters, converged)."""
-    rng = generator(cell_seed)
-    x_true = problem.draw(rng)
-    op_seed = int(rng.integers(0, 2 ** 62))
-    noise_seed = int(rng.integers(0, 2 ** 62))
-    res, rel = solve_instance(problem, m, x_true, op_seed, eta, noise_seed,
-                              opts)
-    return res.converged and rel <= threshold, rel, res.iterations, res.converged
-
-
 def _run_grid(config: ExperimentConfig, points, index0: int = 0):
-    """Run ``config.trials`` cells at each (m, eta) point, seeding the cells
-    of point i by its index ``index0 + i``; returns, per point, the cells'
-    (success, rel_error, iters, converged) in trial order.
+    """Run ``config.trials`` cells at each (m, eta) point, trial t of point
+    i seeded ``_cell_seed(config.seed, index0 + i, t)``; returns, per point,
+    the cells' ``solve_instance`` (result, rel_error) pairs in trial order.
 
     A negative eta, or for ``PhaseRetrieval``, whose measurements carry no
     noise, a nonzero one, is rejected before any cell runs."""
@@ -240,9 +242,9 @@ def _run_grid(config: ExperimentConfig, points, index0: int = 0):
             eta != 0 for _, eta in points):
         raise ValueError("phase retrieval measurements are noiseless; "
                          "eta must be 0")
-    return [[_run_cell(config.problem, m,
-                       _cell_seed(config.seed, index0 + i, trial), eta,
-                       config.success_threshold, config.solver)
+    return [[solve_instance(config.problem, m,
+                            _cell_seed(config.seed, index0 + i, trial), eta,
+                            config.solver)
              for trial in range(config.trials)]
             for i, (m, eta) in enumerate(points)]
 
@@ -251,12 +253,14 @@ def run_phase_transition(config: ExperimentConfig) -> SweepResult:
     """Sweep the measurement count and tally recovery successes per m."""
     grid = _run_grid(config, [(m, config.eta) for m in config.m_grid])
     rows = []
+    thr = config.success_threshold
     for m, cells in zip(config.m_grid, grid):
-        ok, rels, iters, conv = zip(*cells)
-        successes = sum(ok)
-        rows.append(SweepRow(m, successes, config.trials,
-                             successes / config.trials, float(np.mean(rels)),
-                             float(np.mean(iters)), conv.count(False)))
+        results, rels = zip(*cells)
+        ok = sum(res.converged and rel <= thr for res, rel in cells)
+        rows.append(SweepRow(m, ok, config.trials, ok / config.trials,
+                             float(np.mean(rels)),
+                             float(np.mean([r.iterations for r in results])),
+                             sum(not r.converged for r in results)))
     w_sq = config.problem.width_sq()
     m_pred = width.sample_complexity_gaussian(math.sqrt(w_sq), MARGIN)
     return SweepResult(tuple(rows), config.digest(), config.seed, w_sq, m_pred)
@@ -286,10 +290,7 @@ def run_error_curve(config: ExperimentConfig, eta_grid,
     lam = max(width.gordon_lower_bound(m, w, 2.0), 0.0)
     etas = [float(eta) for eta in eta_grid]
     grid = _run_grid(config, [(m, eta) for eta in etas], index0=10_000)
-    rows = []
-    for eta, cells in zip(etas, grid):
-        _, rels, _, conv = zip(*cells)
-        rows.append(ErrorCurveRow(eta, float(np.mean(rels)),
-                                  deterministic_error_bound(eta, lam),
-                                  conv.count(False)))
-    return rows
+    return [ErrorCurveRow(eta, float(np.mean([rel for _, rel in cells])),
+                          deterministic_error_bound(eta, lam),
+                          sum(not res.converged for res, _ in cells))
+            for eta, cells in zip(etas, grid)]

@@ -22,7 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 
-ZERO_TOL = 1e-12  # entries of the reference point below this count as zero
+ZERO_TOL = 1e-12  # relative: see _zero_floor
+
+
+def _zero_floor(spectrum: np.ndarray) -> float:
+    """The magnitude at or below which an entry, singular value or
+    eigenvalue counts as zero: ZERO_TOL times the largest in ``spectrum``."""
+    return ZERO_TOL * float(np.max(np.abs(spectrum), initial=0.0))
 
 
 def min_dist_sq(base: np.ndarray, r: int, c: np.ndarray,
@@ -118,7 +124,7 @@ class L1Norm(Regularizer):
     def __init__(self, x_ref: np.ndarray | None = None):
         if x_ref is not None:
             self.x_ref = np.asarray(x_ref, dtype=float)
-            self._supp = np.abs(self.x_ref) > ZERO_TOL
+            self._supp = np.abs(self.x_ref) > _zero_floor(self.x_ref)
             self._rank = _nonzero_rank(int(np.count_nonzero(self._supp)))
             self._signs = np.sign(self.x_ref[self._supp])
 
@@ -148,7 +154,7 @@ class Schatten1Norm(Regularizer):
         if x_ref is not None:
             self.x_ref = np.asarray(x_ref, dtype=float)
             self._u, s, self._vt = np.linalg.svd(self.x_ref)
-            self._rank = _nonzero_rank(int(np.count_nonzero(s > ZERO_TOL)))
+            self._rank = _nonzero_rank(int(np.count_nonzero(s > _zero_floor(s))))
 
     def value(self, x):
         return float(np.sum(np.linalg.svd(np.asarray(x, dtype=float),
@@ -184,10 +190,10 @@ class TracePSD(Regularizer):
             if not np.allclose(x_ref, x_ref.T, atol=1e-10):
                 raise ValueError("reference matrix must be symmetric")
             lam, vecs = np.linalg.eigh(x_ref)
-            if lam.min() < -1e-10:
+            floor = _zero_floor(lam)
+            if lam.min() < -floor:
                 raise ValueError("reference matrix must be PSD")
-            positive = lam > ZERO_TOL
-            if np.count_nonzero(positive) != 1:
+            if np.count_nonzero(lam > floor) != 1:
                 raise ValueError("reference matrix must have rank exactly one")
             self.x_ref = x_ref
             # eigenframe with the signal direction first
@@ -197,7 +203,7 @@ class TracePSD(Regularizer):
     def value(self, x):
         x = np.asarray(x, dtype=float)
         lam = np.linalg.eigvalsh(0.5 * (x + x.T))
-        if lam.min() < -1e-9:
+        if lam.min() < -_zero_floor(lam):
             return float("inf")
         return float(np.trace(x))
 

@@ -3,9 +3,10 @@
 All randomness in the package flows through Philox, a counter-based 64-bit
 generator.  An experiment seeds each (grid point, trial) cell on its own:
 its seed is the first 8 bytes (little-endian) of the SHA-256 of
-``"root:index:trial"`` (``harness._cell_seed``), and the cell's
-``generator`` draws its signal, then its operator seed, then its noise
-seed.  So the order in which cells run cannot perturb determinism.
+``"root:index:trial"`` (``harness._cell_seed``).  The one rule from a seed
+to an instance, shared by sweep cells and ``recover``/``phaselift``, is
+``harness.solve_instance``: its ``generator`` draws the signal, then the
+operator seed, then the noise seed.  So cells replay in any order.
 Gaussian variates use numpy's ziggurat sampler.
 
 One draw of n rows continues a Philox stream exactly as n draws of one

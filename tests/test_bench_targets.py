@@ -2,10 +2,10 @@
 
 ``bench/`` patches named functions of the package at run time: the layer
 timers of a traced round, the cell capture of every round, and each
-workload's checkpoints.  ``bench/test_bench.py`` is not collected with the
-package's own tests, so a renamed or deleted target would otherwise surface
-only when the benchmark runs.  Entering each wrapper context looks every
-target up, and leaving it must restore the originals.
+workload's checkpoints.  ``bench/test_bench.py`` exercises the layers and
+the capture on small runs; this file alone covers the checkpoint targets
+of every workload.  Entering each wrapper context looks every target up,
+and leaving it must restore the originals.
 """
 
 import sys

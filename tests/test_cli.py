@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import conicrecovery
-from conicrecovery import __version__, harness
+from conicrecovery import __version__, harness, solve
 from conicrecovery.cli import _parse_problem, build_parser, main, write_records
 
 SMALL_SWEEP = {"problem": {"kind": "sparse", "s": 1, "d": 8},
@@ -174,6 +174,31 @@ class TestSolverCommands:
                            "--cone", "full")
         assert code == 0
         assert "exact,True" in out
+
+
+class TestCellReplay:
+    @pytest.mark.parametrize("problem, m, argv", [
+        (harness.SparseL1(1, 8), 4, ("recover", "--s", "1", "--d", "8")),
+        (harness.PhaseRetrieval(3), 12, ("phaselift", "--d", "3")),
+    ])
+    def test_seed_replays_sweep_cell(self, capsys, problem, m, argv):
+        # the one cell of a 1-trial sweep is seeded _cell_seed(seed, 0, 0);
+        # solve_instance and the one-shot command with that seed re-solve it
+        row = harness.run_phase_transition(harness.ExperimentConfig(
+            problem, (m,), trials=1, seed=3)).rows[0]
+        seed = harness._cell_seed(3, 0, 0)
+        res, rel = harness.solve_instance(problem, m, seed, 0.0,
+                                          solve.SolverOptions())
+        assert row.mean_rel_error == rel
+        assert row.mean_solve_iters == res.iterations
+        assert row.successes == (res.converged and rel <= 1e-4)
+        assert row.nonconverged == (not res.converged)
+        code, out, _ = run(capsys, *argv, "--m", str(m), "--seed", str(seed),
+                           "--format", "json-lines")
+        rec = json.loads(out)
+        assert code == 0
+        assert rec["iterations"] == res.iterations
+        assert rec["rel_error"] == f"{rel:.3e}"
 
 
 class TestOneShotConfig:
@@ -459,13 +484,38 @@ class TestProblemConfig:
         ("phaselift", {"d": [1]}),
         ("sweep", {**SMALL_SWEEP, "m_grid": "48"}),
         ("error-curve", {**SMALL_CURVE, "eta_grid": "12"}),
+        # a fraction or a bool where an integer belongs is refused, not
+        # truncated
+        ("sweep", {**SMALL_SWEEP, "problem": {"kind": "sparse", "s": 1.7,
+                                               "d": 8}}),
+        ("sweep", {**SMALL_SWEEP, "m_grid": [4, 8.9]}),
+        ("sweep", {**SMALL_SWEEP, "trials": 2.6}),
+        ("error-curve", {**SMALL_CURVE, "m": 8.5}),
+        ("recover", {"s": 1.9}),
+        ("recover", {"s": True}),
+        ("recover", {"seed": 0.5}),
     ])
     def test_wrong_json_type_exits_1(self, capsys, tmp_path, command, cfg):
-        # null or a list where a number belongs: one error line, no traceback
+        # null or a list where a number belongs, or a fraction or a bool
+        # where an integer belongs: one error line, no traceback
         code, out, err = run(capsys, command, "--config",
                              config_path(tmp_path, cfg))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_integral_values_accepted(self, capsys, tmp_path):
+        # an integral float or a numeric string reads as its integer
+        cfg = {"s": 1, "d": 8.0, "m": "10"}
+        code, out, _ = run(capsys, "recover", "--config",
+                           config_path(tmp_path, cfg))
+        assert code == 0
+        assert out == run(capsys, "recover", "--s", "1", "--d", "8",
+                          "--m", "10")[1]
+        cfg = {**SMALL_SWEEP, "problem": {"kind": "sparse", "s": 1.0,
+                                          "d": "8"},
+               "m_grid": [4.0, 8], "trials": "2"}
+        assert run(capsys, "sweep", "--config", config_path(
+            tmp_path, cfg, "sweep.json")) == (0, SMALL_SWEEP_CSV, "")
 
     @pytest.mark.parametrize("command, cfg", [
         ("sweep", {"problem": {"kind": "phase", "d": 3}, "m_grid": [12],
@@ -492,7 +542,7 @@ class TestProblemConfig:
         def no_cell(*args):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(harness, "_run_cell", no_cell)
+        monkeypatch.setattr(harness, "solve_instance", no_cell)
         code, out, err = run(capsys, command, "--config",
                              config_path(tmp_path, cfg))
         assert code == 1 and out == ""

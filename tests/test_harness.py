@@ -115,7 +115,7 @@ class TestSweep:
         def no_cell(*args):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(harness, "_run_cell", no_cell)
+        monkeypatch.setattr(harness, "solve_instance", no_cell)
         cfg = ExperimentConfig(PhaseRetrieval(d=3), (12,), trials=2)
         with pytest.raises(ValueError, match="eta must be 0"):
             run_phase_transition(dataclasses.replace(cfg, eta=0.5))

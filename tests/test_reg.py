@@ -431,6 +431,21 @@ class TestSubdiffDist:
         with pytest.raises(ValueError):
             TracePSD(np.array([[0.0, 1.0], [0.0, 0.0]]))  # asymmetric
 
+    @pytest.mark.parametrize("c", [1e-13, 1.0, 1e6])
+    def test_reference_scale_does_not_move_the_cone(self, c):
+        # the descent cone at c x is the cone at x, so the zero test that
+        # finds the reference's support, rank or PSD-ness is scale-relative
+        rng = generator(44)
+        u, v = rng.standard_normal(8), rng.standard_normal(8)
+        for make, x in ((L1Norm, np.eye(8)[0]), (Schatten1Norm, np.outer(u, v)),
+                        (TracePSD, rank_one(u))):
+            g = rng.standard_normal((5, *x.shape))
+            g = 0.5 * (g + np.swapaxes(g, 1, -1))  # symmetric; no-op on vectors
+            for got, want in zip(make(c * x).dist_terms(g),
+                                 make(x).dist_terms(g)):
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+        assert TracePSD().value(c * rank_one(u)) == pytest.approx(c * (u @ u))
+
 
 class TestMinSubdiffDist:
     def test_exact_member(self):
