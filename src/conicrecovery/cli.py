@@ -70,12 +70,10 @@ def _cmd_width(args):
     if args.problem == "subspace":
         bound = width.subspace_width_sq(args.k)
         estimate = functools.partial(width.mc_subspace_width_sq, args.k)
-    elif args.problem in ("sparse", "lowrank"):
+    else:
         problem = _build(_PROBLEMS[args.problem],
                          functools.partial(getattr, args))
         bound, estimate = problem.width_sq(), problem.mc_width_sq
-    else:
-        raise ValueError(f"unknown width problem {args.problem!r}")
     recs = [{"value": f"{bound:.6f}", "std_error": 0.0, "trials": 0,
              "method": width.WidthMethod.CLOSED_FORM_BOUND.value}]
     if args.trials is not None:
@@ -113,9 +111,7 @@ def _cmd_smallball(args):
 
 def _cmd_lambda_min(args):
     op = measure.gaussian_ensemble(args.m, args.d, args.seed)
-    k = {"full": args.d, "subspace": args.k}.get(args.cone)
-    if k is None:
-        raise ValueError(f"unknown cone kind {args.cone!r}")
+    k = args.d if args.cone == "full" else args.k
     res = lambda_min_empirical(op, Subspace(_axes(args.d, k)))
     return ([{"value": f"{res.value:.6f}", "mode": res.mode,
               "certified": res.certified}], None, False)
@@ -299,14 +295,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # flag if given, else config value (null: absent), else default
         args.config = _load_config(args.config)
-        for flag, (typ, default, *_) in {**command.flags,
-                                         "seed": _SHARED["seed"]}.items():
+        for flag, (typ, default, *choices) in {**command.flags,
+                                               "seed": _SHARED["seed"]}.items():
             dest = flag.replace("-", "_")
             if getattr(args, dest) is None:
                 value = args.config.get(flag)
-                setattr(args, dest, default if value is None else (
-                    harness.as_int(value, flag) if typ is int
-                    else typ(value)))
+                value = default if value is None else (
+                    harness.as_int(value, flag) if typ is int else typ(value))
+                if choices and value not in choices[0]:  # as argparse checks
+                    raise ValueError(f"{flag} {value!r} is not one of {choices[0]}")
+                setattr(args, dest, value)
         records, meta, nonconverged = command.run(args)
         write_records(records, args.out or sys.stdout, args.format, meta)
     except (ValueError, TypeError, OSError) as exc:

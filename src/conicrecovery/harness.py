@@ -31,7 +31,7 @@ def as_int(value, name: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# problem table: signal, operator, width bound and regularizer of each class
+# problem table: signal, operator, width bound and program of each class
 
 @dataclass(frozen=True)
 class SparseL1:
@@ -61,8 +61,8 @@ class SparseL1:
     def operator(self, m: int, seed: int) -> measure.MeasurementOperator:
         return measure.gaussian_ensemble(m, self.d, seed=seed)
 
-    def regularizer(self) -> L1Norm:
-        return L1Norm()
+    def recover(self, op, y, eta, opts) -> solve.RecoveryResult:
+        return solve.recover_constrained(L1Norm(), op, y, eta, opts)
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,14 @@ class LowRankS1:
     def operator(self, m: int, seed: int) -> measure.MeasurementOperator:
         return measure.gaussian_matrix_ensemble(m, self.d1, self.d2, seed=seed)
 
-    def regularizer(self) -> Schatten1Norm:
-        return Schatten1Norm()
+    def recover(self, op, y, eta, opts) -> solve.RecoveryResult:
+        return solve.recover_constrained(Schatten1Norm(), op, y, eta, opts)
 
 
 @dataclass(frozen=True)
 class PhaseRetrieval:
-    """Unit vectors in R^d seen through |<psi_i, x>|^2, recovered by PhaseLift."""
+    """Unit vectors x in R^d seen through |<psi_i, x>|^2: the signal is the
+    lifted x x^t, measured without noise and recovered by PhaseLift."""
 
     d: int
 
@@ -109,7 +110,8 @@ class PhaseRetrieval:
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         x = rng.standard_normal(self.d)
-        return x / np.linalg.norm(x)
+        x = x / np.linalg.norm(x)
+        return np.outer(x, x)
 
     def width_sq(self) -> float:
         # the width bound scales like d; no closed-form constant
@@ -117,6 +119,9 @@ class PhaseRetrieval:
 
     def operator(self, m: int, seed: int) -> measure.MeasurementOperator:
         return measure.lifted_phase_ensemble(m, self.d, seed=seed)
+
+    def recover(self, op, y, eta, opts) -> solve.RecoveryResult:
+        return solve.phase_retrieval_sdp(op, y, opts)
 
 
 Problem = SparseL1 | LowRankS1 | PhaseRetrieval
@@ -128,24 +133,16 @@ def solve_instance(problem: Problem, m: int, seed: int, eta: float,
                    opts: solve.SolverOptions):
     """Draw from ``generator(seed)`` the signal x, then the operator seed,
     then the noise seed; measure x with m draws of the problem's ensemble
-    and recover it.
+    plus noise of norm eta, and recover it with the problem's program.
 
-    Returns (result, rel_error): ||x_hat - x|| / ||x|| for the norm problems,
-    ||X_hat - x x^t|| / ||x||^2 for PhaseLift, whose measurements carry no
-    noise (``eta`` is unused).
+    Returns (result, ||x_hat - x|| / ||x||), Frobenius for matrix signals.
     """
     rng = generator(seed)
     x = problem.draw(rng)
     op = problem.operator(m, int(rng.integers(0, 2 ** 62)))
-    noise_seed = int(rng.integers(0, 2 ** 62))
-    if isinstance(problem, PhaseRetrieval):
-        x_lift = np.outer(x, x)
-        y = measure.apply(op, x_lift)
-        res = solve.phase_retrieval_sdp(op, y, opts)
-        return res, float(np.linalg.norm(res.estimate - x_lift)
-                          / np.linalg.norm(x) ** 2)
-    y = measure.measure_with_noise(op, x, noise_norm=eta, seed=noise_seed)
-    res = solve.recover_constrained(problem.regularizer(), op, y, eta, opts)
+    y = measure.measure_with_noise(op, x, noise_norm=eta,
+                                   seed=int(rng.integers(0, 2 ** 62)))
+    res = problem.recover(op, y, eta, opts)
     return res, float(np.linalg.norm(res.estimate - x) / np.linalg.norm(x))
 
 
@@ -210,10 +207,8 @@ class SweepResult:
         prev = None
         for row in self.rows:
             if prev is not None and prev.success_rate < 0.5 <= row.success_rate:
-                lo, hi = prev, row
-                span = hi.success_rate - lo.success_rate
-                frac = (0.5 - lo.success_rate) / span if span > 0 else 0.5
-                return lo.m + frac * (hi.m - lo.m)
+                lo, hi = prev.success_rate, row.success_rate
+                return prev.m + (0.5 - lo) / (hi - lo) * (row.m - prev.m)
             prev = row
         if self.rows and self.rows[0].success_rate >= 0.5:
             return float(self.rows[0].m)
@@ -234,10 +229,10 @@ def _run_grid(config: ExperimentConfig, points, index0: int = 0):
     i seeded ``_cell_seed(config.seed, index0 + i, t)``; returns, per point,
     the cells' ``solve_instance`` (result, rel_error) pairs in trial order.
 
-    A negative eta, or for ``PhaseRetrieval``, whose measurements carry no
-    noise, a nonzero one, is rejected before any cell runs."""
-    if any(eta < 0 for _, eta in points):
-        raise ValueError("eta must be nonnegative")
+    An eta that ``solve.check_eta`` refuses, or for ``PhaseRetrieval`` a
+    nonzero one, is rejected before any cell runs."""
+    for _, eta in points:
+        solve.check_eta(eta)
     if isinstance(config.problem, PhaseRetrieval) and any(
             eta != 0 for _, eta in points):
         raise ValueError("phase retrieval measurements are noiseless; "

@@ -187,7 +187,7 @@ class TracePSD(Regularizer):
     def __init__(self, x_ref: np.ndarray | None = None):
         if x_ref is not None:
             x_ref = np.asarray(x_ref, dtype=float)
-            if not np.allclose(x_ref, x_ref.T, atol=1e-10):
+            if not np.allclose(x_ref, x_ref.T, rtol=0, atol=_zero_floor(x_ref)):
                 raise ValueError("reference matrix must be symmetric")
             lam, vecs = np.linalg.eigh(x_ref)
             floor = _zero_floor(lam)

@@ -87,6 +87,13 @@ _TRACE_STEP = 0.3
 _BALL_STEP = 0.2
 
 
+def check_eta(eta: float) -> None:
+    """Refuse a noise level that is not a finite eta >= 0 (NaN included)."""
+    if not 0 <= eta < math.inf:
+        raise ValueError("eta must be finite" if math.isinf(eta)
+                         else "eta must be nonnegative")
+
+
 class _BallProjector:
     """Exact Euclidean projection onto {x : ||Phi x - y|| <= eta}: with
     G = Q diag(lam) Q^t and c = Q^t (Phi p - y), it is
@@ -113,8 +120,7 @@ class _BallProjector:
         y = np.asarray(y, dtype=float)
         if y.shape != (op.m,):
             raise ValueError("measurement vector length mismatch")
-        if eta < 0:
-            raise ValueError("eta must be nonnegative")
+        check_eta(eta)
         self.op, self.y, self.eta, self.norm = op, y, eta, norm
         self.scale = float(norm(y)) or 1.0
         lam, q = np.linalg.eigh(gram(op))
@@ -265,7 +271,7 @@ def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray,
     if op.kind is not OperatorKind.LIFTED:
         raise ValueError("phase retrieval needs a lifted rank-one operator")
     proj = _BallProjector(op, y, 0.0, lambda r: np.max(np.abs(r), initial=0.0))
-    if np.any(proj.y < -1e-10):
+    if np.any(proj.y < -1e-10 * proj.scale):  # relative to max |y_i|
         raise ValueError("phase retrieval measurements are magnitudes (y >= 0)")
     opts = opts or SolverOptions()
     mean_y = float(np.mean(proj.y))

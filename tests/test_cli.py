@@ -169,6 +169,14 @@ class TestSolverCommands:
                          "--m", "10", "--strict")
         assert code == 0
 
+    @pytest.mark.parametrize("eta, message", [
+        ("inf", "finite"), ("-inf", "finite"), ("nan", "nonnegative")])
+    def test_non_finite_eta_exits_1(self, capsys, eta, message):
+        # a non-finite noise level is refused before the solve starts
+        code, out, err = run(capsys, "recover", "--s", "1", "--d", "8",
+                             "--m", "6", f"--eta={eta}")
+        assert (code, out, err) == (1, "", f"error: eta must be {message}\n")
+
     def test_lambda_min(self, capsys):
         code, out, _ = run(capsys, "lambda-min", "--d", "4", "--m", "10",
                            "--cone", "full")
@@ -223,6 +231,19 @@ class TestOneShotConfig:
         assert out == run(capsys, command, *as_flags(
             {**ONE_SHOT[command], flag: value}))[1]
         assert out != run(capsys, command, "--config", path)[1]
+
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("width", {"problem": "phase"},
+         "problem 'phase' is not one of ('sparse', 'lowrank', 'subspace')"),
+        ("lambda-min", {"cone": "ball"},
+         "cone 'ball' is not one of ('full', 'subspace')"),
+    ])
+    def test_value_outside_choices_exits_1(self, capsys, tmp_path, command,
+                                           cfg, message):
+        # a config value is held to the flag's choices, as the flag is
+        code, out, err = run(capsys, command, "--config",
+                             config_path(tmp_path, cfg))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_null_trials_gives_no_monte_carlo_row(self, capsys, tmp_path):
         path = config_path(tmp_path, {"problem": "subspace", "k": 3,
@@ -547,6 +568,22 @@ class TestProblemConfig:
                              config_path(tmp_path, cfg))
         assert code == 1 and out == ""
         assert err == "error: eta must be nonnegative\n"
+
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("sweep", {**SMALL_SWEEP, "eta": float("inf")}, "finite"),
+        ("error-curve", {**SMALL_CURVE, "eta_grid": [0.1, float("nan")]},
+         "nonnegative"),
+    ])
+    def test_non_finite_eta_exits_1_before_any_cell(
+            self, capsys, tmp_path, monkeypatch, command, cfg, message):
+        # JSON's Infinity and NaN read as floats; neither reaches a cell
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "solve_instance", no_cell)
+        code, out, err = run(capsys, command, "--config",
+                             config_path(tmp_path, cfg))
+        assert (code, out, err) == (1, "", f"error: eta must be {message}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (("recover", "--s", "0", "--d", "16", "--m", "8"), "1 <= s <= d"),

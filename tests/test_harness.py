@@ -19,6 +19,7 @@ from conicrecovery.harness import (
 )
 from conicrecovery import harness, solve
 from conicrecovery.cli import write_records
+from conicrecovery.rng import generator
 from conicrecovery.solve import SolverOptions
 
 
@@ -111,7 +112,8 @@ class TestSweep:
 
     def test_phase_rejects_noise_before_any_cell(self, monkeypatch):
         # PhaseLift measurements carry no noise: a nonzero eta would be
-        # dropped, so both experiments refuse it before solving anything
+        # solved as exact data, so both experiments refuse it before
+        # solving anything
         def no_cell(*args):
             raise AssertionError("a cell ran")
 
@@ -121,6 +123,23 @@ class TestSweep:
             run_phase_transition(dataclasses.replace(cfg, eta=0.5))
         with pytest.raises(ValueError, match="eta must be 0"):
             run_error_curve(cfg, [0.0, 0.1], 30)
+
+    def test_phaselift_rel_error_is_frobenius_ratio(self):
+        # the signal is the lifted X = x x^t of the unit x drawn first from
+        # the cell's generator, and rel is ||X_hat - X|| / ||X||, the ratio
+        # a recount from the measured truth gives; in acceptance-03 cell
+        # (0, 4) it differs in the last bits from ||X_hat - X|| / ||x||^2
+        seed = harness._cell_seed(11, 0, 4)
+        res, rel = harness.solve_instance(PhaseRetrieval(16), 128, seed, 0.0,
+                                          SolverOptions())
+        x = generator(seed).standard_normal(16)
+        x = x / np.linalg.norm(x)
+        lifted = np.outer(x, x)
+        err = np.linalg.norm(res.estimate - lifted)
+        assert PhaseRetrieval(16).draw(generator(seed)).tobytes() == \
+            lifted.tobytes()
+        assert rel == err / np.linalg.norm(lifted)
+        assert rel != err / np.linalg.norm(x) ** 2
 
     def test_fifty_percent_interpolation(self):
         rows = (SweepRow(10, 2, 10, 0.2, 0.5, 10.0, 0),

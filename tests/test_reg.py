@@ -445,6 +445,10 @@ class TestSubdiffDist:
                                  make(x).dist_terms(g)):
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
         assert TracePSD().value(c * rank_one(u)) == pytest.approx(c * (u @ u))
+        # so is the symmetry test: eigh reads only the lower triangle, which
+        # here is the rank-one PSD e_1 e_1^t at every c
+        with pytest.raises(ValueError, match="must be symmetric"):
+            TracePSD(c * np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
 class TestMinSubdiffDist:

@@ -404,15 +404,13 @@ def solve_reference_cell(problem, m, eta, trial):
     rng = generator(1000 * m + trial)
     x = problem.draw(rng)
     op = problem.operator(m, int(rng.integers(0, 2 ** 62)))
-    if isinstance(problem, PhaseRetrieval):
-        return phase_retrieval_sdp(op, apply(op, _lift(x)))
     if eta == "3|y|":
         y = apply(op, x)
         eta = 3.0 * float(np.linalg.norm(y))
     else:
         y = measure_with_noise(op, x, noise_norm=eta,
                                seed=int(rng.integers(0, 2 ** 62)))
-    return recover_constrained(problem.regularizer(), op, y, eta)
+    return problem.recover(op, y, eta, SolverOptions())
 
 
 class TestInPlaceDrStep:
@@ -581,9 +579,8 @@ class TestConstrainedRecovery:
         x = problem.draw(generator(7))
         op = problem.operator(m, 8)
         y = measure_with_noise(op, x, noise_norm=eta, seed=9)
-        f = problem.regularizer()
-        res = recover_constrained(f, op, y, eta)
-        res_c = recover_constrained(f, op, c * y, c * eta)
+        res = problem.recover(op, y, eta, SolverOptions())
+        res_c = problem.recover(op, c * y, c * eta, SolverOptions())
         assert res.converged and res_c.converged
         assert res_c.iterations == res.iterations
         np.testing.assert_allclose(
@@ -598,8 +595,8 @@ class TestConstrainedRecovery:
         x = problem.draw(generator(7))
         op = problem.operator(m, 8)
         y = apply(op, x)
-        res = recover_constrained(problem.regularizer(), op, y,
-                                  factor * float(np.linalg.norm(y)))
+        res = problem.recover(op, y, factor * float(np.linalg.norm(y)),
+                              SolverOptions())
         assert res.converged and res.iterations == 10
         assert np.max(np.abs(res.estimate)) <= 1e-12 * np.linalg.norm(x)
 
@@ -625,7 +622,7 @@ class TestL1KktOracle:
         op = problem.operator(m, int(rng.integers(0, 2 ** 62)))
         y = measure_with_noise(op, x, noise_norm=eta,
                                seed=int(rng.integers(0, 2 ** 62)))
-        return problem.regularizer(), op, y
+        return L1Norm(), op, y
 
     @pytest.mark.parametrize("eta", [0.1, 0.3, 1.0])
     @pytest.mark.parametrize("m", [24, 54])
@@ -703,6 +700,32 @@ class TestPhaseRetrievalSdp:
         y = apply(op, np.outer(x, x))
         res = phase_retrieval_sdp(op, y)
         assert np.linalg.eigvalsh(res.estimate).min() >= -1e-10
+
+    @staticmethod
+    def orthogonal_first_vector_op():
+        # psi_0 orthogonal to x, so y_0 = (psi_0^t x)^2 is 0 up to rounding
+        x = generator(1).standard_normal(8)
+        psi = generator(2).standard_normal((40, 8))
+        psi[0] -= (psi[0] @ x) / (x @ x) * x
+        return x, MeasurementOperator(OperatorKind.LIFTED, 40, (8, 8),
+                                      vectors=psi)
+
+    @pytest.mark.parametrize("c", [1.0, 1e4, 1e6])
+    def test_magnitude_floor_is_relative(self, c):
+        # y_0 rounds to -3.1e-8 at c = 1e4 (max y_i = 3.2e9), which a floor
+        # of -1e-10 refused; the floor is -1e-10 max |y_i|
+        x, op = self.orthogonal_first_vector_op()
+        xx = np.outer(c * x, c * x)
+        res = phase_retrieval_sdp(op, apply(op, xx))
+        assert res.converged
+        assert np.linalg.norm(res.estimate - xx) <= 1e-10 * np.linalg.norm(xx)
+
+    def test_negative_magnitude_relative_to_max_rejected(self):
+        x, op = self.orthogonal_first_vector_op()
+        y = apply(op, np.outer(x, x))
+        y[0] = -1e-3 * np.max(y)
+        with pytest.raises(ValueError, match="magnitudes"):
+            phase_retrieval_sdp(op, y)
 
     def test_rejects_bad_inputs(self):
         op = lifted_phase_ensemble(3, 2, seed=0)
