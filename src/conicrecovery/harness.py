@@ -97,6 +97,9 @@ class LowRankS1:
         return solve.recover_constrained(Schatten1Norm(), op, y, eta, opts)
 
 
+_NOISELESS = "phase retrieval measurements are noiseless; eta must be 0"
+
+
 @dataclass(frozen=True)
 class PhaseRetrieval:
     """Unit vectors x in R^d seen through |<psi_i, x>|^2: the signal is the
@@ -121,6 +124,8 @@ class PhaseRetrieval:
         return measure.lifted_phase_ensemble(m, self.d, seed=seed)
 
     def recover(self, op, y, eta, opts) -> solve.RecoveryResult:
+        if eta != 0:
+            raise ValueError(_NOISELESS)
         return solve.phase_retrieval_sdp(op, y, opts)
 
 
@@ -235,8 +240,7 @@ def _run_grid(config: ExperimentConfig, points, index0: int = 0):
         solve.check_eta(eta)
     if isinstance(config.problem, PhaseRetrieval) and any(
             eta != 0 for _, eta in points):
-        raise ValueError("phase retrieval measurements are noiseless; "
-                         "eta must be 0")
+        raise ValueError(_NOISELESS)
     return [[solve_instance(config.problem, m,
                             _cell_seed(config.seed, index0 + i, trial), eta,
                             config.solver)

@@ -16,11 +16,17 @@ Amelunxen-Lotz-McCoy-Tropp, "Living on the edge", 2014).
 ``level_threshold`` is the matching sort for the prox step that lands on
 a level set of f (Duchi et al., "Efficient projections onto the l1-ball",
 2008).
+
+The trace+PSD prox at step t keeps only the eigenvalues above t, so it
+asks LAPACK (``dsyevr``, by value range) for those eigenpairs alone: its
+cost follows the kept rank, one pair near a rank-one solution.  It raises
+``np.linalg.LinAlgError`` on a non-finite input.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 
 ZERO_TOL = 1e-12  # relative: see _zero_floor
 
@@ -182,6 +188,13 @@ class TracePSD(Regularizer):
 
     Descent-cone distances are taken at a rank-one PSD reference matrix
     (the lifted phase-retrieval signal); other references are rejected.
+
+    ``prox(z, t)`` is sum_j (lam_j - t)_+ v_j v_j^t over the eigenpairs of
+    the symmetric part of z.  It computes only the k pairs with lam_j > t
+    (``dsyevr`` over the value range (t, inf)), so its cost follows the
+    kept rank k, and k = 0 gives exact zeros.  A non-finite z raises
+    ``np.linalg.LinAlgError``: by value range, LAPACK returns a finite
+    matrix for a NaN input.
     """
 
     def __init__(self, x_ref: np.ndarray | None = None):
@@ -210,8 +223,16 @@ class TracePSD(Regularizer):
     def prox(self, z, t):
         z = np.asarray(z, dtype=float)
         z = 0.5 * (z + z.T)
-        lam, vecs = np.linalg.eigh(z)
-        return (vecs * np.maximum(lam - t, 0.0)) @ vecs.T
+        if not np.isfinite(z).all():  # dsyevr would return a finite matrix
+            raise np.linalg.LinAlgError("PSD prox of a non-finite matrix")
+        # only the k eigenpairs with lam > t; z.T is the Fortran-ordered view
+        # of the fresh symmetric z, so LAPACK overwrites it without a copy
+        lam, vecs, k, _, info = lapack.dsyevr(z.T, range="V", vl=t,
+                                              vu=np.inf, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsyevr failed (info = {info})")
+        vecs = vecs[:, :k]
+        return (vecs * (lam[:k] - t)) @ vecs.T
 
     def spectrum(self, z):
         z = np.asarray(z, dtype=float)

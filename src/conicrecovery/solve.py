@@ -11,14 +11,18 @@ needs only Phi, Phi^* and G, so both operator kinds share it.  A dense
 operator at eta = 0 applies the pseudo-inverse Phi^+ as one n x m matrix,
 built once from the same eigendecomposition of G; a lifted operator never
 forms it (it would be the m x d^2 design), so its projector keeps O(md)
-memory.  Norm minimization takes the prox step 0.2 * eta, a fixed fraction
-of the noise level, and 1 at eta = 0 (see ``recover_constrained``); trace
-minimization takes 0.3 * mean(y), a fixed fraction of the trace that the
-data imply (see ``phase_retrieval_sdp``).
+memory.  A PhaseLift DR step applies Phi and Phi^* once each and the PSD
+prox, which computes only the eigenpairs above the step (``reg.TracePSD``):
+near the rank-one solution that is one pair of the d x d iterate, not a
+full eigendecomposition.  Norm minimization takes the prox step 0.2 * eta,
+a fixed fraction of the noise level, and 1 at eta = 0 (see
+``recover_constrained``); trace minimization takes 0.3 * mean(y), a fixed
+fraction of the trace that the data imply (see ``phase_retrieval_sdp``).
 
 The projector owns a solve's data y and eta and its misfit norm (max |.| for
-PhaseLift), which scales the stopping gate and measures the residual.  Its
-infeasibility test ||y_perp|| > max(eta, 1e-10 ||y||) has no absolute floor.
+PhaseLift), which scales the stopping gate and measures the residual.  It
+refuses a non-finite y before any iteration.  Its infeasibility test
+||y_perp|| > max(eta, 1e-10 ||y||) has no absolute floor.
 
 The DR loop owns its iterate w, the reflection 2x - w and the step v - x:
 it allocates them once per solve and updates them in place.  The projector
@@ -120,7 +124,9 @@ class _BallProjector:
         y = np.asarray(y, dtype=float)
         if y.shape != (op.m,):
             raise ValueError("measurement vector length mismatch")
-        check_eta(eta)
+        check_eta(eta)  # first: an infinite eta's noise makes y infinite
+        if not np.isfinite(y).all():
+            raise ValueError("measurement vector must be finite")
         self.op, self.y, self.eta, self.norm = op, y, eta, norm
         self.scale = float(norm(y)) or 1.0
         lam, q = np.linalg.eigh(gram(op))

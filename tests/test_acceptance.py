@@ -149,10 +149,14 @@ def test_criterion_03_phase_retrieval(capsys, phase_sweep):
 
 
 def test_criterion_03_row_pinned(phase_sweep):
-    # not a criterion of its own: a change of the DR step may move the
-    # iteration count but no verdict, and every cell must converge
+    # not a criterion of its own: a change of solver arithmetic (the DR
+    # step, the PSD prox, the projector) must leave the verdicts, the
+    # iteration count and the mean error as recorded
     row = phase_sweep.rows[0]
-    assert (row.successes, row.nonconverged) == (50, 0)
+    assert (row.successes, row.nonconverged, row.mean_solve_iters) == \
+        (50, 0, 26.0)
+    np.testing.assert_allclose(row.mean_rel_error, 2.480237e-09,
+                               rtol=1e-6, atol=0)
 
 
 def test_criterion_04_gordon_bound_validity(capsys):

@@ -124,6 +124,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="eta must be 0"):
             run_error_curve(cfg, [0.0, 0.1], 30)
 
+    def test_phase_instance_refuses_noise(self):
+        # a single instance refuses eta != 0 with the sweeps' message, before
+        # noisy lifted data reach the SDP as if they were exact
+        with pytest.raises(ValueError, match="noiseless; eta must be 0"):
+            harness.solve_instance(PhaseRetrieval(8), 40, 3, 0.5,
+                                   SolverOptions())
+
     def test_phaselift_rel_error_is_frobenius_ratio(self):
         # the signal is the lifted X = x x^t of the unit x drawn first from
         # the cell's generator, and rel is ||X_hat - X|| / ||X||, the ratio

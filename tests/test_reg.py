@@ -5,7 +5,8 @@ against independent iterative oracles: projected gradient over the
 explicit description of the scaled subdifferential set.  The library's
 sorted minimization over the scale is checked against that closed form
 by dense tau-grid search and a bounded Brent search.  The exact level-set
-threshold is checked against a bisection on f(prox(z, t)).
+threshold is checked against a bisection on f(prox(z, t)), and the
+trace+PSD prox against the full-spectrum formula ``eigh_prox``.
 """
 
 import math
@@ -298,6 +299,82 @@ class TestProx:
                 t = rng.uniform(0.05, 3.0)
                 lhs = np.linalg.norm(f.prox(z1, t) - f.prox(z2, t))
                 assert lhs <= np.linalg.norm(z1 - z2) + 1e-9
+
+
+def eigh_prox(z, t):
+    """The trace+PSD prox from the full spectrum: every eigenpair of the
+    symmetric part of z, shifted down by t and clipped at 0."""
+    z = 0.5 * (z + z.T)
+    lam, vecs = np.linalg.eigh(z)
+    return (vecs * np.maximum(lam - t, 0.0)) @ vecs.T
+
+
+def spectrum_matrix(d, seed):
+    """A non-symmetric d x d matrix whose symmetric part has eigenvalues
+    spread over [1, 5]."""
+    rng = generator(seed)
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    skew = rng.standard_normal((d, d))
+    return (q * rng.uniform(1.0, 5.0, d)) @ q.T + (skew - skew.T)
+
+
+class TestTracePsdProxOracle:
+    """The prox computes only the eigenpairs above the step; it must agree
+    with the full-spectrum formula to 1e-12 ||z||."""
+
+    @staticmethod
+    def assert_oracle(z, t):
+        got = TracePSD().prox(z, t)
+        want = eigh_prox(z, t)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(z)
+        return got
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 48])
+    @pytest.mark.parametrize("where", ["below", "above", "middle",
+                                       "eigenvalue"])
+    def test_step_against_spectrum(self, d, where):
+        z = spectrum_matrix(d, 70 + d)
+        lam = np.linalg.eigvalsh(0.5 * (z + z.T))
+        t = {"below": 0.5 * lam[0], "above": 2.0 * lam[-1],
+             "middle": 0.5 * (lam[0] + lam[-1]),
+             "eigenvalue": lam[d // 2]}[where]
+        got = self.assert_oracle(z, t)
+        if where == "above":
+            assert np.array_equal(got, np.zeros((d, d)))
+
+    def test_repeated_eigenvalue_above_step(self):
+        u = generator(75).standard_normal(5)
+        z = 3.0 * np.eye(5) + np.outer(u, u)
+        # eigenvalue 3 four times and 3 + ||u||^2, all above the step
+        got = self.assert_oracle(z, 1.0)
+        np.testing.assert_allclose(got, z - np.eye(5), rtol=0, atol=1e-13)
+
+    def test_non_symmetric_input_is_symmetrized(self):
+        z = generator(76).standard_normal((8, 8))
+        got = self.assert_oracle(z, 0.1)
+        assert np.array_equal(got, TracePSD().prox(0.5 * (z + z.T), 0.1))
+
+    @pytest.mark.parametrize("c", [1e-8, 1e8])
+    def test_scale(self, c):
+        z = spectrum_matrix(8, 77)
+        lam = np.linalg.eigvalsh(0.5 * (z + z.T))
+        self.assert_oracle(c * z, c * 0.5 * (lam[0] + lam[-1]))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_untouched(self, order):
+        z = np.asarray(spectrum_matrix(8, 78), order=order)
+        before = z.copy()
+        TracePSD().prox(z, 2.0)
+        assert np.array_equal(z, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        # LAPACK's by-value solver returns a finite matrix for a NaN input
+        z = spectrum_matrix(8, 79)
+        z[2, 5] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            TracePSD().prox(z, 1.0)
 
 
 def project_psd(z):

@@ -192,6 +192,23 @@ class TestBallProjector:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
                 assert np.linalg.norm(a @ got - y) <= eta + 1e-8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    def test_rejects_non_finite_data(self, bad, eta):
+        # refused before any iteration: unguarded, a NaN in y runs the whole
+        # DR budget to a NaN residual, and the SDP fails inside its prox
+        y = np.ones(20)
+        y[7] = bad
+        dense = gaussian_ensemble(20, 40, seed=5)
+        lifted = lifted_phase_ensemble(20, 4, seed=5)
+        for op in (dense, lifted):
+            with pytest.raises(ValueError, match="must be finite"):
+                _BallProjector(op, y, eta)
+        with pytest.raises(ValueError, match="must be finite"):
+            recover_constrained(L1Norm(), dense, y, eta)
+        with pytest.raises(ValueError, match="must be finite"):
+            phase_retrieval_sdp(lifted, y)
+
     @pytest.mark.parametrize("case", DENSE_CASES)
     def test_dense_eta_zero_matches_gram_correction(self, case):
         # a dense operator at eta = 0 applies Phi^+ as one n x m matrix; it
