@@ -168,6 +168,7 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("m_grid must be strictly increasing")
         object.__setattr__(self, "m_grid", grid)
+        object.__setattr__(self, "trials", as_int(self.trials, "trials"))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.success_threshold > 0:

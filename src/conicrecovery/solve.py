@@ -9,12 +9,21 @@ trust-region secular equation, which warm-started Newton solves in a few
 steps; the affine (eta = 0) projection is the pseudo-inverse correction.  It
 needs only Phi, Phi^* and G, so both operator kinds share it.  A dense
 operator at eta = 0 applies the pseudo-inverse Phi^+ as one n x m matrix,
-built once from the same eigendecomposition of G; a lifted operator never
-forms it (it would be the m x d^2 design), so its projector keeps O(md)
-memory.  A PhaseLift DR step applies Phi and Phi^* once each and the PSD
-prox, which computes only the eigenpairs above the step (``reg.TracePSD``):
-near the rank-one solution that is one pair of the d x d iterate, not a
-full eigendecomposition.  Norm minimization takes the prox step 0.2 * eta,
+built once from the same eigendecomposition of G (about 1 ms at the
+sweeps' sizes); a lifted operator never forms it (it would be the m x d^2
+design), so its projector keeps O(md) memory.  At eta = 0 a lifted
+projector needs G^-1, not the spectrum, so it inverts G by Cholesky (LAPACK
+dpotrf, then dpotri; 2.5-6 ms against 12-24 ms for eigh at m = 288-384, one
+BLAS thread) and applies it with one symmetric product per step.  It does
+so only where dpocon's reciprocal condition estimate exceeds the eigh cut
+``_EIG_CUT * m``, that is where eigh would keep every eigenvalue; a
+singular or ill-conditioned G (lifted m > d(d+1)/2 among them) keeps the
+eigenbasis, as does every eta > 0 projector, whose secular equation needs
+the spectrum.  Both routes factor G = Phi Phi^*, so both square the
+condition number of Phi.  A PhaseLift DR step applies Phi and Phi^* once
+each and the PSD prox, which computes only the eigenpairs above the step
+(``reg.TracePSD``): near the rank-one solution that is one pair of the
+d x d iterate, not a full eigendecomposition.  Norm minimization takes the prox step 0.2 * eta,
 a fixed fraction of the noise level, and 1 at eta = 0 (see
 ``recover_constrained``); trace minimization takes 0.3 * mean(y), a fixed
 fraction of the trace that the data imply (see ``phase_retrieval_sdp``).
@@ -38,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 # bench/layers.py times its solve.rootfind layer through this name
 from scipy.optimize import brentq  # noqa: F401
+from scipy.linalg import blas, lapack
 
 from .measure import MeasurementOperator, OperatorKind, _adjoint, _forward, gram
 from .reg import Regularizer, TracePSD
@@ -91,6 +101,21 @@ _TRACE_STEP = 0.3
 _BALL_STEP = 0.2
 
 
+def _gram_inverse(g: np.ndarray) -> np.ndarray | None:
+    """G^-1 by Cholesky, in the lower triangle of one Fortran-ordered m x m
+    array (the upper one is left over); None unless G is positive definite
+    with LAPACK's reciprocal condition estimate above the eigh cut, where
+    eigh would have kept every eigenvalue."""
+    chol, info = lapack.dpotrf(g, lower=1, clean=0)  # a Fortran-ordered copy
+    if info != 0:
+        return None
+    rcond, info = lapack.dpocon(chol, float(np.linalg.norm(g, 1)), uplo="L")
+    if info != 0 or not rcond > _EIG_CUT * g.shape[0]:
+        return None
+    inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
+    return inv if info == 0 else None
+
+
 def check_eta(eta: float) -> None:
     """Refuse a noise level that is not a finite eta >= 0 (NaN included)."""
     if not 0 <= eta < math.inf:
@@ -114,9 +139,14 @@ class _BallProjector:
     pseudo-inverse correction p - Phi^+ (Phi p - y) with
     Phi^+ = Phi^* Q diag(1/lam) Q^t.  For a dense operator Phi^+ is built
     once here, an n x m matrix the size of Phi, from the same eigenvectors
-    and keep mask, so a projection costs two matrix-vector products; a
-    lifted operator applies Phi, Q^t, Q and Phi^* in turn.  ``misfit(v)`` is
-    norm(Phi v - y) in the solve's norm; ``scale`` = norm(y) or 1 sets the gate.
+    and keep mask, so a projection costs two matrix-vector products.  A
+    lifted operator at eta = 0 with a well-conditioned G (``_gram_inverse``)
+    skips the eigendecomposition: Phi^+ = Phi^* G^-1, and a projection
+    applies Phi, G^-1 (one ``dsymv`` on the lower triangle that LAPACK
+    returns) and Phi^*; the data are then always consistent.  Any other
+    lifted projector applies Phi, Q^t, Q and Phi^* in turn.  ``misfit(v)``
+    is norm(Phi v - y) in the solve's norm; ``scale`` = norm(y) or 1 sets
+    the gate.
     """
 
     def __init__(self, op: MeasurementOperator, y: np.ndarray, eta: float,
@@ -129,6 +159,13 @@ class _BallProjector:
             raise ValueError("measurement vector must be finite")
         self.op, self.y, self.eta, self.norm = op, y, eta, norm
         self.scale = float(norm(y)) or 1.0
+        self.mu = 0.0  # warm start for the next secular solve
+        self.pinv = self.ginv = None
+        if eta == 0.0 and op.kind is OperatorKind.LIFTED:
+            self.ginv = _gram_inverse(gram(op))
+        if self.ginv is not None:  # G is invertible: range(Phi) is all of R^m
+            self.infeasible, self.delta_sq = False, 0.0
+            return
         lam, q = np.linalg.eigh(gram(op))
         keep = lam > _EIG_CUT * op.m * np.max(lam, initial=0.0)
         self.lam, self.q = lam[keep], q[:, keep]
@@ -137,14 +174,15 @@ class _BallProjector:
         self.infeasible = (math.sqrt(y_perp_sq)
                            > max(eta, 1e-10 * float(np.linalg.norm(y))))
         self.delta_sq = max(eta ** 2 - y_perp_sq, 0.0)
-        self.mu = 0.0  # warm start for the next secular solve
-        self.pinv = None
         if self.delta_sq == 0.0 and op.kind is OperatorKind.DENSE:
             self.pinv = (op.rows.T @ (self.q / self.lam)) @ self.q.T
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         if self.pinv is not None:  # .dot: the same gemv as @, dispatched faster
             return p - self.pinv.dot(self.op.rows.dot(p) - self.y)
+        if self.ginv is not None:
+            r = _forward(self.op, p) - self.y
+            return p - _adjoint(self.op, blas.dsymv(1.0, self.ginv, r, lower=1))
         c = self.q.T @ (_forward(self.op, p) - self.y)  # range-space residual coords
         if self.delta_sq == 0.0:
             return p - _adjoint(self.op, self.q @ (c / self.lam))

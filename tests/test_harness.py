@@ -40,6 +40,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(trials=0)
 
+    @pytest.mark.parametrize("trials", [2.5, True])
+    def test_rejects_non_integer_trials(self, trials):
+        # unchecked, 2.5 failed only inside the sweep's range(), and True
+        # ran a one-trial sweep under a digest other than trials=1's
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            small_config(trials=trials)
+
+    def test_integral_float_trials_read_as_int(self):
+        cfg = small_config(trials=2.0)
+        assert cfg.trials == 2 and type(cfg.trials) is int
+        assert cfg.digest() == small_config(trials=2).digest()
+
     @pytest.mark.parametrize("threshold", [-1.0, 0.0, float("nan")])
     def test_rejects_nonpositive_success_threshold(self, threshold):
         # a negative threshold would report 0 successes in every row

@@ -10,13 +10,20 @@ import pytest
 from scipy.optimize import brentq
 
 from conicrecovery import solve
-from conicrecovery.harness import LowRankS1, PhaseRetrieval, SparseL1
+from conicrecovery.harness import (
+    LowRankS1,
+    PhaseRetrieval,
+    SparseL1,
+    _cell_seed,
+    solve_instance,
+)
 from conicrecovery.measure import (
     MeasurementOperator,
     OperatorKind,
     apply,
     gaussian_ensemble,
     gaussian_matrix_ensemble,
+    gram,
     lifted_phase_ensemble,
     measure_with_noise,
 )
@@ -137,6 +144,15 @@ def _lift(x):
     return np.outer(x, x)
 
 
+def faint_vector_op(m, d, scale, seed):
+    """Lifted m x d operator whose first sampling vector is scaled by
+    ``scale``: its Gram row and column scale by scale^2, so G keeps a
+    Cholesky factor while its condition number grows like scale^-4."""
+    psi = generator(seed).standard_normal((m, d))
+    psi[0] *= scale
+    return MeasurementOperator(OperatorKind.LIFTED, m, (d, d), vectors=psi)
+
+
 def ill_conditioned_op(m, n, cond, seed):
     """Dense m x n operator (m <= n) with singular values log-spaced from
     1 down to 1/cond."""
@@ -147,8 +163,12 @@ def ill_conditioned_op(m, n, cond, seed):
 
 
 # (operator, signal drawn for consistent data); the first has a Gram
-# condition number of 1e6, the last four a singular Gram matrix: dense
-# with m > n, lifted with m > d(d+1)/2
+# condition number of 1e6, the next four a singular Gram matrix: dense
+# with m > n, lifted with m > d(d+1)/2.  Lifted ones with m < d(d+1)/2 have
+# a positive definite G, which "lifted-d8-m34" nearly fills (d(d+1)/2 = 36),
+# while "lifted-faint" scales one sampling vector by 1e-8: G is positive
+# definite but so ill-conditioned that eigh drops its smallest eigenvalue,
+# and the SVD oracle the matching singular value
 PROJECTOR_CASES = {
     "dense-cond-1e3": lambda: (ill_conditioned_op(6, 10, 1e3, seed=29),
                                generator(28).standard_normal(10)),
@@ -166,9 +186,15 @@ PROJECTOR_CASES = {
                              _lift(generator(41).standard_normal(2))),
     "lifted-d4-m30": lambda: (lifted_phase_ensemble(30, 4, seed=42),
                               _lift(generator(43).standard_normal(4))),
+    "lifted-d8-m34": lambda: (lifted_phase_ensemble(34, 8, seed=56),
+                              _lift(generator(57).standard_normal(8))),
+    "lifted-faint": lambda: (faint_vector_op(20, 6, 1e-8, seed=58),
+                             _lift(generator(59).standard_normal(6))),
 }
 SINGULAR_CASES = ["dense-12x5", "dense-40x8", "lifted-d2-m4", "lifted-d4-m30"]
 DENSE_CASES = [c for c in PROJECTOR_CASES if c.startswith("dense")]
+# lifted operators whose eta = 0 projector inverts G by Cholesky
+CHOLESKY_CASES = ["lifted-d5-m12", "lifted-d8-m34"]
 
 
 class TestBallProjector:
@@ -235,6 +261,35 @@ class TestBallProjector:
         proj = _BallProjector(op, apply(op, x), eta)
         n = math.prod(op.signal_shape)
         assert not any(np.shape(v) == (n, op.m) for v in vars(proj).values())
+
+    @pytest.mark.parametrize("case", CHOLESKY_CASES)
+    def test_positive_definite_lifted_gram_skips_eigh(self, monkeypatch, case):
+        # at eta = 0 the projection needs G^-1 alone, not the spectrum
+        op, x = PROJECTOR_CASES[case]()
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        y = apply(op, x)
+        proj = _BallProjector(op, y, 0.0)
+        assert proj.ginv is not None and not proj.infeasible
+        got = proj(generator(49).standard_normal(op.signal_shape).ravel())
+        assert (np.linalg.norm(apply(op, got.reshape(op.signal_shape)) - y)
+                <= 1e-10 * np.linalg.norm(y))
+
+    def test_ill_conditioned_lifted_gram_takes_eigenbasis(self, monkeypatch):
+        # dpotrf factors G, but dpocon's reciprocal condition estimate is
+        # below _EIG_CUT * m, so the projector falls back to eigh
+        op, x = PROJECTOR_CASES["lifted-faint"]()
+        assert solve.lapack.dpotrf(gram(op), lower=1)[1] == 0
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda g: calls.append(g.shape) or eigh(g))
+        proj = _BallProjector(op, apply(op, x), 0.0)
+        assert proj.ginv is None and calls == [(op.m, op.m)]
+        assert proj.lam.size == op.m - 1 and not proj.infeasible
 
     @pytest.mark.parametrize("case", SINGULAR_CASES)
     def test_singular_gram_consistent_data(self, case):
@@ -753,6 +808,28 @@ class TestPhaseRetrievalSdp:
         dop = gaussian_ensemble(3, 2, seed=0)
         with pytest.raises(ValueError):
             phase_retrieval_sdp(dop, np.ones(3))      # not lifted
+
+
+class TestGramCholeskyFallback:
+    def test_eigenbasis_fallback_solves_alike(self, monkeypatch):
+        # one PhaseLift row (positive definite G: m = 22 < d(d+1)/2 = 36)
+        # solved through the Cholesky inverse, then with dpotrf reporting
+        # failure, so that every cell takes the eigh projector
+        problem, m, thr = PhaseRetrieval(8), 22, 1e-4
+
+        def row():
+            return [solve_instance(problem, m, _cell_seed(5, 0, t), 0.0,
+                                   SolverOptions()) for t in range(5)]
+
+        fast = row()
+        monkeypatch.setattr(solve.lapack, "dpotrf", lambda g, **kw: (g, 1))
+        slow = row()
+        for (res, rel), (ref, ref_rel) in zip(fast, slow):
+            assert res.iterations == ref.iterations
+            assert res.converged == ref.converged
+            assert (res.converged and rel <= thr) == (ref.converged and ref_rel <= thr)
+            # the signal x is a unit vector: ||x x^t|| = ||x||^2 = 1
+            assert np.linalg.norm(res.estimate - ref.estimate) <= 1e-9
 
 
 class TestOptions:
