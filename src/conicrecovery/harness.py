@@ -33,8 +33,16 @@ def as_int(value, name: str) -> int:
 # ---------------------------------------------------------------------------
 # problem table: signal, operator, width bound and program of each class
 
+class _GaussianRows:
+    def noise_lambda(self, m: int) -> float:
+        """Gordon's prediction sqrt(m-1) - w - 2 of the minimum conic
+        singular value, w the closed-form width bound, clipped at 0."""
+        w = math.sqrt(self.width_sq())
+        return max(width.gordon_lower_bound(m, w, 2.0), 0.0)
+
+
 @dataclass(frozen=True)
-class SparseL1:
+class SparseL1(_GaussianRows):
     """s-sparse sign vectors in R^d, recovered by l1 minimization."""
 
     s: int
@@ -66,7 +74,7 @@ class SparseL1:
 
 
 @dataclass(frozen=True)
-class LowRankS1:
+class LowRankS1(_GaussianRows):
     """Rank-r d1 x d2 matrices G1 G2^t, recovered by Schatten-1 minimization."""
 
     r: int
@@ -97,13 +105,10 @@ class LowRankS1:
         return solve.recover_constrained(Schatten1Norm(), op, y, eta, opts)
 
 
-_NOISELESS = "phase retrieval measurements are noiseless; eta must be 0"
-
-
 @dataclass(frozen=True)
 class PhaseRetrieval:
     """Unit vectors x in R^d seen through |<psi_i, x>|^2: the signal is the
-    lifted x x^t, measured without noise and recovered by PhaseLift."""
+    lifted x x^t, recovered by PhaseLift."""
 
     d: int
 
@@ -123,10 +128,11 @@ class PhaseRetrieval:
     def operator(self, m: int, seed: int) -> measure.MeasurementOperator:
         return measure.lifted_phase_ensemble(m, self.d, seed=seed)
 
+    def noise_lambda(self, m: int) -> float:
+        return 0.0  # Gordon's lambda holds for Gaussian rows, not lifted ones
+
     def recover(self, op, y, eta, opts) -> solve.RecoveryResult:
-        if eta != 0:
-            raise ValueError(_NOISELESS)
-        return solve.phase_retrieval_sdp(op, y, opts)
+        return solve.phase_retrieval_sdp(op, y, eta, opts)
 
 
 Problem = SparseL1 | LowRankS1 | PhaseRetrieval
@@ -234,14 +240,10 @@ def _run_grid(config: ExperimentConfig, points, index0: int = 0):
     """Run ``config.trials`` cells at each (m, eta) point, trial t of point
     i seeded ``_cell_seed(config.seed, index0 + i, t)``; returns, per point,
     the cells' ``solve_instance`` (result, rel_error) pairs in trial order.
-
-    An eta that ``solve.check_eta`` refuses, or for ``PhaseRetrieval`` a
-    nonzero one, is rejected before any cell runs."""
+    An eta that ``solve.check_eta`` refuses is rejected before any cell
+    runs."""
     for _, eta in points:
         solve.check_eta(eta)
-    if isinstance(config.problem, PhaseRetrieval) and any(
-            eta != 0 for _, eta in points):
-        raise ValueError(_NOISELESS)
     return [[solve_instance(config.problem, m,
                             _cell_seed(config.seed, index0 + i, trial), eta,
                             config.solver)
@@ -280,14 +282,11 @@ class ErrorCurveRow:
 def run_error_curve(config: ExperimentConfig, eta_grid,
                     m: int) -> list[ErrorCurveRow]:
     """Mean observed error over all trials, converged or not, and the
-    2*eta/lambda bound per noise level.
-
-    lambda is the Gordon prediction sqrt(m-1) - w - 2 with the closed-form
-    width bound w, clipped at 0, so the bound is probabilistic, not
-    certified.
+    2*eta/lambda bound per noise level, lambda = ``problem.noise_lambda(m)``:
+    Gordon's prediction, so the bound is probabilistic, not certified, and
+    inf where lambda is 0 (below Gordon's threshold, and for PhaseLift).
     """
-    w = math.sqrt(config.problem.width_sq())
-    lam = max(width.gordon_lower_bound(m, w, 2.0), 0.0)
+    lam = config.problem.noise_lambda(m)
     etas = [float(eta) for eta in eta_grid]
     grid = _run_grid(config, [(m, eta) for eta in etas], index0=10_000)
     return [ErrorCurveRow(eta, float(np.mean([rel for _, rel in cells])),

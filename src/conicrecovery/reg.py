@@ -192,7 +192,10 @@ class TracePSD(Regularizer):
     ``prox(z, t)`` is sum_j (lam_j - t)_+ v_j v_j^t over the eigenpairs of
     the symmetric part of z.  It computes only the k pairs with lam_j > t
     (``dsyevr`` over the value range (t, inf)), so its cost follows the
-    kept rank k, and k = 0 gives exact zeros.  A non-finite z raises
+    kept rank k, and k = 0 gives exact zeros.  Where ``dsyevr`` reports
+    failure (info = 1 on a z within rounding of c I), the prox keeps the
+    pairs above t of a full ``eigh`` of z, re-formed from the input because
+    ``dsyevr`` overwrote it.  A non-finite z raises
     ``np.linalg.LinAlgError``: by value range, LAPACK returns a finite
     matrix for a NaN input.
     """
@@ -221,8 +224,8 @@ class TracePSD(Regularizer):
         return float(np.trace(x))
 
     def prox(self, z, t):
-        z = np.asarray(z, dtype=float)
-        z = 0.5 * (z + z.T)
+        z_in = np.asarray(z, dtype=float)
+        z = 0.5 * (z_in + z_in.T)
         if not np.isfinite(z).all():  # dsyevr would return a finite matrix
             raise np.linalg.LinAlgError("PSD prox of a non-finite matrix")
         # only the k eigenpairs with lam > t; z.T is the Fortran-ordered view
@@ -230,7 +233,9 @@ class TracePSD(Regularizer):
         lam, vecs, k, _, info = lapack.dsyevr(z.T, range="V", vl=t,
                                               vu=np.inf, overwrite_a=1)
         if info != 0:
-            raise np.linalg.LinAlgError(f"dsyevr failed (info = {info})")
+            lam, vecs = np.linalg.eigh(0.5 * (z_in + z_in.T))
+            keep = lam > t
+            lam, vecs, k = lam[keep], vecs[:, keep], int(keep.sum())
         vecs = vecs[:, :k]
         return (vecs * (lam[:k] - t)) @ vecs.T
 

@@ -1,8 +1,8 @@
 """Convex recovery solvers.
 
-Both programs -- norm minimization over a residual ball, and trace
-minimization over the PSD cone with affine data constraints -- are solved
-by Douglas-Rachford splitting between the regularizer's prox and an exact
+Both programs -- norm minimization, and trace minimization over the PSD
+cone, each over the residual ball ||Phi x - y|| <= eta -- are solved by
+Douglas-Rachford splitting between the regularizer's prox and an exact
 projection onto the data-consistency set.  In the eigenbasis of the Gram
 matrix G = Phi Phi^*, the ball projection's Lagrange multiplier solves a
 trust-region secular equation, which warm-started Newton solves in a few
@@ -23,15 +23,16 @@ the spectrum.  Both routes factor G = Phi Phi^*, so both square the
 condition number of Phi.  A PhaseLift DR step applies Phi and Phi^* once
 each and the PSD prox, which computes only the eigenpairs above the step
 (``reg.TracePSD``): near the rank-one solution that is one pair of the
-d x d iterate, not a full eigendecomposition.  Norm minimization takes the prox step 0.2 * eta,
-a fixed fraction of the noise level, and 1 at eta = 0 (see
-``recover_constrained``); trace minimization takes 0.3 * mean(y), a fixed
-fraction of the trace that the data imply (see ``phase_retrieval_sdp``).
+d x d iterate, not a full eigendecomposition.  At eta > 0 both programs
+take the prox step 0.2 * eta, a fixed fraction of the noise level; at
+eta = 0 norm minimization takes 1 (see ``recover_constrained``) and trace
+minimization 0.3 * mean(y), a fixed fraction of the trace that the data
+imply (see ``phase_retrieval_sdp``).
 
-The projector owns a solve's data y and eta and its misfit norm (max |.| for
-PhaseLift), which scales the stopping gate and measures the residual.  It
-refuses a non-finite y before any iteration.  Its infeasibility test
-||y_perp|| > max(eta, 1e-10 ||y||) has no absolute floor.
+The projector owns a solve's data y and eta; ||y|| scales the stopping gate
+and ||Phi x - y|| is the residual.  It refuses a non-finite y before any
+iteration.  Its infeasibility test ||y_perp|| > max(eta, 1e-10 ||y||) has
+no absolute floor.
 
 The DR loop owns its iterate w, the reflection 2x - w and the step v - x:
 it allocates them once per solve and updates them in place.  The projector
@@ -58,8 +59,8 @@ class SolverOptions:
     """``max_iters`` caps the DR iterations.  ``tol`` is the relative
     stopping tolerance: a solve converges once both the DR step ||v - x||
     and the constraint violation of the prox iterate v are at most
-    ``tol * scale``, scale = the misfit norm of y (||y||, max |y_i| for
-    PhaseLift), or 1 when y = 0: relative at every signal scale."""
+    ``tol * scale``, scale = ||y||, or 1 when y = 0: relative at every
+    signal scale."""
 
     max_iters: int = 20_000
     tol: float = 1e-8
@@ -145,20 +146,18 @@ class _BallProjector:
     applies Phi, G^-1 (one ``dsymv`` on the lower triangle that LAPACK
     returns) and Phi^*; the data are then always consistent.  Any other
     lifted projector applies Phi, Q^t, Q and Phi^* in turn.  ``misfit(v)``
-    is norm(Phi v - y) in the solve's norm; ``scale`` = norm(y) or 1 sets
-    the gate.
+    is ||Phi v - y||; ``scale`` = ||y||, or 1 when y = 0, sets the gate.
     """
 
-    def __init__(self, op: MeasurementOperator, y: np.ndarray, eta: float,
-                 norm=np.linalg.norm):
+    def __init__(self, op: MeasurementOperator, y: np.ndarray, eta: float):
         y = np.asarray(y, dtype=float)
         if y.shape != (op.m,):
             raise ValueError("measurement vector length mismatch")
         check_eta(eta)  # first: an infinite eta's noise makes y infinite
         if not np.isfinite(y).all():
             raise ValueError("measurement vector must be finite")
-        self.op, self.y, self.eta, self.norm = op, y, eta, norm
-        self.scale = float(norm(y)) or 1.0
+        self.op, self.y, self.eta = op, y, eta
+        self.scale = float(np.linalg.norm(y)) or 1.0
         self.mu = 0.0  # warm start for the next secular solve
         self.pinv = self.ginv = None
         if eta == 0.0 and op.kind is OperatorKind.LIFTED:
@@ -172,7 +171,7 @@ class _BallProjector:
         y_perp = y - self.q @ (self.q.T @ y)  # part of y outside range(Phi)
         y_perp_sq = float(np.dot(y_perp, y_perp))
         self.infeasible = (math.sqrt(y_perp_sq)
-                           > max(eta, 1e-10 * float(np.linalg.norm(y))))
+                           > max(eta, 1e-10 * self.scale))
         self.delta_sq = max(eta ** 2 - y_perp_sq, 0.0)
         if self.delta_sq == 0.0 and op.kind is OperatorKind.DENSE:
             self.pinv = (op.rows.T @ (self.q / self.lam)) @ self.q.T
@@ -192,7 +191,7 @@ class _BallProjector:
         return p - _adjoint(self.op, self.q @ (mu * c / (1.0 + mu * self.lam)))
 
     def misfit(self, v: np.ndarray) -> float:
-        return float(self.norm(_forward(self.op, v.ravel()) - self.y))
+        return float(np.linalg.norm(_forward(self.op, v.ravel()) - self.y))
 
     def _secular_root(self, c: np.ndarray) -> float:
         """Newton on psi from the last multiplier; needs ||c||^2 > delta^2."""
@@ -290,23 +289,23 @@ def recover_constrained(f: Regularizer, op: MeasurementOperator,
                           iters, converged, infeasible=proj.infeasible)
 
 
-def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray,
+def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray, eta: float,
                         opts: SolverOptions | None = None) -> RecoveryResult:
-    """Minimize trace(X) over PSD X with trace(X Psi_i) = y_i.
+    """Minimize trace(X) over PSD X with ||(trace(X Psi_i))_i - y|| <= eta.
 
-    The estimate returned is the PSD prox iterate; its per-measurement
-    violation max_i |trace(X Psi_i) - y_i| is reported as the residual.
+    The estimate returned is the PSD prox iterate, and its residual is its
+    violation ||Phi(X) - y||.  The y_i are magnitudes up to the noise: a
+    y_i < -eta (less 1e-10 ||y||) is refused.
 
-    DR runs on gamma * (trace + PSD indicator) with gamma = 0.3 * mean(y)
-    (gamma = 1 when y = 0, whose solution X = 0 is reached at once).  The
-    prox shifts the spectrum down by gamma, so gamma is measured in units
-    of trace(X).  Scaling y by c > 0 scales the affine set, the solution
-    and, with gamma proportional to y, every DR iterate by c, so the
-    iteration count does not depend on the signal's norm (the stopping
-    gate scales with max y_i too).  For Gaussian sampling vectors
+    At eta > 0 DR takes the norm programs' step gamma = 0.2 * eta; the
+    trace and the PSD cone are positively homogeneous, so scaling (y, eta)
+    by c scales every DR iterate by c (see ``recover_constrained``).  At
+    eta = 0 it takes gamma = 0.3 * mean(y) (1 when y = 0, whose solution
+    X = 0 is reached at once), in units of trace(X) as the prox shifts the
+    spectrum down by gamma, so again the iterations do not depend on the
+    signal's norm.  For Gaussian sampling vectors
     E[y_i] = E[(psi_i^t x)^2] = ||x||^2 = trace(x x^t), so mean(y) is the
-    data's estimate of trace(X).  A fixed gamma = 1 is the
-    whole trace of a unit signal.  Measured on unit signals, fractions 0.2
+    data's estimate of trace(X).  Measured on unit signals, fractions 0.2
     to 0.5 of mean(y) take 2 to 2.6 times fewer DR iterations than
     gamma = 1 at d = 48, m = 6d to 8d, and converge in more near-threshold
     cells at d = 8 and 16; 0.3 took the fewest iterations in the d = 8 rows
@@ -314,16 +313,17 @@ def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray,
     """
     if op.kind is not OperatorKind.LIFTED:
         raise ValueError("phase retrieval needs a lifted rank-one operator")
-    proj = _BallProjector(op, y, 0.0, lambda r: np.max(np.abs(r), initial=0.0))
-    if np.any(proj.y < -1e-10 * proj.scale):  # relative to max |y_i|
-        raise ValueError("phase retrieval measurements are magnitudes (y >= 0)")
+    proj = _BallProjector(op, y, eta)
+    if np.any(proj.y < -eta - 1e-10 * proj.scale):
+        raise ValueError("phase retrieval measurements are magnitudes "
+                         "(y_i >= -eta)")
     opts = opts or SolverOptions()
     mean_y = float(np.mean(proj.y))
-    gamma = _TRACE_STEP * mean_y if mean_y > 0 else 1.0
+    gamma = (_BALL_STEP * eta if eta > 0
+             else _TRACE_STEP * mean_y if mean_y > 0 else 1.0)
     x, v, iters, converged = _douglas_rachford(TracePSD(), proj, opts, gamma)
     estimate = v.reshape(op.signal_shape)   # prox output: PSD by construction
     estimate = 0.5 * (estimate + estimate.T)
     return RecoveryResult(estimate, float(np.trace(estimate)),
                           proj.misfit(estimate), iters, converged,
                           infeasible=proj.infeasible)
-

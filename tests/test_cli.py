@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, exit codes,
 output formats, determinism."""
 
+import csv
 import dataclasses
 import io
 import json
@@ -544,13 +545,19 @@ class TestProblemConfig:
         ("error-curve", {"problem": {"kind": "phase", "d": 3}, "m": 30,
                          "eta_grid": [0.1, 1.0]}),
     ])
-    def test_phase_with_noise_exits_1(self, capsys, tmp_path, command, cfg):
-        # PhaseLift measurements are noiseless; eta is refused, not dropped
+    def test_phase_with_noise_exits_0(self, capsys, tmp_path, command, cfg):
+        # PhaseLift solves noisy data like the norm problems; its error
+        # curve's bound is inf, as Gordon's lambda does not hold for lifted
+        # rows, and --strict passes because every cell converges
         code, out, err = run(capsys, command, "--config",
-                             config_path(tmp_path, cfg))
-        assert code == 1 and out == ""
-        assert err == ("error: phase retrieval measurements are noiseless; "
-                       "eta must be 0\n")
+                             config_path(tmp_path, cfg), "--strict")
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(line for line in out.splitlines()
+                                   if not line.startswith("#")))
+        assert len(rows) == len(cfg.get("eta_grid", [None]))
+        assert all(row["nonconverged"] == "0" for row in rows)
+        if command == "error-curve":
+            assert [row["bound"] for row in rows] == ["inf", "inf"]
 
     @pytest.mark.parametrize("command, cfg", [
         ("sweep", {**SMALL_SWEEP, "eta": -0.5}),

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 from scipy.optimize import minimize_scalar
 
 from conicrecovery.reg import (
@@ -366,6 +367,23 @@ class TestTracePsdProxOracle:
         z = np.asarray(spectrum_matrix(8, 78), order=order)
         before = z.copy()
         TracePSD().prox(z, 2.0)
+        assert np.array_equal(z, before)
+
+    @pytest.mark.parametrize("d", [8, 48])
+    def test_dsyevr_failure_takes_full_spectrum(self, monkeypatch, d):
+        # dsyevr has overwritten its input when it reports failure, so the
+        # fallback must decompose the input, not that buffer
+        dsyevr = lapack.dsyevr
+
+        def failing(a, **kwargs):
+            return dsyevr(a, **kwargs)[:4] + (1,)
+
+        monkeypatch.setattr(lapack, "dsyevr", failing)
+        z = spectrum_matrix(d, 80 + d)
+        lam = np.linalg.eigvalsh(0.5 * (z + z.T))
+        before = z.copy()
+        for t in (0.5 * lam[0], 0.5 * (lam[0] + lam[-1]), 2.0 * lam[-1]):
+            self.assert_oracle(z, t)
         assert np.array_equal(z, before)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

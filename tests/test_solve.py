@@ -27,7 +27,7 @@ from conicrecovery.measure import (
     lifted_phase_ensemble,
     measure_with_noise,
 )
-from conicrecovery.reg import L1Norm, Schatten1Norm
+from conicrecovery.reg import L1Norm, Schatten1Norm, TracePSD
 from conicrecovery.rng import generator
 from conicrecovery.solve import (
     RecoveryResult,
@@ -36,6 +36,8 @@ from conicrecovery.solve import (
     phase_retrieval_sdp,
     recover_constrained,
 )
+
+import test_reg
 
 
 def dense_op(mat):
@@ -233,7 +235,7 @@ class TestBallProjector:
         with pytest.raises(ValueError, match="must be finite"):
             recover_constrained(L1Norm(), dense, y, eta)
         with pytest.raises(ValueError, match="must be finite"):
-            phase_retrieval_sdp(lifted, y)
+            phase_retrieval_sdp(lifted, y, eta)
 
     @pytest.mark.parametrize("case", DENSE_CASES)
     def test_dense_eta_zero_matches_gram_correction(self, case):
@@ -319,14 +321,14 @@ class TestBallProjector:
         if op.kind is OperatorKind.LIFTED:
             solve = phase_retrieval_sdp
         else:
-            def solve(op, y, opts=None):
-                return recover_constrained(L1Norm(), op, y, 0.0, opts)
+            def solve(op, y, eta, opts=None):
+                return recover_constrained(L1Norm(), op, y, eta, opts)
         y = apply(op, x)
-        res = solve(op, y)
+        res = solve(op, y, 0.0)
         assert res.converged and not res.infeasible
         assert np.linalg.norm(res.estimate - x) <= 1e-8 * np.linalg.norm(x)
         # y + 1 stays a valid magnitude vector and leaves range(Phi)
-        bad = solve(op, y + 1.0, SolverOptions(max_iters=50))
+        bad = solve(op, y + 1.0, 0.0, SolverOptions(max_iters=50))
         assert bad.infeasible and not bad.converged
 
     @pytest.mark.parametrize("case", ["dense-6x10", "lifted-d5-m12"])
@@ -347,7 +349,7 @@ class TestBallProjector:
         y = apply(op, _lift(generator(47).standard_normal(d)))
         tracemalloc.start()
         try:
-            phase_retrieval_sdp(op, y, SolverOptions(max_iters=5))
+            phase_retrieval_sdp(op, y, 0.0, SolverOptions(max_iters=5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -574,15 +576,15 @@ class TestConstrainedRecovery:
 
     def test_tol_gates_reported_violation(self):
         # PhaseLift returns the prox iterate, whose violation tol gates: a
-        # converged solve reports at most tol * max(1, max |y_i|), and a
-        # looser tol stops no later
+        # converged solve reports at most tol * ||y||, and a looser tol
+        # stops no later
         d, m = 6, 14
         op = lifted_phase_ensemble(m, d, seed=500)
         y = apply(op, _lift(generator(400).standard_normal(d)))
-        scale = max(1.0, float(np.max(np.abs(y))))
+        scale = float(np.linalg.norm(y))
         iters = []
         for tol in (1e-4, 1e-6, 1e-8):
-            res = phase_retrieval_sdp(op, y, SolverOptions(tol=tol))
+            res = phase_retrieval_sdp(op, y, 0.0, SolverOptions(tol=tol))
             assert res.converged
             assert res.residual_norm <= tol * scale * (1 + 1e-9)
             iters.append(res.iterations)
@@ -630,7 +632,8 @@ class TestConstrainedRecovery:
         with pytest.raises(ValueError, match="measurement vector length"):
             recover_constrained(L1Norm(), op, np.ones(5), eta)
         with pytest.raises(ValueError, match="measurement vector length"):
-            phase_retrieval_sdp(lifted_phase_ensemble(3, 2, seed=0), np.ones(4))
+            phase_retrieval_sdp(lifted_phase_ensemble(3, 2, seed=0),
+                                np.ones(4), eta)
 
     def test_rejects_negative_eta_and_lifted(self):
         op = gaussian_ensemble(3, 2, seed=0)
@@ -642,8 +645,8 @@ class TestConstrainedRecovery:
 
     @pytest.mark.parametrize("c", [1e-3, 1e-6])
     @pytest.mark.parametrize("problem, m, eta", [
-        (SparseL1(4, 64), 40, 0.1), (LowRankS1(1, 8, 8), 55, 0.3)],
-        ids=["l1", "s1"])
+        (SparseL1(4, 64), 40, 0.1), (LowRankS1(1, 8, 8), 55, 0.3),
+        (PhaseRetrieval(8), 48, 0.3)], ids=["l1", "s1", "phase"])
     def test_noisy_solve_scale_covariant(self, problem, m, eta, c):
         # the eta > 0 prox step is 0.2 * eta and the gate follows ||y||, so
         # scaling (y, eta) by c scales every DR iterate by c: the same
@@ -722,7 +725,7 @@ class TestPhaseRetrievalSdp:
             x = np.array([1.0, 0.0]) if trial == 0 else rng.standard_normal(2)
             op = lifted_phase_ensemble(3, 2, seed=700 + trial)
             y = apply(op, np.outer(x, x))
-            res = phase_retrieval_sdp(op, y)
+            res = phase_retrieval_sdp(op, y, 0.0)
             assert res.converged
             oracle = phase_linear_oracle(op, y)
             assert np.linalg.eigvalsh(oracle).min() >= -1e-8
@@ -730,13 +733,13 @@ class TestPhaseRetrievalSdp:
 
     def test_zero_measurements_zero_solution(self):
         op = lifted_phase_ensemble(4, 3, seed=1)
-        res = phase_retrieval_sdp(op, np.zeros(4))
+        res = phase_retrieval_sdp(op, np.zeros(4), 0.0)
         assert res.converged
         np.testing.assert_allclose(res.estimate, np.zeros((3, 3)), atol=1e-8)
 
     @pytest.mark.parametrize("c", [2.0, 1.0 / 64.0, 1e-3, 1e-6])
     def test_estimate_scales_with_data(self, c):
-        # the prox step follows mean(y) and the stopping gate max y_i, so
+        # the prox step follows mean(y) and the stopping gate ||y||, so
         # scaling y by c scales every DR iterate and the gate by c; a fixed
         # step of 1 took 430 iterations at c = 1/64 against 50 at c = 1, and
         # a gate floored at 1 stopped after 10 at c = 1e-6, at 3.9e-3
@@ -745,7 +748,8 @@ class TestPhaseRetrievalSdp:
         x = generator(16).standard_normal(8)
         xx = np.outer(x, x)
         y = apply(op, xx)
-        res, res_c = phase_retrieval_sdp(op, y), phase_retrieval_sdp(op, c * y)
+        res = phase_retrieval_sdp(op, y, 0.0)
+        res_c = phase_retrieval_sdp(op, c * y, 0.0)
         assert res.converged and res_c.converged
         np.testing.assert_allclose(res_c.estimate, c * res.estimate,
                                    rtol=1e-8, atol=0)
@@ -761,7 +765,7 @@ class TestPhaseRetrievalSdp:
         x /= np.linalg.norm(x)
         op = lifted_phase_ensemble(m, d, seed=12)
         y = apply(op, np.outer(x, x))
-        res = phase_retrieval_sdp(op, y)
+        res = phase_retrieval_sdp(op, y, 0.0)
         assert res.converged
         rel = np.linalg.norm(res.estimate - np.outer(x, x))
         assert rel <= 1e-4
@@ -770,7 +774,7 @@ class TestPhaseRetrievalSdp:
         op = lifted_phase_ensemble(10, 4, seed=13)
         x = generator(14).standard_normal(4)
         y = apply(op, np.outer(x, x))
-        res = phase_retrieval_sdp(op, y)
+        res = phase_retrieval_sdp(op, y, 0.0)
         assert np.linalg.eigvalsh(res.estimate).min() >= -1e-10
 
     @staticmethod
@@ -785,10 +789,10 @@ class TestPhaseRetrievalSdp:
     @pytest.mark.parametrize("c", [1.0, 1e4, 1e6])
     def test_magnitude_floor_is_relative(self, c):
         # y_0 rounds to -3.1e-8 at c = 1e4 (max y_i = 3.2e9), which a floor
-        # of -1e-10 refused; the floor is -1e-10 max |y_i|
+        # of -1e-10 refused; the floor is -1e-10 ||y||
         x, op = self.orthogonal_first_vector_op()
         xx = np.outer(c * x, c * x)
-        res = phase_retrieval_sdp(op, apply(op, xx))
+        res = phase_retrieval_sdp(op, apply(op, xx), 0.0)
         assert res.converged
         assert np.linalg.norm(res.estimate - xx) <= 1e-10 * np.linalg.norm(xx)
 
@@ -797,17 +801,56 @@ class TestPhaseRetrievalSdp:
         y = apply(op, np.outer(x, x))
         y[0] = -1e-3 * np.max(y)
         with pytest.raises(ValueError, match="magnitudes"):
-            phase_retrieval_sdp(op, y)
+            phase_retrieval_sdp(op, y, 0.0)
+
+    def test_noisy_magnitudes_down_to_minus_eta(self):
+        # noise of norm eta takes the y_i near 0 below it, by at most eta:
+        # such data are solved inside the ball, and a y_i below -eta less
+        # the floor is refused
+        x, op = self.orthogonal_first_vector_op()
+        eta = 0.3
+        y = measure_with_noise(op, np.outer(x, x), noise_norm=eta, seed=9)
+        assert np.any(y < 0)
+        res = phase_retrieval_sdp(op, y, eta)
+        assert res.converged
+        assert res.residual_norm <= eta + 1e-8 * np.linalg.norm(y)
+        y[0] = -eta
+        assert not phase_retrieval_sdp(op, y, eta,
+                                       SolverOptions(max_iters=10)).infeasible
+        y[0] = -eta - 1e-6 * np.linalg.norm(y)
+        with pytest.raises(ValueError, match="magnitudes"):
+            phase_retrieval_sdp(op, y, eta)
+
+    def test_prox_matches_spectrum_where_dsyevr_fails(self, monkeypatch):
+        # +-1 sampling vectors measure e_1 e_1^t as y = 1, and the first
+        # prox gets 0.425 I plus rounding at step 0.3, where LAPACK's
+        # value-range dsyevr reports info = 1; every prox of the solve must
+        # match the full-spectrum formula
+        psi = generator(48001).choice([-1.0, 1.0], size=(48, 8))
+        op = MeasurementOperator(OperatorKind.LIFTED, 48, (8, 8), vectors=psi)
+        prox, devs = TracePSD.prox, []
+
+        def checked(self, z, t):
+            got = prox(self, z, t)
+            devs.append(np.linalg.norm(got - test_reg.eigh_prox(z, t))
+                        / np.linalg.norm(z))
+            return got
+
+        monkeypatch.setattr(TracePSD, "prox", checked)
+        res = phase_retrieval_sdp(op, apply(op, np.diag([1.0] + [0.0] * 7)),
+                                  0.0)
+        assert res.converged and len(devs) == res.iterations
+        assert max(devs) <= 1e-12
 
     def test_rejects_bad_inputs(self):
         op = lifted_phase_ensemble(3, 2, seed=0)
         with pytest.raises(ValueError):
-            phase_retrieval_sdp(op, -np.ones(3))      # negative magnitudes
+            phase_retrieval_sdp(op, -np.ones(3), 0.0)  # negative magnitudes
         with pytest.raises(ValueError):
-            phase_retrieval_sdp(op, np.ones(4))       # length mismatch
+            phase_retrieval_sdp(op, np.ones(4), 0.0)   # length mismatch
         dop = gaussian_ensemble(3, 2, seed=0)
         with pytest.raises(ValueError):
-            phase_retrieval_sdp(dop, np.ones(3))      # not lifted
+            phase_retrieval_sdp(dop, np.ones(3), 0.0)  # not lifted
 
 
 class TestGramCholeskyFallback:
