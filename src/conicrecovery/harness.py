@@ -240,10 +240,10 @@ def _run_grid(config: ExperimentConfig, points, index0: int = 0):
     """Run ``config.trials`` cells at each (m, eta) point, trial t of point
     i seeded ``_cell_seed(config.seed, index0 + i, t)``; returns, per point,
     the cells' ``solve_instance`` (result, rel_error) pairs in trial order.
-    An eta that ``solve.check_eta`` refuses is rejected before any cell
+    An eta that ``measure.check_eta`` refuses is rejected before any cell
     runs."""
     for _, eta in points:
-        solve.check_eta(eta)
+        measure.check_eta(eta)
     return [[solve_instance(config.problem, m,
                             _cell_seed(config.seed, index0 + i, trial), eta,
                             config.solver)

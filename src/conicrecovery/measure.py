@@ -14,6 +14,7 @@ row samplers draw the same laws for the small-ball estimators.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -175,11 +176,21 @@ def gram(op: MeasurementOperator) -> np.ndarray:
     return (op.vectors @ op.vectors.T) ** 2
 
 
+def check_eta(eta: float) -> None:
+    """Refuse a noise level that is not a finite eta >= 0 (NaN included)."""
+    if not 0 <= eta < math.inf:
+        raise ValueError("eta must be finite" if math.isinf(eta)
+                         else "eta must be nonnegative")
+
+
 def measure_with_noise(op: MeasurementOperator, x: np.ndarray,
                        noise_norm: float | None = None,
                        seed: int | None = None) -> np.ndarray:
     """Return Phi(x) + e, where e has norm exactly ``noise_norm`` and is
-    drawn from ``seed``; Phi(x) alone when the budget is None or 0."""
+    drawn from ``seed``; Phi(x) alone when the budget is None or 0.  A
+    budget that ``check_eta`` refuses raises ``ValueError``."""
+    if noise_norm is not None:
+        check_eta(noise_norm)
     y = apply(op, x)
     if noise_norm is None or noise_norm == 0:
         return y

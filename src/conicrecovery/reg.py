@@ -1,9 +1,12 @@
 """Convex regularizers: values, prox maps, and descent-cone distances.
 
-Each regularizer may carry a reference point x at which descent-cone
-quantities are taken.  For a stack of points g, ``dist_terms`` returns the
-coefficients (base, r, c, a) of the squared distance from g to tau times
-the subdifferential of f at x,
+Subclasses implement ``prox``, ``spectrum`` and ``dist_terms``; the
+``Regularizer`` base takes ``value`` as the sum of the spectrum, and
+``min_subdiff_dist_sq`` on a stack of points is the one entry for
+descent-cone distances.  Each regularizer may carry a reference point x at
+which descent-cone quantities are taken.  For a stack of points g,
+``dist_terms`` returns the coefficients (base, r, c, a) of the squared
+distance from g to tau times the subdifferential of f at x,
 
     dist^2(g, tau * df(x)) = base + r tau^2 - 2 c tau + sum_j (a_j - tau)_+^2,
 
@@ -75,10 +78,11 @@ def level_threshold(a: np.ndarray, level: float) -> float:
 
 
 class Regularizer:
-    """Base class; subclasses implement value, prox, spectrum and
-    dist_terms.  Descent cones are taken at the optional reference point
-    x_ref, checked on construction, and ``ambient_shape`` is its shape;
-    value and prox need none (a solve reads its operator's signal shape)."""
+    """Base class: subclasses implement prox, spectrum and dist_terms, and
+    the base composes value and min_subdiff_dist_sq from them.  Descent
+    cones are taken at the optional reference point x_ref, checked on
+    construction, and ``ambient_shape`` is its shape; value and prox need
+    none (a solve reads its operator's signal shape)."""
 
     x_ref: np.ndarray | None = None
 
@@ -92,7 +96,8 @@ class Regularizer:
         return self.x_ref
 
     def value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
+        """f(x) = sum_j a_j: the ``spectrum`` identity at t = 0."""
+        return float(np.sum(self.spectrum(x)))
 
     def prox(self, z: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -107,14 +112,14 @@ class Regularizer:
         the stack g, of shape (n, *ambient_shape); see the module docstring."""
         raise NotImplementedError
 
-    def min_subdiff_dist_sq(self, g: np.ndarray) -> tuple[float, float]:
-        """Return (tau*, inf over tau >= 0 of dist^2(g, tau * df(x_ref))).
+    def min_subdiff_dist_sq(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each point of the stack g, of shape (n, *ambient_shape), the
+        arrays (tau*, inf over tau >= 0 of dist^2(g, tau * df(x_ref))).
 
         At tau* = 0 the value is the tau -> 0+ limit of the ``dist_terms``
         form, which for TracePSD lies below the distance ||g||^2 at tau = 0.
         """
-        tau, val = min_dist_sq(*self.dist_terms(np.asarray(g, dtype=float)[None]))
-        return float(tau[0]), float(val[0])
+        return min_dist_sq(*self.dist_terms(np.asarray(g, dtype=float)))
 
 
 def _nonzero_rank(rank: int) -> int:
@@ -133,9 +138,6 @@ class L1Norm(Regularizer):
             self._supp = np.abs(self.x_ref) > _zero_floor(self.x_ref)
             self._rank = _nonzero_rank(int(np.count_nonzero(self._supp)))
             self._signs = np.sign(self.x_ref[self._supp])
-
-    def value(self, x):
-        return float(np.sum(np.abs(x)))
 
     def prox(self, z, t):
         # z minus its clip to [-t, t]: sign(z) (|z| - t)_+ with the same
@@ -161,10 +163,6 @@ class Schatten1Norm(Regularizer):
             self.x_ref = np.asarray(x_ref, dtype=float)
             self._u, s, self._vt = np.linalg.svd(self.x_ref)
             self._rank = _nonzero_rank(int(np.count_nonzero(s > _zero_floor(s))))
-
-    def value(self, x):
-        return float(np.sum(np.linalg.svd(np.asarray(x, dtype=float),
-                                          compute_uv=False)))
 
     def prox(self, z, t):
         u, s, vt = np.linalg.svd(np.asarray(z, dtype=float), full_matrices=False)
@@ -217,8 +215,7 @@ class TracePSD(Regularizer):
             self._frame_q = vecs[:, order]
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        lam = np.linalg.eigvalsh(0.5 * (x + x.T))
+        lam = self.spectrum(x)
         if lam.min() < -_zero_floor(lam):
             return float("inf")
         return float(np.trace(x))

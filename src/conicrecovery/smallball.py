@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .conic import Subspace
-from .reg import Regularizer, min_dist_sq
+from .reg import Regularizer
 from .rng import chunks, mc_mean, spawn_generators
 
 RowSampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -133,11 +133,12 @@ def bowling_width_descent(f: Regularizer, phi_sampler: RowSampler,
     """Duality upper-bound estimate of W_m for a descent cone.
 
     Each trial forms h = m^{-1/2} sum_i eps_i phi_i and evaluates
-    sqrt(inf_tau dist^2(h, tau * subdiff)); the mean upper-bounds the mean
-    empirical width of the descent cone under any row ensemble.
+    sqrt(inf_tau dist^2(h, tau * subdiff)) by ``f.min_subdiff_dist_sq`` on a
+    chunk of trials; the mean upper-bounds the mean empirical width of the
+    descent cone under any row ensemble.
     """
     def dist(h: np.ndarray) -> np.ndarray:
-        _, dist_sq = min_dist_sq(*f.dist_terms(h.reshape(-1, *f.ambient_shape)))
+        _, dist_sq = f.min_subdiff_dist_sq(h.reshape(-1, *f.ambient_shape))
         return np.sqrt(np.maximum(dist_sq, 0.0))
 
     return _mean_empirical_sup(phi_sampler, m, trials, seed,

@@ -50,7 +50,8 @@ import numpy as np
 from scipy.optimize import brentq  # noqa: F401
 from scipy.linalg import blas, lapack
 
-from .measure import MeasurementOperator, OperatorKind, _adjoint, _forward, gram
+from .measure import (MeasurementOperator, OperatorKind, _adjoint, _forward,
+                      check_eta, gram)
 from .reg import Regularizer, TracePSD
 
 
@@ -117,13 +118,6 @@ def _gram_inverse(g: np.ndarray) -> np.ndarray | None:
     return inv if info == 0 else None
 
 
-def check_eta(eta: float) -> None:
-    """Refuse a noise level that is not a finite eta >= 0 (NaN included)."""
-    if not 0 <= eta < math.inf:
-        raise ValueError("eta must be finite" if math.isinf(eta)
-                         else "eta must be nonnegative")
-
-
 class _BallProjector:
     """Exact Euclidean projection onto {x : ||Phi x - y|| <= eta}: with
     G = Q diag(lam) Q^t and c = Q^t (Phi p - y), it is
@@ -160,12 +154,13 @@ class _BallProjector:
         self.scale = float(np.linalg.norm(y)) or 1.0
         self.mu = 0.0  # warm start for the next secular solve
         self.pinv = self.ginv = None
+        g = gram(op)
         if eta == 0.0 and op.kind is OperatorKind.LIFTED:
-            self.ginv = _gram_inverse(gram(op))
+            self.ginv = _gram_inverse(g)  # factors a copy: g stays intact
         if self.ginv is not None:  # G is invertible: range(Phi) is all of R^m
             self.infeasible, self.delta_sq = False, 0.0
             return
-        lam, q = np.linalg.eigh(gram(op))
+        lam, q = np.linalg.eigh(g)
         keep = lam > _EIG_CUT * op.m * np.max(lam, initial=0.0)
         self.lam, self.q = lam[keep], q[:, keep]
         y_perp = y - self.q @ (self.q.T @ y)  # part of y outside range(Phi)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reg import Regularizer, min_dist_sq
+from .reg import Regularizer
 from .rng import generator, mc_mean
 
 
@@ -79,13 +79,13 @@ def mc_width_sq_descent(f: Regularizer, trials: int = 2000,
                         seed: int = 0) -> WidthEstimate:
     """Monte Carlo upper-bound estimate of the descent cone's squared width.
 
-    Averages ``min_dist_sq`` of f's ``dist_terms`` over i.i.d. standard
-    Gaussian points of f's reference shape through ``rng.mc_mean``,
-    deterministically in (f, trials, seed).
+    Averages ``f.min_subdiff_dist_sq`` over i.i.d. standard Gaussian
+    points of f's reference shape, one call per ``rng.mc_mean`` chunk of
+    stacked points, deterministically in (f, trials, seed).
     """
     rng, shape = generator(seed), f.ambient_shape
-    mean, se = mc_mean(trials, math.prod(shape), lambda n: min_dist_sq(
-        *f.dist_terms(rng.standard_normal((n, *shape))))[1])
+    mean, se = mc_mean(trials, math.prod(shape), lambda n: f.min_subdiff_dist_sq(
+        rng.standard_normal((n, *shape)))[1])
     return WidthEstimate(mean, se, trials, WidthMethod.MONTE_CARLO_DESCENT)
 
 

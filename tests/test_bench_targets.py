@@ -4,14 +4,18 @@
 timers of a traced round, the cell capture of every round, and each
 workload's checkpoints.  ``bench/test_bench.py`` exercises the layers and
 the capture on small runs; this file alone covers the checkpoint targets
-of every workload.  Entering each wrapper context looks every target up,
+of every workload, and checks that the descent-cone estimators reach the
+distance layer.  Entering each wrapper context looks every target up,
 and leaving it must restore the originals.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from conicrecovery import measure, reg, smallball, width
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -50,3 +54,18 @@ def test_checkpoint_targets_resolve(name):
     assert targets and not missing(targets)
     assert_installs_and_restores(layers.checkpoints(targets, lambda: None),
                                  targets)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda f: width.mc_width_sq_descent(f, trials=10, seed=1),
+    lambda f: smallball.bowling_width_descent(
+        f, measure.gaussian_row_sampler(4), 8, trials=10, seed=2),
+], ids=["width.mc_width_sq_descent", "smallball.bowling_width_descent"])
+def test_descent_estimators_reach_distance_layer(estimate):
+    # both take every descent-cone distance through
+    # Regularizer.min_subdiff_dist_sq, the method this layer times
+    spans = layers.Spans()
+    with spans.installed():
+        estimate(reg.L1Norm(np.array([1.0, 0.0, -1.0, 0.0])))
+    calls, _ = spans.metrics(0, 0.0)["reg.min_subdiff_dist_sq.calls"]
+    assert calls > 0

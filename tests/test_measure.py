@@ -222,6 +222,19 @@ class TestMeasureWithNoise:
         with pytest.raises(ValueError):
             measure_with_noise(op, np.zeros(3), noise_norm=0.5)
 
+    @pytest.mark.parametrize("noise_norm, message", [
+        (-0.5, "eta must be nonnegative"),
+        (math.nan, "eta must be nonnegative"),
+        (math.inf, "eta must be finite"),
+    ])
+    def test_refuses_budget_that_is_not_finite_nonnegative(self, noise_norm,
+                                                          message):
+        # the solvers' eta rule: a negative budget would draw noise of norm
+        # |budget|, and NaN or inf would turn every datum NaN or inf
+        op = gaussian_ensemble(5, 3, seed=1)
+        with pytest.raises(ValueError, match=message):
+            measure_with_noise(op, np.ones(3), noise_norm=noise_norm, seed=9)
+
 
 class TestImmutability:
     def test_rows_not_writable(self):

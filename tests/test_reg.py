@@ -155,6 +155,13 @@ def grid_min_dist_sq(f, g):
     return float(np.min(closed_form_dist_sq(f, g, TAU_GRID)))
 
 
+def point_min_dist_sq(f, g):
+    """(tau*, min dist^2) of the one point g, as floats, through the
+    stack entry ``f.min_subdiff_dist_sq``."""
+    tau, val = f.min_subdiff_dist_sq(np.asarray(g, dtype=float)[None])
+    return float(tau[0]), float(val[0])
+
+
 def rank_one(v):
     return np.outer(v, v)
 
@@ -549,19 +556,19 @@ class TestSubdiffDist:
 class TestMinSubdiffDist:
     def test_exact_member(self):
         f = L1Norm(np.array([1.0, 0.0]))
-        tau, val = f.min_subdiff_dist_sq(np.array([1.0, 0.0]))
+        tau, val = point_min_dist_sq(f, np.array([1.0, 0.0]))
         assert tau == pytest.approx(1.0, abs=1e-6)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_point(self):
         f = L1Norm(np.array([1.0, 0.0]))
-        tau, val = f.min_subdiff_dist_sq(np.zeros(2))
+        tau, val = point_min_dist_sq(f, np.zeros(2))
         assert tau == 0.0 and val == 0.0
 
     def test_below_fixed_tau_and_grid(self):
         f = L1Norm(np.array([1.0, 0.0]))
         g = np.array([0.5, 2.0])
-        _, val = f.min_subdiff_dist_sq(g)
+        _, val = point_min_dist_sq(f, g)
         assert val <= 1.25 + 1e-12
         assert val <= grid_min_dist_sq(f, g) + 1e-9
 
@@ -579,7 +586,7 @@ class TestMinSubdiffDist:
                 g = rng.standard_normal(f.ambient_shape)
                 if isinstance(f, TracePSD):
                     g = 0.5 * (g + g.T)
-                _, val = f.min_subdiff_dist_sq(g)
+                _, val = point_min_dist_sq(f, g)
                 assert val <= grid_min_dist_sq(f, g) + 1e-9
 
 
@@ -602,7 +609,7 @@ class TestSortedKernel:
             if isinstance(f, TracePSD):
                 g = 0.5 * (g + g.T)
             tau_b, val_b = brent_min_dist_sq(f, g)
-            tau, val = f.min_subdiff_dist_sq(g)
+            tau, val = point_min_dist_sq(f, g)
             scale = 1.0 + float(np.sum(g * g))
             # exact minimizer: never worse than Brent beyond rounding
             assert val <= val_b + 1e-14 * scale
@@ -620,13 +627,13 @@ class TestSortedKernel:
         gs = rng.standard_normal((7, 4, 5))
         tau, val = min_dist_sq(*f.dist_terms(gs))
         for i, g in enumerate(gs):
-            assert (tau[i], val[i]) == f.min_subdiff_dist_sq(g)
+            assert (tau[i], val[i]) == point_min_dist_sq(f, g)
 
     def test_full_support_l1(self):
         # s = d: no off-support terms, tau* = <g, sign x>/d
         f = L1Norm(np.array([1.0, -2.0, 0.5]))
         g = np.array([0.3, -1.0, 2.0])
-        tau, val = f.min_subdiff_dist_sq(g)
+        tau, val = point_min_dist_sq(f, g)
         sgn = np.array([1.0, -1.0, 1.0])
         assert tau == pytest.approx(3.3 / 3.0, abs=1e-15)
         assert val == pytest.approx(float(np.sum((g - tau * sgn) ** 2)), abs=1e-14)
@@ -638,7 +645,7 @@ class TestSortedKernel:
         f = Schatten1Norm(x)
         u, _, vt = np.linalg.svd(x)
         g = u @ vt + 0.1 * rng.standard_normal((3, 3))
-        tau, val = f.min_subdiff_dist_sq(g)
+        tau, val = point_min_dist_sq(f, g)
         assert tau == pytest.approx(np.trace(u.T @ g @ vt.T) / 3.0, abs=1e-14)
         assert val == pytest.approx(np.linalg.norm(g - tau * u @ vt) ** 2, abs=1e-13)
 
@@ -646,19 +653,19 @@ class TestSortedKernel:
         # c = 0, a = (2, 2, 2, 2): all four active, tau* = 8/5
         f = L1Norm(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
         g = np.array([0.0, 2.0, 2.0, -2.0, 2.0])
-        tau, val = f.min_subdiff_dist_sq(g)
+        tau, val = point_min_dist_sq(f, g)
         assert tau == pytest.approx(1.6, abs=1e-15)
         assert val == pytest.approx(1.6 ** 2 + 4 * 0.4 ** 2, abs=1e-14)
 
     def test_all_values_below_minimizer(self):
         f = L1Norm(np.array([1.0, 0.0, 0.0]))
-        tau, val = f.min_subdiff_dist_sq(np.array([3.0, 0.1, -0.2]))
+        tau, val = point_min_dist_sq(f, np.array([3.0, 0.1, -0.2]))
         assert tau == 3.0 and val == 0.0
 
     def test_clamped_at_zero(self):
         f = L1Norm(np.array([1.0, 0.0, 0.0]))
         g = np.array([-3.0, 0.1, 0.2])
-        tau, val = f.min_subdiff_dist_sq(g)
+        tau, val = point_min_dist_sq(f, g)
         assert tau == 0.0
         assert val == pytest.approx(float(np.sum(g * g)), abs=1e-14)
 
@@ -667,7 +674,7 @@ class TestSortedKernel:
         TracePSD(np.diag([1.0, 0.0, 0.0])),
     ])
     def test_zero_point_matrix(self, f):
-        assert f.min_subdiff_dist_sq(np.zeros(f.ambient_shape)) == (0.0, 0.0)
+        assert point_min_dist_sq(f, np.zeros(f.ambient_shape)) == (0.0, 0.0)
 
     def test_trace_psd_limit_at_zero(self):
         # h11 < 0 clamps tau* to 0; the value is the tau -> 0+ limit
@@ -675,7 +682,7 @@ class TestSortedKernel:
         # which the bounded Brent search approaches from above
         f = TracePSD(np.diag([1.0, 0.0, 0.0]))
         g = np.diag([-1.0, 0.5, -2.0])
-        tau, val = f.min_subdiff_dist_sq(g)
+        tau, val = point_min_dist_sq(f, g)
         assert tau == 0.0
         assert val == pytest.approx(1.25, abs=1e-15)
         assert closed_form_dist_sq(f, g, 0.0) == pytest.approx(5.25)

@@ -26,6 +26,8 @@ from conicrecovery.smallball import (
     small_ball_lower_bound,
 )
 
+from test_reg import point_min_dist_sq
+
 
 def sphere_dirs(d):
     def sample(rng, n):
@@ -188,7 +190,7 @@ class TestBowlingScheme:
         rng = generator(987)
         direct = np.empty(1500)
         for i in range(1500):
-            _, dist_sq = f.min_subdiff_dist_sq(rng.standard_normal(d))
+            _, dist_sq = point_min_dist_sq(f, rng.standard_normal(d))
             direct[i] = math.sqrt(dist_sq)
         dmean = float(np.mean(direct))
         dse = float(np.std(direct, ddof=1) / math.sqrt(1500))
@@ -243,7 +245,7 @@ class TestBowlingScheme:
             phis = phi(rng_phi, m)
             signs = rng_signs.choice([-1.0, 1.0], size=m)
             hs[i] = np.sum(signs[:, None] * phis, axis=0) / math.sqrt(m)
-            bowl[i] = math.sqrt(max(f.min_subdiff_dist_sq(hs[i])[1], 0.0))
+            bowl[i] = math.sqrt(max(point_min_dist_sq(f, hs[i])[1], 0.0))
         vals = [bowl, np.linalg.norm(hs, axis=1),
                 np.linalg.norm(hs @ sub.basis, axis=1)]
         ests = [bowling_width_descent(f, phi, m, trials, seed=seed),

@@ -22,6 +22,8 @@ from conicrecovery.width import (
     subspace_width_sq,
 )
 
+from test_reg import point_min_dist_sq
+
 
 class TestClosedForms:
     def test_sparse_values(self):
@@ -133,7 +135,7 @@ class TestMcDescent:
         # one draw per trial, one minimization per trial
         trials, seed = CHUNK_ITEMS + 45, 8
         rng = generator(seed)
-        vals = np.array([f.min_subdiff_dist_sq(rng.standard_normal(f.ambient_shape))[1]
+        vals = np.array([point_min_dist_sq(f, rng.standard_normal(f.ambient_shape))[1]
                          for _ in range(trials)])
         est = mc_width_sq_descent(f, trials=trials, seed=seed)
         assert est.value == float(np.mean(vals))
