@@ -204,7 +204,12 @@ def measure_with_noise(op: MeasurementOperator, x: np.ndarray,
 # row samplers (used by the small-ball estimators and the harness)
 
 def gaussian_row_sampler(shape: int | tuple[int, ...]):
-    """Sampler of standard Gaussian rows in the given ambient shape."""
+    """Sampler of standard Gaussian rows in the given ambient shape.
+
+    The sampler is marked ``signed_sum_closed``: m^{-1/2} sum_i eps_i phi_i
+    of its rows is again one standard Gaussian row, so the small-ball width
+    estimators draw that sum as a single row.
+    """
     if isinstance(shape, int):
         shape = (shape,)
     if min(shape, default=0) < 1:
@@ -213,6 +218,7 @@ def gaussian_row_sampler(shape: int | tuple[int, ...]):
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.standard_normal((n, *shape))
 
+    sample.signed_sum_closed = True
     return sample
 
 

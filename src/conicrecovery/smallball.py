@@ -2,9 +2,11 @@
 (over a subspace's unit sphere; descent cones by duality), and assembly of
 the small-ball and bowling-scheme bounds.
 
-All estimators are Monte Carlo with deterministic Philox streams; the
-Rademacher signs and the measurement rows use distinct child streams of
-the same seed so their independence structure is explicit.
+All estimators are Monte Carlo with deterministic Philox streams.  For
+bounded rows the Rademacher signs and the measurement rows use distinct
+child streams of the same seed so their independence structure is
+explicit.  Gaussian rows draw h = m^{-1/2} sum_i eps_i phi_i directly, as
+one Gaussian row, so their mean empirical width W_m does not depend on m.
 """
 
 from __future__ import annotations
@@ -94,10 +96,20 @@ def _mean_empirical_sup(phi_sampler: RowSampler, m: int, trials: int,
                         sup: Callable[[np.ndarray], np.ndarray]
                         ) -> EmpiricalWidthEstimate:
     """``rng.mc_mean`` of sup(h) over draws of h = m^{-1/2} sum_i eps_i phi_i;
-    ``sup`` maps n draws, flattened to rows of row_size entries, to n values."""
+    ``sup`` maps n draws, flattened to rows of row_size entries, to n values.
+
+    A sampler marked ``signed_sum_closed`` (``gaussian_row_sampler``) has h
+    distributed as one of its rows: each trial draws that one row and no
+    signs, so the estimate does not depend on m.  Any other sampler sums m
+    rows and m signs per trial.
+    """
     if m < 1:
         raise ValueError("need m >= 1")
     rng_phi, rng_signs = spawn_generators(seed, 2)
+    if getattr(phi_sampler, "signed_sum_closed", False):
+        w_hat, se = mc_mean(trials, row_size, lambda n: sup(
+            np.asarray(phi_sampler(rng_phi, n), dtype=float).reshape(n, -1)))
+        return EmpiricalWidthEstimate(w_hat, se)
 
     def sample(n: int) -> np.ndarray:
         # signs scale the fresh rows in place: a product per chunk page-faults
@@ -116,7 +128,9 @@ def estimate_mean_empirical_width(phi_sampler: RowSampler,
                                   seed: int = 0) -> EmpiricalWidthEstimate:
     """Monte Carlo estimate of the mean empirical width W_m of the unit
     sphere of a subspace (the whole sphere is ``Subspace(np.eye(d))``):
-    the sup is the norm of the projection of h.
+    the sup is the norm of the projection of h.  With Gaussian rows h is
+    drawn directly as N(0, I), so W_m is the Gaussian width of that sphere
+    at every m.
 
     Descent cones are handled by duality in :func:`bowling_width_descent`.
     """
@@ -132,7 +146,8 @@ def bowling_width_descent(f: Regularizer, phi_sampler: RowSampler,
                           seed: int = 0) -> EmpiricalWidthEstimate:
     """Duality upper-bound estimate of W_m for a descent cone.
 
-    Each trial forms h = m^{-1/2} sum_i eps_i phi_i and evaluates
+    Each trial forms h = m^{-1/2} sum_i eps_i phi_i (one N(0, I) draw for
+    Gaussian rows, so the estimate does not depend on m) and evaluates
     sqrt(inf_tau dist^2(h, tau * subdiff)) by ``f.min_subdiff_dist_sq`` on a
     chunk of trials; the mean upper-bounds the mean empirical width of the
     descent cone under any row ensemble.

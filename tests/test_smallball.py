@@ -15,7 +15,7 @@ from conicrecovery.measure import (
     bounded_row_sampler,
     uniform_atom,
 )
-from conicrecovery.reg import L1Norm, TracePSD
+from conicrecovery.reg import L1Norm, Schatten1Norm, TracePSD
 from conicrecovery.rng import CHUNK_ITEMS, generator, spawn_generators
 from conicrecovery.smallball import (
     bowling_width_descent,
@@ -41,6 +41,51 @@ ROW_SAMPLERS = {
     "rademacher": lambda d: bounded_row_sampler(d, rademacher_atom()),
     "uniform": lambda d: bounded_row_sampler(d, uniform_atom()),
 }
+
+# per-trial loop cases: a row sampler and a regularizer on its rows' shape
+LOOP_CASES = {
+    **{name: (make(5), L1Norm(np.array([1.0, 0.0, -2.0, 0.0, 0.0])))
+       for name, make in ROW_SAMPLERS.items()},
+    "lifted": (lifted_row_sampler(3),
+               TracePSD(np.outer([1.0, -2.0, 0.0], [1.0, -2.0, 0.0]))),
+}
+
+
+def per_trial_h(phi, m, trials, seed, signed_sum=True):
+    """h of each trial, flattened, drawn one trial at a time: m rows and m
+    signs summed, or (``signed_sum=False``) one row and no sign."""
+    rng_phi, rng_signs = spawn_generators(seed, 2)
+    hs = []
+    for _ in range(trials):
+        if not signed_sum:
+            hs.append(phi(rng_phi, 1).reshape(-1))
+            continue
+        phis = phi(rng_phi, m).reshape(m, -1)
+        signs = rng_signs.choice([-1.0, 1.0], size=m)
+        hs.append(np.sum(signs[:, None] * phis, axis=0) / math.sqrt(m))
+    return np.array(hs)
+
+
+def per_trial_estimates(f, sub, hs):
+    """(w_hat, std_error) of the bowling bound (one minimization per trial),
+    and of the sphere's and the subspace's width (row norms of the stacked
+    h); a one-row product would run as a matrix-vector multiply and differ
+    in the last bits."""
+    bowl = [math.sqrt(max(point_min_dist_sq(f, h.reshape(f.ambient_shape))[1], 0.0))
+            for h in hs]
+    vals = [np.array(bowl), np.linalg.norm(hs, axis=1),
+            np.linalg.norm(hs @ sub.basis, axis=1)]
+    return [(float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v))))
+            for v in vals]
+
+
+def width_estimates(f, sub, phi, m, trials, seed):
+    """The three estimates of ``per_trial_estimates``, by the estimators."""
+    ests = [bowling_width_descent(f, phi, m, trials, seed=seed),
+            estimate_mean_empirical_width(phi, Subspace(np.eye(sub.basis.shape[0])),
+                                          m, trials, seed),
+            estimate_mean_empirical_width(phi, sub, m, trials, seed)]
+    return [(e.w_hat, e.std_error) for e in ests]
 
 
 class TestMarginalTail:
@@ -104,7 +149,8 @@ class TestMarginalTail:
 class TestEmpiricalWidth:
     def test_sphere_is_norm_of_h(self):
         # for the full sphere the per-trial sup is ||h||; with Gaussian
-        # rows h is exactly N(0, I_d), so the mean is E||g_d||
+        # rows h is drawn directly as N(0, I_d), so the mean is E||g_d||
+        # at every m
         d = 9
         est = estimate_mean_empirical_width(gaussian_row_sampler(d),
                                             Subspace(np.eye(d)), m=7,
@@ -228,33 +274,67 @@ class TestBowlingScheme:
         b = bowling_width_descent(f, gaussian_row_sampler(3), 8, 20, seed=1)
         assert a == b
 
-    @pytest.mark.parametrize("sampler", ROW_SAMPLERS)
+    @pytest.mark.parametrize("sampler", LOOP_CASES)
     @pytest.mark.parametrize("m", [63, 64])
     def test_chunks_equal_per_trial_loop(self, sampler, m):
-        # one draw of m rows and m signs per trial, then one minimization
-        # per trial (bowling) or the row norms of the stacked h (empirical
-        # width of the sphere and of a subspace); a one-row product would
-        # run as a matrix-vector multiply and differ in the last bits
-        d, trials, seed = 5, CHUNK_ITEMS + 45, 17
-        f = L1Norm(np.array([1.0, 0.0, -2.0, 0.0, 0.0]))
-        sub = Subspace(generator(3).standard_normal((d, 3)))
-        phi = ROW_SAMPLERS[sampler](d)
-        rng_phi, rng_signs = spawn_generators(seed, 2)
-        hs, bowl = np.empty((trials, d)), np.empty(trials)
-        for i in range(trials):
-            phis = phi(rng_phi, m)
-            signs = rng_signs.choice([-1.0, 1.0], size=m)
-            hs[i] = np.sum(signs[:, None] * phis, axis=0) / math.sqrt(m)
-            bowl[i] = math.sqrt(max(point_min_dist_sq(f, hs[i])[1], 0.0))
-        vals = [bowl, np.linalg.norm(hs, axis=1),
-                np.linalg.norm(hs @ sub.basis, axis=1)]
-        ests = [bowling_width_descent(f, phi, m, trials, seed=seed),
-                estimate_mean_empirical_width(phi, Subspace(np.eye(d)), m,
-                                              trials, seed),
-                estimate_mean_empirical_width(phi, sub, m, trials, seed)]
-        for est, v in zip(ests, vals):
-            assert est.w_hat == float(np.mean(v))
-            assert est.std_error == float(np.std(v, ddof=1) / math.sqrt(trials))
+        # Gaussian rows: one row per trial, no sign; any other sampler: m
+        # rows and m signs per trial
+        trials, seed = CHUNK_ITEMS + 45, 17
+        phi, f = LOOP_CASES[sampler]
+        size = math.prod(f.ambient_shape)
+        sub = Subspace(generator(3).standard_normal((size, 3)))
+        hs = per_trial_h(phi, m, trials, seed, signed_sum=sampler != "gaussian")
+        assert (width_estimates(f, sub, phi, m, trials, seed)
+                == per_trial_estimates(f, sub, hs))
+
+
+class TestSignedSumShortcut:
+    def test_only_gaussian_rows_are_marked(self):
+        # a normalized signed sum of Gaussian rows is one Gaussian row; a
+        # sum of psi psi^t is not rank-one, and a Rademacher signed sum is
+        # not Rademacher
+        assert gaussian_row_sampler(4).signed_sum_closed is True
+        assert gaussian_row_sampler((3, 2)).signed_sum_closed is True
+        for phi in (lifted_row_sampler(3),
+                    bounded_row_sampler(3, rademacher_atom()),
+                    bounded_row_sampler(3, uniform_atom())):
+            assert not hasattr(phi, "signed_sum_closed")
+
+    def test_gaussian_estimate_does_not_depend_on_m(self):
+        sub = Subspace(generator(4).standard_normal((6, 2)))
+        f1 = L1Norm(np.array([0.0, 3.0, 0.0, -1.0, 0.0, 0.0]))
+        fs = Schatten1Norm(np.outer([1.0, 2.0, 0.0], [0.0, 1.0]))
+        rows, mats = gaussian_row_sampler(6), gaussian_row_sampler((3, 2))
+
+        def estimates(m):
+            return (estimate_mean_empirical_width(rows, sub, m, 300, seed=8),
+                    bowling_width_descent(f1, rows, m, 300, seed=8),
+                    bowling_width_descent(fs, mats, m, 300, seed=8))
+
+        assert estimates(1) == estimates(7) == estimates(64)
+
+    def test_shortcut_draws_the_signed_sum_law(self):
+        def unmarked(d):
+            gauss = gaussian_row_sampler(d)
+            return lambda rng, n: gauss(rng, n)
+
+        # an unmarked Gaussian sampler keeps the signed sum, bit for bit
+        phi, (_, f) = unmarked(5), LOOP_CASES["gaussian"]
+        sub = Subspace(generator(3).standard_normal((5, 3)))
+        trials = CHUNK_ITEMS + 45
+        assert (width_estimates(f, sub, phi, 63, trials, 19)
+                == per_trial_estimates(f, sub, per_trial_h(phi, 63, trials, 19)))
+        # and the direct draw estimates the same mean
+        d, m, trials = 128, 64, 2000
+        x = np.zeros(d)
+        x[:4] = 1.0
+        f, sub = L1Norm(x), Subspace(generator(5).standard_normal((d, 10)))
+        for est in (lambda phi, seed: bowling_width_descent(f, phi, m, trials, seed),
+                    lambda phi, seed: estimate_mean_empirical_width(
+                        phi, sub, m, trials, seed)):
+            direct, summed = est(gaussian_row_sampler(d), 20), est(unmarked(d), 21)
+            assert abs(direct.w_hat - summed.w_hat) <= 4 * math.hypot(
+                direct.std_error, summed.std_error)
 
 
 class TestSmallBallValidity:
