@@ -156,7 +156,14 @@ class L1Norm(Regularizer):
 
 
 class Schatten1Norm(Regularizer):
-    """Schatten 1-norm, with an optional nonzero reference point x_ref."""
+    """Schatten 1-norm, with an optional nonzero reference point x_ref.
+
+    ``prox`` takes the thin SVD from LAPACK ``dgesdd`` directly, skipping
+    numpy's gufunc wrapper around the same routine: u, s and v^t are the
+    values ``np.linalg.svd(z, full_matrices=False)`` gives, and, as there,
+    a failed SVD (info != 0, a NaN input among them) raises
+    ``np.linalg.LinAlgError``.
+    """
 
     def __init__(self, x_ref: np.ndarray | None = None):
         if x_ref is not None:
@@ -165,7 +172,11 @@ class Schatten1Norm(Regularizer):
             self._rank = _nonzero_rank(int(np.count_nonzero(s > _zero_floor(s))))
 
     def prox(self, z, t):
-        u, s, vt = np.linalg.svd(np.asarray(z, dtype=float), full_matrices=False)
+        # dgesdd copies z, so the input stays untouched
+        u, s, vt, info = lapack.dgesdd(np.asarray(z, dtype=float),
+                                       full_matrices=0)
+        if info != 0:
+            raise np.linalg.LinAlgError("SVD did not converge")
         return (u * np.maximum(s - t, 0.0)) @ vt
 
     def spectrum(self, z):

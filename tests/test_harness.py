@@ -252,6 +252,30 @@ class TestErrorCurve:
             90, 110, 80, 120, 90, 90, 80, 90, 90, 90,
             100, 100, 90, 110, 120, 70, 80, 90, 80, 100]
 
+    def test_l1_noisy_curve_pinned(self, monkeypatch):
+        # the l1 twin of the low-rank curve: every eta > 0 projection of a
+        # dense operator goes through the stored Q^t Phi; the means and the
+        # DR iteration count of each cell were recorded with the correction
+        # taken as Phi^* (Q (mu c / (1 + mu lam))) and a Newton stop at 1e-14
+        iters = []
+        recover = solve.recover_constrained
+
+        def counted(*args, **kwargs):
+            res = recover(*args, **kwargs)
+            iters.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(solve, "recover_constrained", counted)
+        cfg = ExperimentConfig(problem=SparseL1(s=4, d=128), m_grid=(54,),
+                               trials=6, seed=3)
+        rows = run_error_curve(cfg, [0.1, 1.0], m=54)
+        np.testing.assert_allclose(
+            [r.mean_error for r in rows],
+            [0.005590166723923327, 0.05576422527477631], rtol=1e-12, atol=0)
+        assert [r.nonconverged for r in rows] == [0, 0]
+        assert iters == [370, 350, 430, 390, 430, 300,
+                         390, 410, 410, 360, 450, 360]
+
 
 def sweep_csv(result, out):
     write_records([dataclasses.asdict(r) for r in result.rows], out,

@@ -234,6 +234,45 @@ class TestProx:
         out = Schatten1Norm().prox(np.diag([3.0, 0.5]), 1.0)
         np.testing.assert_allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_schatten1_prox_matches_numpy_svd_formula(self, order):
+        # the prox calls dgesdd directly; it must give the very values of
+        # numpy's thin SVD formula, and leave its input as it was
+        rng = generator(26)
+        inputs = [rng.standard_normal((8, 8)), rng.standard_normal((3, 5)),
+                  rng.standard_normal((5, 3)),
+                  np.outer(rng.standard_normal(8), rng.standard_normal(8)),
+                  np.zeros((8, 8))]
+        f = Schatten1Norm()
+        for z0 in inputs:
+            for scale in (1.0, 1e-8, 1e8):
+                z = np.asarray(scale * z0, order=order)
+                before = z.copy()
+                u, s, vt = np.linalg.svd(z, full_matrices=False)
+                for t in (0.0, 0.5 * (s[0] + s[1]), 2.0 * s[0] or 1.0):
+                    want = (u * np.maximum(s - t, 0.0)) @ vt
+                    np.testing.assert_array_equal(f.prox(z, t), want)
+                np.testing.assert_array_equal(z, before)
+                assert z.flags.c_contiguous == (order == "C")
+
+    def test_schatten1_prox_nan_raises(self):
+        z = generator(27).standard_normal((8, 8))
+        z[3, 4] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            Schatten1Norm().prox(z, 1.0)
+
+    def test_schatten1_prox_failed_svd_raises(self, monkeypatch):
+        # dgesdd reports info > 0 when its divide and conquer does not
+        # converge; the prox raises as np.linalg.svd does
+        dgesdd = lapack.dgesdd
+
+        def failing(a, **kwargs):
+            return dgesdd(a, **kwargs)[:3] + (1,)
+
+        monkeypatch.setattr(lapack, "dgesdd", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            Schatten1Norm().prox(generator(27).standard_normal((8, 8)), 1.0)
+
     def test_trace_psd_shift_clip(self):
         out = TracePSD().prox(np.diag([2.0, -3.0]), 1.0)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)

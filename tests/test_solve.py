@@ -253,6 +253,27 @@ class TestBallProjector:
             np.testing.assert_allclose(proj(p), want, rtol=0,
                                        atol=1e-12 * max(1.0, np.linalg.norm(p)))
 
+    @pytest.mark.parametrize("case", DENSE_CASES)
+    def test_dense_eta_positive_matches_gram_correction(self, case):
+        # a dense operator at eta > 0 applies its correction through the
+        # stored Q^t Phi; it agrees with Phi^* (Q (mu c / (1 + mu lam)))
+        # taken at the projector's own multiplier
+        op, x = PROJECTOR_CASES[case]()
+        a = explicit_design(op)
+        y = apply(op, x)
+        proj = _BallProjector(op, y, 0.3)
+        assert proj.qt_rows.shape == (proj.lam.size, a.shape[1])
+        rng = generator(48)
+        for _ in range(5):
+            p = 3.0 * rng.standard_normal(a.shape[1])
+            c = proj.q.T @ (a @ p - y)
+            assert np.dot(c, c) > proj.delta_sq  # p lies outside the ball
+            got = proj(p)
+            mu = proj.mu
+            want = p - a.T @ (proj.q @ (mu * c / (1.0 + mu * proj.lam)))
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * max(1.0, np.linalg.norm(p)))
+
     @pytest.mark.parametrize("case, eta", [
         (c, eta) for c in PROJECTOR_CASES for eta in (0.0, 0.3)
         if not (c in DENSE_CASES and eta == 0.0)])
