@@ -56,7 +56,7 @@ _PROBLEMS = {"sparse": harness.SparseL1, "lowrank": harness.LowRankS1,
 
 def _build(cls, field_value):
     """``cls`` from its integer dataclass fields, read by field_value(name)."""
-    return cls(*(harness.as_int(field_value(f.name), f.name)
+    return cls(*(measure.as_int(field_value(f.name), f.name)
                  for f in dataclasses.fields(cls)))
 
 
@@ -187,7 +187,7 @@ def _cmd_error_curve(args):
     eta_grid, m = _grid(args.config, "eta_grid"), args.config.get("m")
     if not eta_grid or m is None:
         raise ValueError("error-curve config needs eta_grid and m")
-    m = harness.as_int(m, "m")
+    m = measure.as_int(m, "m")
     rows = harness.run_error_curve(experiment(m_grid=(m,)), eta_grid, m)
     recs = [{"eta": f"{r.eta:.6g}", "mean_error": f"{r.mean_error:.6e}",
              "bound": f"{r.bound:.6e}", "nonconverged": r.nonconverged}
@@ -301,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, dest) is None:
                 value = args.config.get(flag)
                 value = default if value is None else (
-                    harness.as_int(value, flag) if typ is int else typ(value))
+                    measure.as_int(value, flag) if typ is int else typ(value))
                 if choices and value not in choices[0]:  # as argparse checks
                     raise ValueError(f"{flag} {value!r} is not one of {choices[0]}")
                 setattr(args, dest, value)

@@ -16,18 +16,10 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import measure, solve, width
+from .measure import as_int
 from .conic import deterministic_error_bound
 from .reg import L1Norm, Schatten1Norm
 from .rng import generator
-
-
-def as_int(value, name: str) -> int:
-    """``value`` as the integer field ``name``; a bool or a fraction is
-    refused, not truncated (8.0 and "10" are read as integers)."""
-    if isinstance(value, bool) or (
-            isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------

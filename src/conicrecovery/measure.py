@@ -176,6 +176,15 @@ def gram(op: MeasurementOperator) -> np.ndarray:
     return (op.vectors @ op.vectors.T) ** 2
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as the integer field ``name``; a bool or a fraction is
+    refused, not truncated (8.0 and "10" are read as integers)."""
+    if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_eta(eta: float) -> None:
     """Refuse a noise level that is not a finite eta >= 0 (NaN included)."""
     if not 0 <= eta < math.inf:

@@ -43,6 +43,14 @@ The DR loop owns its iterate w, the reflection 2x - w and the step v - x:
 it allocates them once per solve and updates them in place.  The projector
 and the prox return fresh arrays and never their input, so an in-place
 update cannot reach the x and v they returned.
+
+At eta = 0, where the data set is affine, a solve still running at
+iteration 1,000 switches to a damped type-II Anderson step over its last 10
+steps and drops that memory whenever the residual ||v - x|| has not halved
+in 1,000 iterations (``_douglas_rachford``).  Those are the slow solves, the
+sub-threshold l1 cells and near-threshold PhaseLift cells; the rest
+converge first and keep the plain step bit for bit, as does every eta > 0
+solve, where the same step diverged.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from scipy.optimize import brentq  # noqa: F401
 from scipy.linalg import blas, lapack
 
 from .measure import (MeasurementOperator, OperatorKind, _adjoint, _forward,
-                      check_eta, gram)
+                      as_int, check_eta, gram)
 from .reg import Regularizer, TracePSD
 
 
@@ -66,16 +74,20 @@ class SolverOptions:
     stopping tolerance: a solve converges once both the DR step ||v - x||
     and the constraint violation of the prox iterate v are at most
     ``tol * scale``, scale = ||y||, or 1 when y = 0: relative at every
-    signal scale."""
+    signal scale.  A bool or fractional ``max_iters`` and a non-finite
+    ``tol`` are refused: at tol = inf every solve would stop at its first
+    check, and at NaN none would converge."""
 
     max_iters: int = 20_000
     tol: float = 1e-8
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iters",
+                           as_int(self.max_iters, "max_iters"))
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -105,6 +117,15 @@ _NEWTON_MAX_STEPS = 100
 # Newton stops once its step is at most this times max(mu, 1); see
 # _BallProjector._secular_root
 _NEWTON_STOP = 1e-10
+# eta = 0 DR solves take Anderson steps from this iteration on, over the
+# differences of the last _ANDERSON_MEMORY steps, damped by
+# _ANDERSON_DAMPING ||g||^2, and drop that memory when the check-step
+# residual has not halved in _ANDERSON_PATIENCE iterations; see _Anderson
+# and _douglas_rachford
+_ANDERSON_START = 1_000
+_ANDERSON_MEMORY = 10
+_ANDERSON_PATIENCE = 1_000
+_ANDERSON_DAMPING = 1e-5
 # PhaseLift's DR prox step, as a fraction of the trace scale mean(y)
 _TRACE_STEP = 0.3
 # the norm problems' DR prox step at eta > 0, as a fraction of eta
@@ -232,6 +253,77 @@ class _BallProjector:
         return mu
 
 
+class _Anderson:
+    """Type-II Anderson acceleration of the DR map w -> w + g, g = v - x
+    (Walker and Ni, 2011; Fu, Zhang and Boyd, 2019).
+
+    Ring buffers hold the rows dg_i = g_{i+1} - g_i and
+    df_i = (w_{i+1} - w_i) + dg_i of the last ``_ANDERSON_MEMORY`` steps,
+    and ``h`` their Gram matrix H = dg dg^t, updated by one product per
+    step.  ``step(g)`` sets ``dw`` to the increment g - df^t gamma, where
+    (H + r I) gamma = dg g (LAPACK dposv) with the ridge
+    r = 1e-10 tr(H) + ``_ANDERSON_DAMPING`` ||g||^2; an empty memory, or a
+    system dposv cannot factor, gives the plain increment g.
+
+    The tr(H) term only conditions the solve.  The ||g||^2 term damps
+    gamma where the recent residuals barely differ: on a stretch where
+    DR drifts with an almost constant residual, the undamped step fits
+    dg at 1e-4 of ||g|| with weights ||gamma|| ~ 1e4, jumps 1,000 times
+    farther than the plain step and can stall there, residual constant,
+    until the budget runs out.  Over the rows m = 8-24 of the l1 d = 128
+    sweep (60 trials, seeds 1-20, 3,600 cells) the undamped step capped 6
+    cells that the plain step converges; damped at 1e-5 it capped none.
+    """
+
+    def __init__(self, n: int):
+        self.dg = np.zeros((_ANDERSON_MEMORY, n))
+        self.df = np.zeros((_ANDERSON_MEMORY, n))
+        self.h = np.zeros((_ANDERSON_MEMORY, _ANDERSON_MEMORY))
+        # H's diagonal ||dg_i||^2 as floats: summing 10 of them in Python
+        # is faster than a NumPy reduction
+        self.sq = [0.0] * _ANDERSON_MEMORY
+        # H + ridge, factored in place by dposv; a view of its diagonal
+        self.a = np.empty_like(self.h, order="F")
+        self.a_diag = self.a.T.reshape(-1)[::_ANDERSON_MEMORY + 1]
+        self.g_prev, self.dw = np.empty(n), np.empty(n)
+        self.rows = self.slot = 0  # rows filled; the slot the next replaces
+        self.paired = False  # g_prev and dw hold the previous step
+        self.best, self.best_it = math.inf, 0
+
+    def step(self, g: np.ndarray) -> None:
+        if self.paired:
+            j = self.slot
+            dg = np.subtract(g, self.g_prev, out=self.dg[j])
+            np.add(self.dw, dg, out=self.df[j])
+            self.h[j] = self.h[:, j] = row = self.dg.dot(dg)
+            self.sq[j] = float(row[j])
+            self.slot = (j + 1) % _ANDERSON_MEMORY
+            self.rows = min(self.rows + 1, _ANDERSON_MEMORY)
+        self.paired = True
+        np.copyto(self.g_prev, g)
+        k = self.rows
+        if k:
+            np.copyto(self.a, self.h)
+            diag = self.a_diag[:k]
+            diag += (1e-10 * sum(self.sq[:k])
+                     + _ANDERSON_DAMPING * float(g.dot(g)))
+            gam, info = lapack.dposv(self.a[:k, :k], self.dg[:k].dot(g),
+                                     lower=1, overwrite_a=1)[1:]
+            if info == 0:
+                np.subtract(g, gam.dot(self.df[:k]), out=self.dw)
+                return
+        np.copyto(self.dw, g)
+
+    def watch(self, it: int, residual: float) -> None:
+        """Drop the memory once the check-step residual ||v - x|| has not
+        halved in ``_ANDERSON_PATIENCE`` iterations."""
+        if residual <= 0.5 * self.best:
+            self.best, self.best_it = residual, it
+        elif it - self.best_it >= _ANDERSON_PATIENCE:
+            self.rows = self.slot = 0
+            self.best, self.best_it = residual, it
+
+
 def _douglas_rachford(f: Regularizer, proj: _BallProjector,
                       opts: SolverOptions, gamma: float):
     """DR iteration on gamma * f + indicator(C) over flat signals of shape
@@ -246,6 +338,32 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
     v - x: it allocates them once and updates them in place.  The
     projector and the prox return fresh arrays, so x and v never alias
     them.
+
+    At eta = 0, from iteration ``_ANDERSON_START`` (1,000) on, the plain
+    update w <- w + (v - x) becomes a damped type-II Anderson step over the
+    last ``_ANDERSON_MEMORY`` (10) steps (``_Anderson``), and the memory is
+    dropped whenever the check-step residual ||v - x|| has not halved in
+    ``_ANDERSON_PATIENCE`` (1,000) iterations.  Before that iteration, and
+    at every eta > 0, the loop is the plain one bit for bit.  Most cells
+    converge before it, so they do not change; the slow ones are the
+    sub-threshold l1 cells and near-threshold PhaseLift cells.  Measured
+    at the 20,000-iteration default:
+
+    - l1 d = 128, s = 4 (the acceptance-01 grid, 60 trials, seeds 1-5):
+      6,204,810 DR iterations became 1,321,590 and 116 capped cells 3,
+      all three capped by the plain step too; every success verdict held.
+      Rows m = 8-24 at seeds 1-20: 24.3M iterations became 4.27M and 502
+      capped cells 15, none of which the plain step converges.
+    - PhaseLift d = 16, m = 24-40 (seed 3, 20 trials): successes
+      0/1/14/17/19 became 2/7/16/20/20, and capped cells 46 became 10;
+      at 80,000 iterations every row reads the same.
+    - At eta > 0 the set is a ball, not affine.  On l1 d = 128, m = 54 at
+      eta = 1e-5 (8 cells) the undamped step diverged, to relative errors
+      up to 3e10, and the damped one capped all 8 as the plain step does,
+      so the loop stays plain there.
+    - The restart changes little on these cells: without it the l1 rows
+      above took 4,270,490 iterations against 4,267,070, capping 15
+      cells either way, and PhaseLift capped 11 against 10.
     """
     shape = proj.op.signal_shape
     n = math.prod(shape)
@@ -255,18 +373,28 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
     converged = False
     it = 0
     gate = opts.tol * proj.scale
+    start = _ANDERSON_START if proj.eta == 0.0 else math.inf
+    accel = None
     for it in range(1, opts.max_iters + 1):
         x = proj(w)
         np.multiply(x, 2.0, out=z)
         z -= w
         v = f.prox(z_signal, gamma).ravel()
         np.subtract(v, x, out=step)
-        w += step
+        if it < start:
+            w += step
+        else:
+            accel = accel or _Anderson(n)
+            accel.step(step)
+            w += accel.dw
         if it % 10 == 0 or it == opts.max_iters:
-            if (np.linalg.norm(step) <= gate
+            residual = np.linalg.norm(step)
+            if (residual <= gate
                     and proj.misfit(v) - proj.eta <= gate):
                 converged = True
                 break
+            if accel is not None:
+                accel.watch(it, residual)
     return x, v, it, converged and not proj.infeasible
 
 

@@ -83,11 +83,12 @@ def test_criterion_01_sparse_phase_transition(capsys, sparse_sweep):
 
 # (m, successes, nonconverged, mean_solve_iters, mean_rel_error) of each
 # sparse_sweep row, recorded with the eta = 0 projection taken through the
-# Gram eigenbasis (Phi, Q^t, Q, Phi^t per DR step)
+# Gram eigenbasis (Phi, Q^t, Q, Phi^t per DR step); rows m <= 24 re-recorded
+# with the Anderson step
 SPARSE_SWEEP_ROWS = [
-    (8, 0, 5, 9318.8, 1.065366508994422),
-    (16, 2, 5, 11136.0, 0.8396750418874652),
-    (24, 23, 1, 1736.4, 0.06281641610713494),
+    (8, 0, 0, 1708.8, 1.065366453327358),
+    (16, 2, 0, 1459.2, 0.8396896437671085),
+    (24, 23, 0, 618.4, 0.06276026609854718),
     (32, 25, 0, 235.2, 1.2639661479511457e-08),
     (40, 25, 0, 157.2, 9.649596020611571e-09),
     (48, 25, 0, 120.0, 1.0257259857151689e-08),
@@ -102,7 +103,10 @@ SPARSE_SWEEP_ROWS = [
 
 def test_criterion_01_rows_pinned(sparse_sweep):
     # not a criterion of its own: a change of solver arithmetic must leave
-    # every verdict and iteration count of the sweep as recorded
+    # every verdict and iteration count of the sweep as recorded.  Rows
+    # m <= 24 run past iteration 1,000, where eta = 0 solves take Anderson
+    # steps; with the plain step they read (0, 5, 9318.8), (2, 5, 11136.0)
+    # and (23, 1, 1736.4) in (successes, nonconverged, mean_solve_iters)
     rows = sparse_sweep.rows
     assert [(r.m, r.successes, r.nonconverged, r.mean_solve_iters)
             for r in rows] == [pin[:4] for pin in SPARSE_SWEEP_ROWS]

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.optimize import brentq
 
 from conicrecovery import solve
@@ -454,7 +455,11 @@ class TestSecularSolve:
 def reference_douglas_rachford(f, proj, opts, gamma):
     """The DR loop written with a fresh array for every intermediate, the
     l1 prox as sign(z) (|z| - t)_+ and Phi^+ applied with ``@``: the
-    arithmetic that the solver's in-place loop must reproduce bit for bit."""
+    arithmetic that the solver's in-place loop must reproduce bit for bit.
+    At eta = 0 from iteration 1,000 on it takes the Anderson step over
+    lists of 10 row slots, stacked afresh for every product, with the
+    solver's slot order and ridge, and drops the memory when the residual
+    has not halved in 1,000 iterations."""
     shape = proj.op.signal_shape
 
     def prox(z, t):
@@ -467,7 +472,14 @@ def reference_douglas_rachford(f, proj, opts, gamma):
             return p - proj.pinv @ (proj.op.rows @ p - proj.y)
         return proj(p)
 
-    w = np.zeros(math.prod(shape))
+    start, size, patience = 1_000, 10, 1_000
+    n = math.prod(shape)
+    dg_rows, df_rows = [np.zeros(n)] * size, [np.zeros(n)] * size
+    h = np.zeros((size, size))
+    rows = slot = 0
+    g_prev = dw = None
+    best, best_it = math.inf, 0
+    w = np.zeros(n)
     x = v = w
     converged = False
     it = 0
@@ -476,20 +488,52 @@ def reference_douglas_rachford(f, proj, opts, gamma):
         x = project(w)
         v = prox((2.0 * x - w).reshape(shape), gamma).ravel()
         step = v - x
-        w = w + step
+        accelerated = proj.eta == 0.0 and it >= start
+        if not accelerated:
+            w = w + step
+        else:
+            if g_prev is not None:
+                dg = step - g_prev
+                dg_rows[slot], df_rows[slot] = dg, dw + dg
+                row = np.array(dg_rows) @ dg
+                h = h.copy()
+                h[slot], h[:, slot] = row, row
+                slot, rows = (slot + 1) % size, min(rows + 1, size)
+            g_prev = dw = step
+            if rows:
+                hk = h[:rows, :rows]
+                ridge = (1e-10 * sum(float(d) for d in np.diag(hk))
+                         + 1e-5 * float(step @ step))
+                _, gam, info = lapack.dposv(hk + ridge * np.eye(rows),
+                                            np.array(dg_rows[:rows]) @ step,
+                                            lower=1)
+                if info == 0:
+                    dw = step - gam @ np.array(df_rows[:rows])
+            w = w + dw
         if it % 10 == 0 or it == opts.max_iters:
-            if (np.linalg.norm(step) <= gate
+            residual = np.linalg.norm(step)
+            if (residual <= gate
                     and proj.misfit(v) - proj.eta <= gate):
                 converged = True
                 break
+            if accelerated:
+                if residual <= 0.5 * best:
+                    best, best_it = residual, it
+                elif it - best_it >= patience:
+                    rows = slot = 0
+                    best, best_it = residual, it
     return x, v, it, converged and not proj.infeasible
 
 
 # (problem, m, eta, trial): the l1 cells at m = 16 and 54 take the Phi^+
 # branch, the low-rank ones the secular solve (eta = 0.3) and the
-# inside-ball branch (eta = 3 ||y||)
+# inside-ball branch (eta = 3 ||y||).  The l1 m = 16, t = 4 cell takes
+# Anderson steps past iteration 1,000, the t = 12 one also drops its
+# memory once (at 2,020), and the l1 eta = 1e-3 cell runs past 1,000 with
+# plain steps.
 REFERENCE_CELLS = (
     [(SparseL1(4, 128), m, 0.0, t) for m in (16, 54) for t in range(6)]
+    + [(SparseL1(4, 128), 16, 0.0, 12), (SparseL1(4, 128), 54, 1e-3, 0)]
     + [(LowRankS1(1, 8, 8), 55, eta, t) for eta in (0.3, "3|y|")
        for t in range(3)]
     + [(PhaseRetrieval(8), 24, 0.0, t) for t in range(3)])
@@ -521,6 +565,73 @@ class TestInPlaceDrStep:
         assert got.estimate.tobytes() == want.estimate.tobytes()
         assert got.iterations == want.iterations
         assert got.stop_reason == want.stop_reason
+
+    def test_reference_cells_reach_the_anderson_start(self):
+        # the cells above that pin the accelerated step at eta = 0 and the
+        # plain one at eta > 0 past iteration 1,000
+        for m, eta, trial in ((16, 0.0, 4), (16, 0.0, 12), (54, 1e-3, 0)):
+            res = solve_reference_cell(SparseL1(4, 128), m, eta, trial)
+            assert res.converged
+            assert res.iterations > solve._ANDERSON_START
+
+
+class TestAndersonStep:
+    # the first 10 trials of the m = 8 and 16 rows of the seed-1 l1 sweep
+    # (d = 128, s = 4, eta = 0); the plain step capped one of them at
+    # 20,000 iterations
+    CELLS = [(i, m, t) for i, m in enumerate((8, 16)) for t in range(10)]
+
+    def test_verdicts_do_not_depend_on_the_budget(self):
+        thr = 1e-4
+        accelerated = 0
+        for i, m, t in self.CELLS:
+            seed = _cell_seed(1, i, t)
+            (res, rel), (big, big_rel) = (
+                solve_instance(SparseL1(4, 128), m, seed, 0.0,
+                               SolverOptions(max_iters=budget))
+                for budget in (20_000, 80_000))
+            assert res.stop_reason == big.stop_reason == "converged"
+            assert res.iterations == big.iterations
+            assert res.estimate.tobytes() == big.estimate.tobytes()
+            assert (rel <= thr) == (big_rel <= thr)
+            accelerated += res.iterations > solve._ANDERSON_START
+        assert accelerated == 18
+
+    def test_constant_residual_takes_the_plain_step(self):
+        # an exactly repeated residual gives dg = 0: H = 0, the damping
+        # alone is the system, and the weights vanish
+        acc = solve._Anderson(4)
+        g = np.array([1.0, -2.0, 0.5, 0.0])
+        for _ in range(3):
+            acc.step(g)
+            np.testing.assert_array_equal(acc.dw, g)
+        assert acc.rows == 2
+        zero = np.zeros(4)      # then H = 0 with no damping: dposv fails
+        acc.step(zero)
+        acc.step(zero)
+        np.testing.assert_array_equal(acc.dw, zero)
+
+    def test_damping_bounds_the_weights(self):
+        # residuals that differ by 1e-6 of their norm: undamped, the least
+        # squares fit would take weights of order 1e6
+        rng = generator(3)
+        g0 = rng.standard_normal(50)
+        acc = solve._Anderson(50)
+        for _ in range(12):
+            acc.step(g0 + 1e-6 * np.linalg.norm(g0) * rng.standard_normal(50))
+        assert np.linalg.norm(acc.dw) <= 2.0 * np.linalg.norm(g0)
+
+    def test_memory_drops_when_the_residual_stalls(self):
+        acc = solve._Anderson(3)
+        acc.rows = acc.slot = 4
+        acc.watch(1_000, 1.0)
+        acc.watch(1_500, 0.4)      # halved: a new record
+        assert (acc.best, acc.best_it, acc.rows) == (0.4, 1_500, 4)
+        acc.watch(2_490, 0.3)      # not halved, inside the patience
+        assert acc.rows == 4
+        acc.watch(2_500, 0.3)      # not halved in 1,000 iterations
+        assert (acc.rows, acc.slot) == (0, 0)
+        assert (acc.best, acc.best_it) == (0.3, 2_500)
 
 
 class TestConstrainedRecovery:
@@ -904,6 +1015,24 @@ class TestOptions:
             SolverOptions(tol=0.0)
         with pytest.raises(ValueError):
             SolverOptions(tol=-1e-8)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_refused(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            SolverOptions(tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [2.5, True, False])
+    def test_bool_or_fractional_max_iters_refused(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverOptions(max_iters=max_iters)
+
+    def test_integral_max_iters_read_as_int(self):
+        opts = SolverOptions(max_iters=30.0)
+        assert opts.max_iters == 30 and type(opts.max_iters) is int
+        op = gaussian_ensemble(6, 12, seed=9)
+        y = apply(op, generator(10).standard_normal(12))
+        res = recover_constrained(L1Norm(), op, y, 0.1, opts)
+        assert res.iterations == 30 and res.stop_reason == "max_iters"
 
     def test_result_fields(self):
         r = RecoveryResult(np.zeros(2), 0.0, 0.0, 5, True)
