@@ -7,8 +7,8 @@ Two operator kinds are supported:
   d x d matrices X through the trace pairing <X, psi_i psi_i^t>.  Only the
   vectors are stored (O(md) memory), never the rank-one matrices.
 
-Dense rows are Gaussian or i.i.d. copies of a symmetric bounded atom; the
-row samplers draw the same laws for the small-ball estimators.
+Each row law is one row sampler, and an operator is its law's first m draws
+from ``generator(seed)``; the small-ball estimators draw the same rows.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class Atom:
     """Symmetric bounded scalar distribution used as an i.i.d. entry law.
 
     ``sampler(rng, size)`` draws variates; ``bound`` is an a.s. bound on
-    |X| (doubles as the subgaussian scale sigma via Hoeffding).  Every draw
-    is checked against both declarations.
+    |X| (doubles as the subgaussian scale sigma via Hoeffding).  The row
+    sampler checks the symmetry once and the bound on every draw.
     """
 
     sampler: Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
@@ -85,12 +85,8 @@ def uniform_atom(half_width: float = 1.0) -> Atom:
     )
 
 
-def _atom_draw(atom: Atom, rng: np.random.Generator,
-               size: tuple[int, ...]) -> np.ndarray:
-    """The atom's variates of the given size; raises unless the atom is
-    declared symmetric and the draw stays within its declared bound."""
-    if not atom.symmetric:
-        raise ValueError("atom distribution must be symmetric about 0")
+def _atom_draw(atom: Atom, rng: np.random.Generator, size: tuple[int, ...]) -> np.ndarray:
+    """The atom's variates of the given size, refused beyond its bound."""
     x = np.asarray(atom.sampler(rng, size), dtype=float)
     if np.max(np.abs(x), initial=0.0) > atom.bound + 1e-12:
         raise ValueError("atom sample exceeded its declared bound")
@@ -98,40 +94,38 @@ def _atom_draw(atom: Atom, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# constructors
+# constructors: the first m draws of a law's row sampler from generator(seed)
+
+def _operator(kind: OperatorKind, sample, m: int, seed: int) -> MeasurementOperator:
+    """Dense: the draws, flattened to (m, n), are the rows; lifted: the vectors."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    draws = sample(generator(seed), m)
+    shape = draws.shape[1:]
+    if kind is OperatorKind.LIFTED:
+        return MeasurementOperator(kind, m, shape * 2, vectors=draws, seed=seed)
+    return MeasurementOperator(kind, m, shape, rows=draws.reshape(m, -1), seed=seed)
+
 
 def gaussian_ensemble(m: int, d: int, seed: int) -> MeasurementOperator:
     """m x d matrix with i.i.d. standard normal entries, deterministic in seed."""
-    if m < 1 or d < 1:
-        raise ValueError("m and d must be at least 1")
-    rows = generator(seed).standard_normal((m, d))
-    return MeasurementOperator(OperatorKind.DENSE, m, (d,), rows=rows, seed=seed)
+    return _operator(OperatorKind.DENSE, gaussian_row_sampler(d), m, seed)
 
 
 def gaussian_matrix_ensemble(m: int, d1: int, d2: int, seed: int) -> MeasurementOperator:
     """Dense Gaussian operator on d1 x d2 matrix signals (rows act on vec(X))."""
-    if m < 1 or d1 < 1 or d2 < 1:
-        raise ValueError("m, d1, d2 must be at least 1")
-    rows = generator(seed).standard_normal((m, d1 * d2))
-    return MeasurementOperator(OperatorKind.DENSE, m, (d1, d2), rows=rows, seed=seed)
+    return _operator(OperatorKind.DENSE, gaussian_row_sampler((d1, d2)), m, seed)
 
 
 def bounded_symmetric_ensemble(m: int, d: int, atom: Atom,
                                seed: int) -> MeasurementOperator:
     """m x d matrix of i.i.d. copies of a symmetric bounded atom."""
-    if m < 1 or d < 1:
-        raise ValueError("m and d must be at least 1")
-    rows = _atom_draw(atom, generator(seed), (m, d))
-    return MeasurementOperator(OperatorKind.DENSE, m, (d,), rows=rows, seed=seed)
+    return _operator(OperatorKind.DENSE, bounded_row_sampler(d, atom), m, seed)
 
 
 def lifted_phase_ensemble(m: int, d: int, seed: int) -> MeasurementOperator:
     """m standard Gaussian sampling vectors acting on symmetric d x d matrices."""
-    if m < 1 or d < 1:
-        raise ValueError("m and d must be at least 1")
-    vectors = generator(seed).standard_normal((m, d))
-    return MeasurementOperator(OperatorKind.LIFTED, m, (d, d), vectors=vectors,
-                               seed=seed)
+    return _operator(OperatorKind.LIFTED, gaussian_row_sampler(d), m, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +204,7 @@ def measure_with_noise(op: MeasurementOperator, x: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# row samplers (used by the small-ball estimators and the harness)
+# row samplers: one per law; the constructors and the estimators draw rows here
 
 def gaussian_row_sampler(shape: int | tuple[int, ...]):
     """Sampler of standard Gaussian rows in the given ambient shape.
@@ -219,7 +213,7 @@ def gaussian_row_sampler(shape: int | tuple[int, ...]):
     of its rows is again one standard Gaussian row, so the small-ball width
     estimators draw that sum as a single row.
     """
-    if isinstance(shape, int):
+    if isinstance(shape, (int, np.integer)):
         shape = (shape,)
     if min(shape, default=0) < 1:
         raise ValueError("row dimensions must be at least 1")
@@ -232,8 +226,12 @@ def gaussian_row_sampler(shape: int | tuple[int, ...]):
 
 
 def bounded_row_sampler(d: int, atom: Atom):
-    """Sampler of i.i.d.-atom rows in R^d, checked as in
-    ``bounded_symmetric_ensemble``."""
+    """Sampler of i.i.d.-atom rows in R^d; the atom must be declared symmetric."""
+    if d < 1:
+        raise ValueError("row dimensions must be at least 1")
+    if not atom.symmetric:
+        raise ValueError("atom distribution must be symmetric about 0")
+
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return _atom_draw(atom, rng, (n, d))
 
@@ -241,9 +239,11 @@ def bounded_row_sampler(d: int, atom: Atom):
 
 
 def lifted_row_sampler(d: int):
-    """Sampler of rank-one rows psi psi^t with standard Gaussian psi."""
+    """Sampler of rank-one rows psi psi^t, psi a ``gaussian_row_sampler(d)`` row."""
+    vectors = gaussian_row_sampler(d)
+
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        psi = rng.standard_normal((n, d))
+        psi = vectors(rng, n)
         return np.einsum("id,ie->ide", psi, psi)
 
     return sample

@@ -5,8 +5,10 @@ timers of a traced round, the cell capture of every round, and each
 workload's checkpoints.  ``bench/test_bench.py`` exercises the layers and
 the capture on small runs; this file alone covers the checkpoint targets
 of every workload, and checks that the descent-cone estimators reach the
-distance layer.  Entering each wrapper context looks every target up,
-and leaving it must restore the originals.
+distance layer and that the harness draws every operator through the
+constructors that the ensemble layer and ``Cell.operator`` name.  Entering
+each wrapper context looks every target up, and leaving it must restore
+the originals.
 """
 
 import sys
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conicrecovery import measure, reg, smallball, width
+from conicrecovery import harness, measure, reg, smallball, solve, width
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -69,3 +71,25 @@ def test_descent_estimators_reach_distance_layer(estimate):
         estimate(reg.L1Norm(np.array([1.0, 0.0, -1.0, 0.0])))
     calls, _ = spans.metrics(0, 0.0)["reg.min_subdiff_dist_sq.calls"]
     assert calls > 0
+
+
+@pytest.mark.parametrize("problem, m", [
+    (harness.SparseL1(2, 16), 12),
+    (harness.LowRankS1(1, 4, 4), 14),
+    (harness.PhaseRetrieval(3), 12),
+], ids=["SparseL1", "LowRankS1", "PhaseRetrieval"])
+def test_harness_draws_operators_through_ensemble_layer(problem, m):
+    # a layer that the harness bypasses reads 0 and times nothing; the
+    # captured cell must redraw the very operator that the harness measured
+    spans, cells = layers.Spans(), []
+    with layers.capture(cells), spans.installed():
+        harness.solve_instance(problem, m, seed=5, eta=0.0,
+                               opts=solve.SolverOptions(max_iters=200))
+    calls, _ = spans.metrics(0, 0.0)["measure.ensemble.calls"]
+    assert calls == 1
+    (cell,) = cells
+    kind, _, shape, seed = cell.op_key
+    drawn, redrawn = problem.operator(m, seed), cell.operator()
+    assert (redrawn.kind, redrawn.m, redrawn.signal_shape) == (kind, m, shape)
+    field = "vectors" if kind is measure.OperatorKind.LIFTED else "rows"
+    assert getattr(redrawn, field).tobytes() == getattr(drawn, field).tobytes()

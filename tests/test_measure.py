@@ -18,6 +18,7 @@ from conicrecovery.measure import (
     gaussian_matrix_ensemble,
     gaussian_row_sampler,
     lifted_phase_ensemble,
+    lifted_row_sampler,
     measure_with_noise,
     rademacher_atom,
     uniform_atom,
@@ -29,6 +30,33 @@ def lifted(vectors):
     """The lifted operator of fixed sampling vectors psi_i (the rows)."""
     return MeasurementOperator(OperatorKind.LIFTED, len(vectors),
                                (vectors.shape[1],) * 2, vectors=vectors)
+
+
+def outer_products(vectors):
+    """The rows psi_i psi_i^t of a lifted operator."""
+    return vectors[:, :, None] * vectors[:, None, :]
+
+
+# law -> seed -> (its row sampler's first 6 draws from generator(seed), the
+# rows of its constructor's 6-row operator at that seed); matrix rows are
+# flattened, and a lifted operator's rows are its vectors' outer products
+FIRST_DRAWS = {
+    "rademacher": lambda seed: (
+        bounded_row_sampler(5, rademacher_atom())(generator(seed), 6),
+        bounded_symmetric_ensemble(6, 5, rademacher_atom(), seed).rows),
+    "uniform": lambda seed: (
+        bounded_row_sampler(5, uniform_atom())(generator(seed), 6),
+        bounded_symmetric_ensemble(6, 5, uniform_atom(), seed).rows),
+    "gaussian": lambda seed: (
+        gaussian_row_sampler(5)(generator(seed), 6),
+        gaussian_ensemble(6, 5, seed).rows),
+    "gaussian-matrix": lambda seed: (
+        gaussian_row_sampler((3, 4))(generator(seed), 6).reshape(6, 12),
+        gaussian_matrix_ensemble(6, 3, 4, seed).rows),
+    "lifted": lambda seed: (
+        lifted_row_sampler(5)(generator(seed), 6),
+        outer_products(lifted_phase_ensemble(6, 5, seed).vectors)),
+}
 
 
 class TestGaussianEnsemble:
@@ -60,8 +88,15 @@ class TestGaussianEnsemble:
 
     @pytest.mark.parametrize("shape", [0, -3, (4, 0), ()])
     def test_row_sampler_rejects_nonpositive_dims(self, shape):
-        with pytest.raises(ValueError, match="must be at least 1"):
-            gaussian_row_sampler(shape)
+        # every law refuses empty rows when it is built, before any draw;
+        # the bounded and lifted laws take a row length d
+        samplers = [gaussian_row_sampler]
+        if isinstance(shape, int):
+            samplers += [lambda d: bounded_row_sampler(d, rademacher_atom()),
+                         lifted_row_sampler]
+        for sampler in samplers:
+            with pytest.raises(ValueError, match="row dimensions must be at least 1"):
+                sampler(shape)
 
 
 class TestBoundedEnsemble:
@@ -98,13 +133,14 @@ class TestBoundedEnsemble:
         with pytest.raises(ValueError, match="declared bound"):
             bounded_row_sampler(5, atom)(generator(4), 6)
 
-    @pytest.mark.parametrize("atom", [rademacher_atom(), uniform_atom()],
-                             ids=["rademacher", "uniform"])
-    def test_row_sampler_matches_ensemble(self, atom):
-        # same atom, same stream: the row sampler draws the ensemble's rows
-        np.testing.assert_array_equal(
-            bounded_row_sampler(5, atom)(generator(4), 6),
-            bounded_symmetric_ensemble(6, 5, atom, seed=4).rows)
+    @pytest.mark.parametrize("law", list(FIRST_DRAWS))
+    def test_row_sampler_matches_ensemble(self, law):
+        # same law, same stream: a constructor's operator is its row
+        # sampler's first m draws, at a seed as large as the harness draws
+        for seed in (4, 2 ** 61 + 3):
+            draws, rows = FIRST_DRAWS[law](seed)
+            assert draws.shape == rows.shape
+            assert draws.tobytes() == rows.tobytes()
 
 
 class TestLiftedEnsemble:
