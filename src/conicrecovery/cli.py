@@ -169,8 +169,8 @@ def _grid(cfg: dict, key: str) -> list:
 def _cmd_sweep(args):
     cfg = args.config
     result = harness.run_phase_transition(_experiment(args)(
-        m_grid=tuple(_grid(cfg, "m_grid")), eta=float(cfg.get("eta", 0.0)),
-        success_threshold=float(cfg.get("success_threshold", 1e-4))))
+        m_grid=tuple(_grid(cfg, "m_grid")),
+        **{k: cfg[k] for k in ("eta", "success_threshold") if k in cfg}))
     meta = {"config_digest": result.config_digest, "seed": result.seed,
             "predicted_width_sq": f"{result.predicted_width_sq:.6f}",
             "predicted_m": result.predicted_m}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import MeasurementOperator, OperatorKind
+from .measure import MeasurementOperator, OperatorKind, check_eta
 from .reg import Regularizer, level_threshold
 from .rng import generator
 
@@ -58,9 +58,9 @@ def _dense_matrix(op: MeasurementOperator) -> np.ndarray:
 
 
 def deterministic_error_bound(eta: float, lam: float) -> float:
-    """Recovery error bound 2*eta/lambda; +inf when lambda <= 0."""
-    if eta < 0:
-        raise ValueError("noise level must be nonnegative")
+    """Recovery error bound 2*eta/lambda; +inf when lambda <= 0.  An eta
+    that ``measure.check_eta`` refuses raises ``ValueError``."""
+    check_eta(eta)
     if lam <= 0:
         return float("inf")
     return 2.0 * eta / lam

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import measure, solve, width
-from .measure import as_int
+from .measure import as_int, check_eta
 from .conic import deterministic_error_bound
 from .reg import L1Norm, Schatten1Norm
 from .rng import generator
@@ -151,6 +151,11 @@ def solve_instance(problem: Problem, m: int, seed: int, eta: float,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep's inputs.  ``seed`` and the grid read as integers, ``eta``
+    and ``success_threshold`` as floats, so equal values give equal cell
+    seeds and digests (3.0 runs as 3); ``eta`` must pass ``check_eta``.
+    The digest covers ``solver`` only where it differs from the default."""
+
     problem: Problem
     m_grid: tuple[int, ...]
     trials: int = 25
@@ -169,16 +174,24 @@ class ExperimentConfig:
         object.__setattr__(self, "trials", as_int(self.trials, "trials"))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "eta", float(self.eta))
+        check_eta(self.eta)
+        object.__setattr__(self, "success_threshold",
+                           float(self.success_threshold))
         if not self.success_threshold > 0:
             raise ValueError("success_threshold must be positive")
 
     def digest(self) -> str:
-        blob = json.dumps({
+        inputs = {
             "problem": [type(self.problem).__name__, asdict(self.problem)],
             "m_grid": list(self.m_grid), "trials": self.trials,
             "eta": self.eta, "success_threshold": self.success_threshold,
             "seed": self.seed, "margin": MARGIN,
-        }, sort_keys=True)
+        }
+        if self.solver != solve.SolverOptions():  # keeps the default's digests
+            inputs["solver"] = [self.solver.max_iters, float(self.solver.tol)]
+        blob = json.dumps(inputs, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -92,20 +92,18 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class RecoveryResult:
+    """``stop_reason`` says why the solve stopped: ``"infeasible"`` (the
+    data-consistency set is empty), ``"converged"`` or ``"max_iters"``."""
+
     estimate: np.ndarray
     objective: float
     residual_norm: float
     iterations: int
-    converged: bool
-    infeasible: bool = False
+    stop_reason: str
 
     @property
-    def stop_reason(self) -> str:
-        """Why the solve stopped: ``infeasible`` (the data-consistency set
-        is empty), ``converged`` or ``max_iters``."""
-        if self.infeasible:
-            return "infeasible"
-        return "converged" if self.converged else "max_iters"
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 # eigh resolves the eigenvalues of G only to about m * eps * lambda_max;
@@ -325,10 +323,11 @@ class _Anderson:
 
 
 def _douglas_rachford(f: Regularizer, proj: _BallProjector,
-                      opts: SolverOptions, gamma: float):
+                      opts: SolverOptions | None, gamma: float):
     """DR iteration on gamma * f + indicator(C) over flat signals of shape
-    ``proj.op.signal_shape``, with prox step gamma > 0; returns (x_feas,
-    v_prox, iters, conv), never converged when C is empty.
+    ``proj.op.signal_shape``, with prox step gamma > 0 and ``opts`` by
+    default ``SolverOptions()``; returns (x_feas, v_prox, iters, reason),
+    the reason "infeasible" when C is empty, else "converged" or "max_iters".
 
     It stops once the primal residual ||v - x|| and the prox iterate's
     constraint violation ``proj.misfit(v) - proj.eta`` are both at most
@@ -365,12 +364,13 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
       above took 4,270,490 iterations against 4,267,070, capping 15
       cells either way, and PhaseLift capped 11 against 10.
     """
+    opts = opts or SolverOptions()
     shape = proj.op.signal_shape
     n = math.prod(shape)
     w, z, step = np.zeros(n), np.empty(n), np.empty(n)
     z_signal = z.reshape(shape)  # a view: the prox reads z as a signal
     x = v = w
-    converged = False
+    reason = "max_iters"
     it = 0
     gate = opts.tol * proj.scale
     start = _ANDERSON_START if proj.eta == 0.0 else math.inf
@@ -391,11 +391,11 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
             residual = np.linalg.norm(step)
             if (residual <= gate
                     and proj.misfit(v) - proj.eta <= gate):
-                converged = True
+                reason = "converged"
                 break
             if accel is not None:
                 accel.watch(it, residual)
-    return x, v, it, converged and not proj.infeasible
+    return x, v, it, "infeasible" if proj.infeasible else reason
 
 
 def recover_constrained(f: Regularizer, op: MeasurementOperator,
@@ -425,16 +425,15 @@ def recover_constrained(f: Regularizer, op: MeasurementOperator,
     of its own; gamma = 1 is kept there, so the eta = 0 iteration count
     still depends on the scale of y.
     """
-    opts = opts or SolverOptions()
     if op.kind is not OperatorKind.DENSE:
         raise ValueError("constrained recovery needs a dense operator; "
                          "use phase_retrieval_sdp for lifted ensembles")
     proj = _BallProjector(op, y, eta)
     gamma = _BALL_STEP * eta if eta > 0 else 1.0
-    x, v, iters, converged = _douglas_rachford(f, proj, opts, gamma)
+    x, v, iters, reason = _douglas_rachford(f, proj, opts, gamma)
     estimate = x.reshape(op.signal_shape)  # projection output: feasible
     return RecoveryResult(estimate, f.value(estimate), proj.misfit(estimate),
-                          iters, converged, infeasible=proj.infeasible)
+                          iters, reason)
 
 
 def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray, eta: float,
@@ -465,13 +464,11 @@ def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray, eta: float,
     if np.any(proj.y < -eta - 1e-10 * proj.scale):
         raise ValueError("phase retrieval measurements are magnitudes "
                          "(y_i >= -eta)")
-    opts = opts or SolverOptions()
     mean_y = float(np.mean(proj.y))
     gamma = (_BALL_STEP * eta if eta > 0
              else _TRACE_STEP * mean_y if mean_y > 0 else 1.0)
-    x, v, iters, converged = _douglas_rachford(TracePSD(), proj, opts, gamma)
+    x, v, iters, reason = _douglas_rachford(TracePSD(), proj, opts, gamma)
     estimate = v.reshape(op.signal_shape)   # prox output: PSD by construction
     estimate = 0.5 * (estimate + estimate.T)
     return RecoveryResult(estimate, float(np.trace(estimate)),
-                          proj.misfit(estimate), iters, converged,
-                          infeasible=proj.infeasible)
+                          proj.misfit(estimate), iters, reason)

@@ -135,8 +135,10 @@ class TestErrorBound:
         assert deterministic_error_bound(1.0, 0.0) == float("inf")
 
     def test_rejects_negative_noise(self):
-        with pytest.raises(ValueError):
-            deterministic_error_bound(-0.1, 1.0)
+        # the solvers' eta rule: NaN and inf are refused, not returned
+        for eta in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eta must be"):
+                deterministic_error_bound(eta, 1.0)
 
     def test_consistent_with_solver(self):
         # d=2 instance where the descent cone of l1 at (1,0) is spanned by

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -40,17 +41,33 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(trials=0)
 
-    @pytest.mark.parametrize("trials", [2.5, True])
-    def test_rejects_non_integer_trials(self, trials):
-        # unchecked, 2.5 failed only inside the sweep's range(), and True
-        # ran a one-trial sweep under a digest other than trials=1's
-        with pytest.raises(ValueError, match="trials must be an integer"):
-            small_config(trials=trials)
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("trials", 2.5, "trials must be an integer", id="2.5"),
+        pytest.param("trials", True, "trials must be an integer", id="True"),
+        ("seed", 2.5, "seed must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("eta", -0.1, "eta must be nonnegative"),
+        ("eta", math.nan, "eta must be nonnegative"),
+        ("eta", math.inf, "eta must be finite"),
+    ])
+    def test_rejects_non_integer_trials(self, field, value, message):
+        # unchecked, 2.5 trials failed only inside the sweep's range(), and
+        # True ran a one-trial sweep under a digest other than trials=1's;
+        # a NaN eta was refused only once the config ran
+        with pytest.raises(ValueError, match=message):
+            small_config(**{field: value})
 
     def test_integral_float_trials_read_as_int(self):
-        cfg = small_config(trials=2.0)
-        assert cfg.trials == 2 and type(cfg.trials) is int
-        assert cfg.digest() == small_config(trials=2).digest()
+        # equal values give equal digests and cell seeds: seed=3.0 hashed
+        # "3.0:..." and ran another experiment than seed=3
+        for field, value, same, kind in [("trials", 2.0, 2, int),
+                                         ("seed", 3.0, 3, int),
+                                         ("eta", 0, 0.0, float),
+                                         ("success_threshold", 1, 1.0, float)]:
+            cfg = small_config(**{field: value})
+            assert getattr(cfg, field) == same
+            assert type(getattr(cfg, field)) is kind
+            assert cfg.digest() == small_config(**{field: same}).digest()
 
     @pytest.mark.parametrize("threshold", [-1.0, 0.0, float("nan")])
     def test_rejects_nonpositive_success_threshold(self, threshold):
@@ -72,6 +89,9 @@ class TestConfig:
         assert a == small_config().digest()
         assert a != small_config(seed=4).digest()
         assert a != small_config(problem=SparseL1(s=2, d=8)).digest()
+        # the solver budget changes the rows; the default stays unhashed
+        assert a != small_config(solver=SolverOptions(max_iters=3)).digest()
+        assert a == small_config(solver=SolverOptions()).digest()
         assert len(a) == 16
         # the acceptance 01-03 sweeps: their CSVs carry these digests
         acceptance = [

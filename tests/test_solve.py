@@ -347,11 +347,11 @@ class TestBallProjector:
                 return recover_constrained(L1Norm(), op, y, eta, opts)
         y = apply(op, x)
         res = solve(op, y, 0.0)
-        assert res.converged and not res.infeasible
+        assert res.converged and res.stop_reason != "infeasible"
         assert np.linalg.norm(res.estimate - x) <= 1e-8 * np.linalg.norm(x)
         # y + 1 stays a valid magnitude vector and leaves range(Phi)
         bad = solve(op, y + 1.0, 0.0, SolverOptions(max_iters=50))
-        assert bad.infeasible and not bad.converged
+        assert bad.stop_reason == "infeasible" and not bad.converged
 
     @pytest.mark.parametrize("case", ["dense-6x10", "lifted-d5-m12"])
     @pytest.mark.parametrize("eta", [0.0, 0.3])
@@ -449,7 +449,7 @@ class TestSecularSolve:
             np.testing.assert_array_equal(proj(p), _BallProjector(op, y, 0.0)(p))
             res = recover_constrained(L1Norm(), op, y, eta,
                                       SolverOptions(max_iters=50))
-            assert res.infeasible and res.stop_reason == "infeasible"
+            assert res.stop_reason == "infeasible"
 
 
 def reference_douglas_rachford(f, proj, opts, gamma):
@@ -481,7 +481,7 @@ def reference_douglas_rachford(f, proj, opts, gamma):
     best, best_it = math.inf, 0
     w = np.zeros(n)
     x = v = w
-    converged = False
+    reason = "max_iters"
     it = 0
     gate = opts.tol * proj.scale
     for it in range(1, opts.max_iters + 1):
@@ -514,7 +514,7 @@ def reference_douglas_rachford(f, proj, opts, gamma):
             residual = np.linalg.norm(step)
             if (residual <= gate
                     and proj.misfit(v) - proj.eta <= gate):
-                converged = True
+                reason = "converged"
                 break
             if accelerated:
                 if residual <= 0.5 * best:
@@ -522,7 +522,7 @@ def reference_douglas_rachford(f, proj, opts, gamma):
                 elif it - best_it >= patience:
                     rows = slot = 0
                     best, best_it = residual, it
-    return x, v, it, converged and not proj.infeasible
+    return x, v, it, "infeasible" if proj.infeasible else reason
 
 
 # (problem, m, eta, trial): the l1 cells at m = 16 and 54 take the Phi^+
@@ -732,7 +732,7 @@ class TestConstrainedRecovery:
         op2 = dense_op(a2)
         y = np.array([1.0, -1.0])   # needs opposite signs: impossible
         res = recover_constrained(L1Norm(), op2, y, eta=0.1)
-        assert res.infeasible and not res.converged
+        assert res.stop_reason == "infeasible" and not res.converged
 
     @pytest.mark.parametrize("c", [1.0, 1e-8, 1e-10])
     def test_infeasible_at_every_data_scale(self, c):
@@ -947,8 +947,8 @@ class TestPhaseRetrievalSdp:
         assert res.converged
         assert res.residual_norm <= eta + 1e-8 * np.linalg.norm(y)
         y[0] = -eta
-        assert not phase_retrieval_sdp(op, y, eta,
-                                       SolverOptions(max_iters=10)).infeasible
+        assert phase_retrieval_sdp(op, y, eta, SolverOptions(
+            max_iters=10)).stop_reason != "infeasible"
         y[0] = -eta - 1e-6 * np.linalg.norm(y)
         with pytest.raises(ValueError, match="magnitudes"):
             phase_retrieval_sdp(op, y, eta)
@@ -1035,26 +1035,48 @@ class TestOptions:
         assert res.iterations == 30 and res.stop_reason == "max_iters"
 
     def test_result_fields(self):
-        r = RecoveryResult(np.zeros(2), 0.0, 0.0, 5, True)
-        assert not r.infeasible
+        r = RecoveryResult(np.zeros(2), 0.0, 0.0, 5, "converged")
+        assert r.converged and not hasattr(r, "infeasible")
+
+
+def l1_solve(op, y, eta, opts=None):
+    return recover_constrained(L1Norm(), op, y, eta, opts)
 
 
 class TestStopReason:
+    # each test solves with both programs; ``converged`` is read from the
+    # stop reason, never stored beside it
+    @staticmethod
+    def phaselift_data():
+        op = lifted_phase_ensemble(24, 8, seed=15)
+        x = generator(6).standard_normal(8)
+        return op, apply(op, np.outer(x, x))
+
+    def check(self, res, reason):
+        assert res.stop_reason == reason
+        assert res.converged == (res.stop_reason == "converged")
+
     def test_converged(self):
         op = gaussian_ensemble(6, 12, seed=9)
-        y = apply(op, np.eye(12)[3])
-        res = recover_constrained(L1Norm(), op, y, 0.1)
-        assert res.converged and res.stop_reason == "converged"
+        self.check(l1_solve(op, apply(op, np.eye(12)[3]), 0.1), "converged")
+        self.check(phase_retrieval_sdp(*self.phaselift_data(), 0.0),
+                   "converged")
 
     def test_max_iters(self):
         op = gaussian_ensemble(6, 12, seed=9)
         y = apply(op, generator(10).standard_normal(12))
-        res = recover_constrained(L1Norm(), op, y, 0.1,
-                                  SolverOptions(max_iters=3))
-        assert res.iterations == 3 and res.stop_reason == "max_iters"
+        opts = SolverOptions(max_iters=3)
+        for res in (l1_solve(op, y, 0.1, opts),
+                    phase_retrieval_sdp(*self.phaselift_data(), 0.0, opts)):
+            assert res.iterations == 3
+            self.check(res, "max_iters")
 
     def test_infeasible(self):
         # two equal rows cannot reach opposite signs
         op = dense_op([[1.0, 0.0], [1.0, 0.0]])
-        res = recover_constrained(L1Norm(), op, np.array([1.0, -1.0]), 0.1)
-        assert not res.converged and res.stop_reason == "infeasible"
+        self.check(l1_solve(op, np.array([1.0, -1.0]), 0.1), "infeasible")
+        # y + 1 stays a valid magnitude vector and leaves range(Phi)
+        op, x = PROJECTOR_CASES["lifted-d4-m30"]()
+        self.check(phase_retrieval_sdp(op, apply(op, x) + 1.0, 0.0,
+                                       SolverOptions(max_iters=50)),
+                   "infeasible")
