@@ -246,7 +246,8 @@ class TestErrorCurve:
     def test_lowrank_noisy_curve_pinned(self, monkeypatch):
         # every projection of these cells solves the eta > 0 secular
         # equation; the means and the DR iteration count of each cell were
-        # recorded with the Newton secular solve and the prox step 0.2 * eta
+        # recorded with the Newton secular solve, the prox step 0.2 * eta
+        # and guarded Anderson steps from the first iteration
         iters = []
         recover = solve.recover_constrained
 
@@ -259,24 +260,31 @@ class TestErrorCurve:
         cfg = ExperimentConfig(problem=LowRankS1(r=1, d1=8, d2=8), m_grid=(55,),
                                trials=20, seed=1)
         rows = run_error_curve(cfg, [0.1, 0.3, 1.0], m=55)
+        means = [r.mean_error for r in rows]
         np.testing.assert_allclose(
-            [r.mean_error for r in rows],
-            [0.002558072568636908, 0.007659240233204125, 0.018508897945854298],
+            means,
+            [0.0025580712128173734, 0.007659244152982926, 0.018508893485768556],
             rtol=1e-12, atol=0)
+        # the plain step's means, from 7,730 DR iterations: both loops stop
+        # within the tolerance of the same solutions
+        np.testing.assert_allclose(
+            means,
+            [0.002558072568636908, 0.007659240233204125, 0.018508897945854298],
+            rtol=1e-6, atol=0)
         assert [r.nonconverged for r in rows] == [0, 0, 0]
         assert iters == [
-            210, 140, 180, 190, 280, 180, 180, 210, 120, 150,
-            150, 120, 280, 330, 140, 230, 220, 180, 120, 140,
-            90, 100, 90, 100, 100, 110, 90, 110, 110, 100,
-            80, 120, 110, 110, 140, 80, 130, 130, 100, 110,
-            90, 110, 80, 120, 90, 90, 80, 90, 90, 90,
-            100, 100, 90, 110, 120, 70, 80, 90, 80, 100]
+            80, 60, 70, 70, 80, 70, 90, 70, 70, 70,
+            70, 80, 110, 90, 70, 80, 100, 70, 70, 70,
+            50, 50, 50, 60, 50, 50, 50, 50, 70, 50,
+            40, 50, 50, 50, 60, 50, 60, 70, 50, 50,
+            40, 40, 40, 50, 50, 40, 40, 40, 40, 50,
+            50, 40, 40, 50, 40, 30, 40, 40, 40, 50]
 
     def test_l1_noisy_curve_pinned(self, monkeypatch):
         # the l1 twin of the low-rank curve: every eta > 0 projection of a
         # dense operator goes through the stored Q^t Phi; the means and the
-        # DR iteration count of each cell were recorded with the correction
-        # taken as Phi^* (Q (mu c / (1 + mu lam))) and a Newton stop at 1e-14
+        # DR iteration count of each cell were recorded with guarded
+        # Anderson steps from the first iteration
         iters = []
         recover = solve.recover_constrained
 
@@ -289,12 +297,17 @@ class TestErrorCurve:
         cfg = ExperimentConfig(problem=SparseL1(s=4, d=128), m_grid=(54,),
                                trials=6, seed=3)
         rows = run_error_curve(cfg, [0.1, 1.0], m=54)
+        means = [r.mean_error for r in rows]
         np.testing.assert_allclose(
-            [r.mean_error for r in rows],
-            [0.005590166723923327, 0.05576422527477631], rtol=1e-12, atol=0)
+            means, [0.005590165507288539, 0.05576421645706061],
+            rtol=1e-12, atol=0)
+        # the plain step's means, from 4,650 DR iterations
+        np.testing.assert_allclose(
+            means, [0.005590166723923327, 0.05576422527477631],
+            rtol=1e-6, atol=0)
         assert [r.nonconverged for r in rows] == [0, 0]
-        assert iters == [370, 350, 430, 390, 430, 300,
-                         390, 410, 410, 360, 450, 360]
+        assert iters == [130, 110, 110, 80, 120, 110,
+                         100, 100, 100, 80, 90, 100]
 
 
 def sweep_csv(result, out):

@@ -1,6 +1,7 @@
 """Recovery solvers: constrained norm minimization and the phase-retrieval
 trace-minimization program, checked against brute-force oracles."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -452,14 +453,19 @@ class TestSecularSolve:
             assert res.stop_reason == "infeasible"
 
 
-def reference_douglas_rachford(f, proj, opts, gamma):
+def reference_douglas_rachford(f, proj, opts, gamma, accelerate=True):
     """The DR loop written with a fresh array for every intermediate, the
     l1 prox as sign(z) (|z| - t)_+ and Phi^+ applied with ``@``: the
     arithmetic that the solver's in-place loop must reproduce bit for bit.
-    At eta = 0 from iteration 1,000 on it takes the Anderson step over
-    lists of 10 row slots, stacked afresh for every product, with the
-    solver's slot order and ridge, and drops the memory when the residual
-    has not halved in 1,000 iterations."""
+    At eta = 0 from iteration 1,000 on, and at eta > 0 from the first, it
+    takes the Anderson step over lists of 10 row slots, stacked afresh for
+    every product, with the solver's slot order and ridge, and drops the
+    memory when the residual has not halved in 1,000 iterations.  At
+    eta > 0 an accelerated step whose next residual exceeds twice the
+    smallest so far is undone: w becomes the previous point plus its
+    residual, and the memory starts empty.  ``accelerate=False`` gives the
+    plain loop."""
+    opts = opts or SolverOptions()
     shape = proj.op.signal_shape
 
     def prox(z, t):
@@ -472,12 +478,17 @@ def reference_douglas_rachford(f, proj, opts, gamma):
             return p - proj.pinv @ (proj.op.rows @ p - proj.y)
         return proj(p)
 
-    start, size, patience = 1_000, 10, 1_000
+    start, guard = (1_000, math.inf) if proj.eta == 0.0 else (1, 2.0)
+    if not accelerate:
+        start = math.inf
+    size, patience = 10, 1_000
     n = math.prod(shape)
     dg_rows, df_rows = [np.zeros(n)] * size, [np.zeros(n)] * size
     h = np.zeros((size, size))
     rows = slot = 0
-    g_prev = dw = None
+    g_prev = dw = w_prev = None
+    anderson_dw = False  # the last increment came from the Anderson solve
+    least = math.inf
     best, best_it = math.inf, 0
     w = np.zeros(n)
     x = v = w
@@ -488,10 +499,19 @@ def reference_douglas_rachford(f, proj, opts, gamma):
         x = project(w)
         v = prox((2.0 * x - w).reshape(shape), gamma).ravel()
         step = v - x
-        accelerated = proj.eta == 0.0 and it >= start
+        accelerated = it >= start
         if not accelerated:
             w = w + step
+        elif (guard < math.inf and anderson_dw
+              and np.linalg.norm(step) > guard * least):
+            w = w_prev + g_prev
+            rows = slot = 0
+            g_prev = None
+            anderson_dw = False
         else:
+            if guard < math.inf:
+                least = min(least, float(np.linalg.norm(step)))
+                w_prev = w
             if g_prev is not None:
                 dg = step - g_prev
                 dg_rows[slot], df_rows[slot] = dg, dw + dg
@@ -500,6 +520,7 @@ def reference_douglas_rachford(f, proj, opts, gamma):
                 h[slot], h[:, slot] = row, row
                 slot, rows = (slot + 1) % size, min(rows + 1, size)
             g_prev = dw = step
+            anderson_dw = False
             if rows:
                 hk = h[:rows, :rows]
                 ridge = (1e-10 * sum(float(d) for d in np.diag(hk))
@@ -509,6 +530,7 @@ def reference_douglas_rachford(f, proj, opts, gamma):
                                             lower=1)
                 if info == 0:
                     dw = step - gam @ np.array(df_rows[:rows])
+                    anderson_dw = True
             w = w + dw
         if it % 10 == 0 or it == opts.max_iters:
             residual = np.linalg.norm(step)
@@ -528,9 +550,10 @@ def reference_douglas_rachford(f, proj, opts, gamma):
 # (problem, m, eta, trial): the l1 cells at m = 16 and 54 take the Phi^+
 # branch, the low-rank ones the secular solve (eta = 0.3) and the
 # inside-ball branch (eta = 3 ||y||).  The l1 m = 16, t = 4 cell takes
-# Anderson steps past iteration 1,000, the t = 12 one also drops its
-# memory once (at 2,020), and the l1 eta = 1e-3 cell runs past 1,000 with
-# plain steps.
+# Anderson steps past iteration 1,000, and the t = 12 one also drops its
+# memory once (at 2,020).  The eta > 0 cells take guarded Anderson steps
+# from the first iteration; ``rejecting_cell`` below is one more, whose
+# guard rejects steps.
 REFERENCE_CELLS = (
     [(SparseL1(4, 128), m, 0.0, t) for m in (16, 54) for t in range(6)]
     + [(SparseL1(4, 128), 16, 0.0, 12), (SparseL1(4, 128), 54, 1e-3, 0)]
@@ -552,27 +575,56 @@ def solve_reference_cell(problem, m, eta, trial):
     return problem.recover(op, y, eta, SolverOptions())
 
 
+def rejecting_cell():
+    # the l1 cell of TestStopReason.test_converged: unguarded, its Anderson
+    # steps ran to max_iters at objective 2,421, where ||x||_1 = 1
+    op = gaussian_ensemble(6, 12, seed=9)
+    return l1_solve(op, apply(op, np.eye(12)[3]), 0.1)
+
+
+def assert_matches_reference(monkeypatch, run):
+    got = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(solve, "_douglas_rachford", reference_douglas_rachford)
+        want = run()
+    assert got.estimate.tobytes() == want.estimate.tobytes()
+    assert got.iterations == want.iterations
+    assert got.stop_reason == want.stop_reason
+
+
 class TestInPlaceDrStep:
     @pytest.mark.parametrize("problem, m, eta, trial", REFERENCE_CELLS,
                              ids=[f"{type(p).__name__}-m{m}-eta{e}-t{t}"
                                   for p, m, e, t in REFERENCE_CELLS])
     def test_bit_identical_to_allocating_loop(self, monkeypatch, problem, m,
                                               eta, trial):
-        got = solve_reference_cell(problem, m, eta, trial)
-        monkeypatch.setattr(solve, "_douglas_rachford",
-                            reference_douglas_rachford)
-        want = solve_reference_cell(problem, m, eta, trial)
-        assert got.estimate.tobytes() == want.estimate.tobytes()
-        assert got.iterations == want.iterations
-        assert got.stop_reason == want.stop_reason
+        assert_matches_reference(
+            monkeypatch, lambda: solve_reference_cell(problem, m, eta, trial))
 
-    def test_reference_cells_reach_the_anderson_start(self):
-        # the cells above that pin the accelerated step at eta = 0 and the
-        # plain one at eta > 0 past iteration 1,000
-        for m, eta, trial in ((16, 0.0, 4), (16, 0.0, 12), (54, 1e-3, 0)):
-            res = solve_reference_cell(SparseL1(4, 128), m, eta, trial)
+    def test_rejecting_cell_bit_identical(self, monkeypatch):
+        assert_matches_reference(monkeypatch, rejecting_cell)
+
+    def test_reference_cells_reach_the_anderson_start(self, monkeypatch):
+        # the cells above that pin the accelerated step at eta = 0 past
+        # iteration 1,000
+        for m, trial in ((16, 4), (16, 12)):
+            res = solve_reference_cell(SparseL1(4, 128), m, 0.0, trial)
             assert res.converged
             assert res.iterations > solve._ANDERSON_START
+        # and the guard's rejection at eta > 0, long before it: only a
+        # rejection leaves the memory unpaired
+        rejected = []
+
+        class Counting(solve._Anderson):
+            def advance(self, w, g):
+                super().advance(w, g)
+                rejected.append(not self.paired)
+
+        monkeypatch.setattr(solve, "_Anderson", Counting)
+        res = rejecting_cell()
+        assert res.converged
+        assert res.iterations < solve._ANDERSON_START
+        assert any(rejected)
 
 
 class TestAndersonStep:
@@ -632,6 +684,62 @@ class TestAndersonStep:
         acc.watch(2_500, 0.3)      # not halved in 1,000 iterations
         assert (acc.rows, acc.slot) == (0, 0)
         assert (acc.best, acc.best_it) == (0.3, 2_500)
+
+    def test_rejected_step_returns_to_the_plain_step(self):
+        acc = solve._Anderson(3, solve._ANDERSON_GUARD)
+        w = np.zeros(3)
+        acc.advance(w, np.array([1.0, 0.0, 0.0]))   # empty memory: plain
+        assert not acc.accelerated
+        acc.advance(w, np.array([0.5, 0.5, 0.0]))   # one row: accelerated
+        assert acc.accelerated and acc.rows == 1
+        w_prev, g_prev = acc.w_prev.copy(), acc.g_prev.copy()
+        np.testing.assert_array_equal(w_prev, [1.0, 0.0, 0.0])
+        acc.advance(w, np.array([0.0, 0.0, 2.1]))   # > 2 * least = 2 ||g||
+        assert w.tobytes() == (w_prev + g_prev).tobytes()
+        assert (acc.rows, acc.slot, acc.paired) == (0, 0, False)
+        g = np.array([0.25, 0.5, 0.0])              # memory empty: plain
+        acc.advance(w, g)
+        np.testing.assert_array_equal(acc.dw, g)
+        assert w.tobytes() == (w_prev + g_prev + g).tobytes()
+
+    def test_accepted_step_within_the_guard(self):
+        acc = solve._Anderson(3, solve._ANDERSON_GUARD)
+        w = np.zeros(3)
+        acc.advance(w, np.array([1.0, 0.0, 0.0]))
+        acc.advance(w, np.array([0.5, 0.5, 0.0]))
+        acc.advance(w, np.array([0.0, 0.0, 1.4]))   # < 2 * least = 1.41...
+        assert acc.paired and acc.rows == 2
+
+    # per problem/m pair at eta = 0.01 and 1.0, trials 0 and 1 of seed root
+    # 5; the plain step needs 24,450 DR iterations for these 16 cells
+    NOISY_CELLS = [(p, m, eta, t)
+                   for p, ms in ((SparseL1(4, 128), (30, 54)),
+                                 (LowRankS1(1, 8, 8), (30, 55)))
+                   for m in ms for eta in (0.01, 1.0) for t in range(2)]
+
+    def test_noisy_cells_converge_in_fewer_iterations(self, monkeypatch):
+        def total(cells):
+            iters = 0
+            for problem, m, eta, t in cells:
+                res, _ = solve_instance(problem, m,
+                                        _cell_seed(5, 30_000 + m, t), eta,
+                                        SolverOptions())
+                assert res.stop_reason == "converged"
+                iters += res.iterations
+            return iters
+
+        accelerated = total(self.NOISY_CELLS)
+        monkeypatch.setattr(solve, "_douglas_rachford", functools.partial(
+            reference_douglas_rachford, accelerate=False))
+        assert accelerated < total(self.NOISY_CELLS)
+
+    def test_noisy_phaselift_cell_converges(self):
+        # the plain step caps this cell at 20,000 iterations
+        res, rel = solve_instance(PhaseRetrieval(16), 96,
+                                  _cell_seed(2, 40_096, 0), 1e-3,
+                                  SolverOptions())
+        assert res.stop_reason == "converged"
+        assert rel < 1e-3
 
 
 class TestConstrainedRecovery:
