@@ -44,9 +44,15 @@ ConeDescriptor = Subspace | DescentCone
 
 @dataclass(frozen=True)
 class LambdaMinResult:
+    """``mode`` is ``"exact"`` or ``"upper-bound (heuristic)"``; only an
+    exact value is ``certified``."""
+
     value: float
-    mode: str            # "exact" | "upper-bound (heuristic)"
-    certified: bool
+    mode: str
+
+    @property
+    def certified(self) -> bool:
+        return self.mode == "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +128,10 @@ def lambda_min_empirical(op: MeasurementOperator, cone: ConeDescriptor,
         raise ValueError("cone dimension mismatch")
     if isinstance(cone, DescentCone):
         val = _heuristic_descent_lambda(mat, cone.f, restarts, iters, seed)
-        return LambdaMinResult(val, "upper-bound (heuristic)", False)
+        return LambdaMinResult(val, "upper-bound (heuristic)")
     restricted = mat @ cone.basis
     # fewer rows than columns: the restricted map has a kernel
     rows, cols = restricted.shape
     value = (0.0 if rows < cols else
              float(np.linalg.svd(restricted, compute_uv=False)[-1]))
-    return LambdaMinResult(value, "exact", True)
+    return LambdaMinResult(value, "exact")

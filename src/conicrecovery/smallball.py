@@ -71,8 +71,8 @@ def estimate_marginal_tail(phi_sampler: RowSampler,
         raise ValueError("need n_dirs >= 1")
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
-    if xi < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0 <= xi < math.inf:
+        raise ValueError("threshold must be nonnegative and finite")
     rng_dirs, rng_phi = spawn_generators(seed, 2)
     dirs = np.asarray(direction_sampler(rng_dirs, n_dirs), dtype=float)
     dirs = dirs.reshape(n_dirs, -1)
@@ -166,9 +166,9 @@ def bowling_width_descent(f: Regularizer, phi_sampler: RowSampler,
 def small_ball_lower_bound(xi: float, m: int, q: float, w: float,
                            t: float) -> float:
     """xi*sqrt(m)*q - 2w - xi*t, a lower bound holding with confidence
-    1 - exp(-t^2/2)."""
-    if xi < 0 or m < 0 or q < 0 or w < 0 or t < 0:
-        raise ValueError("inputs must be nonnegative")
+    1 - exp(-t^2/2); a negative or non-finite input is refused."""
+    if not all(0 <= a < math.inf for a in (xi, m, q, w, t)):
+        raise ValueError("inputs must be nonnegative and finite")
     return xi * math.sqrt(m) * q - 2.0 * w - xi * t
 
 
@@ -176,10 +176,12 @@ def paley_zygmund_tail(alpha: float, sigma: float, xi: float) -> float:
     """Analytic lower bound (alpha - 2 xi)^2 / (4 sigma^2) on Q_{2 xi}.
 
     Valid only for 2 xi < alpha; the output is clipped to 1 since it
-    bounds a probability.
+    bounds a probability.  A non-finite input is refused: min(1, NaN) is 1.
     """
-    if alpha <= 0 or sigma <= 0 or xi < 0:
-        raise ValueError("need positive alpha, sigma and nonnegative xi")
+    if not (0 < alpha < math.inf and 0 < sigma < math.inf
+            and 0 <= xi < math.inf):
+        raise ValueError("need positive alpha, sigma and nonnegative xi, "
+                         "all finite")
     if 2.0 * xi >= alpha:
         raise ValueError("bound requires 2*xi < alpha")
     return min(1.0, (alpha - 2.0 * xi) ** 2 / (4.0 * sigma ** 2))

@@ -44,16 +44,16 @@ it allocates them once per solve and updates them in place.  The projector
 and the prox return fresh arrays and never their input, so an in-place
 update cannot reach the x and v they returned.
 
-At eta = 0, where the data set is affine, a solve still running at
-iteration 1,000 switches to a damped type-II Anderson step over its last 10
-steps and drops that memory whenever the residual ||v - x|| has not halved
-in 1,000 iterations (``_douglas_rachford``).  Those are the slow solves, the
+A DR solve takes a damped type-II Anderson step over its last 10 steps,
+under one rule at every eta (``_douglas_rachford``): an accelerated step
+after which the residual ||v - x|| exceeds twice the solve's smallest is
+undone, to the previous point's plain step, and the memory is emptied.
+Only the start depends on eta.  At eta = 0, where the data set is affine,
+the step starts at iteration 1,000, so only the slow solves take it, the
 sub-threshold l1 cells and near-threshold PhaseLift cells; the rest
-converge first and keep the plain step bit for bit.  An eta > 0 solve, over
-a ball, takes the same step from its first iteration behind a guard: an
-accelerated step after which ||v - x|| exceeds twice the solve's smallest
-residual is undone, to the previous point's plain step, and the memory is
-emptied.  Unguarded, the step diverged there.
+converge first and keep the plain step bit for bit.  An eta > 0 solve,
+over a ball, takes it from its first iteration; unguarded, the step
+diverged there.
 """
 
 from __future__ import annotations
@@ -118,18 +118,14 @@ _NEWTON_MAX_STEPS = 100
 # Newton stops once its step is at most this times max(mu, 1); see
 # _BallProjector._secular_root
 _NEWTON_STOP = 1e-10
-# eta = 0 DR solves take Anderson steps from this iteration on, over the
-# differences of the last _ANDERSON_MEMORY steps, damped by
-# _ANDERSON_DAMPING ||g||^2, and drop that memory when the check-step
-# residual has not halved in _ANDERSON_PATIENCE iterations; see _Anderson
+# eta = 0 DR solves take Anderson steps from this iteration on (eta > 0
+# ones from the first), over the differences of the last _ANDERSON_MEMORY
+# steps, damped by _ANDERSON_DAMPING ||g||^2, and reject one whose next
+# residual exceeds _ANDERSON_GUARD times the solve's smallest; see _Anderson
 # and _douglas_rachford
 _ANDERSON_START = 1_000
 _ANDERSON_MEMORY = 10
-_ANDERSON_PATIENCE = 1_000
 _ANDERSON_DAMPING = 1e-5
-# eta > 0 DR solves take them from this iteration on, and reject one whose
-# next residual exceeds _ANDERSON_GUARD times the solve's smallest
-_ANDERSON_NOISY_START = 1
 _ANDERSON_GUARD = 2.0
 # PhaseLift's DR prox step, as a fraction of the trace scale mean(y)
 _TRACE_STEP = 0.3
@@ -277,10 +273,11 @@ class _Anderson:
     farther than the plain step and can stall there, residual constant,
     until the budget runs out.  Over the rows m = 8-24 of the l1 d = 128
     sweep (60 trials, seeds 1-20, 3,600 cells) the undamped step capped 6
-    cells that the plain step converges; damped at 1e-5 it capped none.
+    cells that the plain step converges; damped at 1e-5 it capped none
+    (both without the guard of ``advance``).
     """
 
-    def __init__(self, n: int, guard: float = math.inf):
+    def __init__(self, n: int):
         self.dg = np.zeros((_ANDERSON_MEMORY, n))
         self.df = np.zeros((_ANDERSON_MEMORY, n))
         self.h = np.zeros((_ANDERSON_MEMORY, _ANDERSON_MEMORY))
@@ -294,8 +291,6 @@ class _Anderson:
         self.rows = self.slot = 0  # rows filled; the slot the next replaces
         self.paired = False  # g_prev and dw hold the previous step
         self.accelerated = False  # dw is an Anderson increment, not g_prev
-        self.best, self.best_it = math.inf, 0
-        self.guard = guard
         self.w_prev, self.least = np.empty(n), math.inf
 
     def step(self, g: np.ndarray) -> None:
@@ -327,32 +322,21 @@ class _Anderson:
     def advance(self, w: np.ndarray, g: np.ndarray) -> None:
         """Move the DR point w, whose residual is g, in place to w + dw.
 
-        With a finite ``guard`` it first checks the last step: if that was
-        an accelerated one and ||g|| exceeds ``guard`` times the smallest
-        residual seen so far, the step is rejected.  w is set to the
-        previous point's plain step, w_prev + g_prev, and the memory is
-        emptied, so the next step is plain too.  With ``guard`` infinite
-        this is ``step(g)`` and w += dw, bit for bit."""
-        if self.guard < math.inf:
-            r = math.sqrt(float(g.dot(g)))
-            if self.accelerated and r > self.guard * self.least:
-                np.add(self.w_prev, self.g_prev, out=w)
-                self.rows = self.slot = 0
-                self.paired = self.accelerated = False
-                return
-            self.least = min(self.least, r)
-            np.copyto(self.w_prev, w)
+        It first checks the last step: if that was an accelerated one and
+        ||g|| exceeds ``_ANDERSON_GUARD`` times the smallest residual seen
+        so far, the step is rejected.  w is set to the previous point's
+        plain step, w_prev + g_prev, and the memory is emptied, so the next
+        step is plain too."""
+        r = math.sqrt(float(g.dot(g)))
+        if self.accelerated and r > _ANDERSON_GUARD * self.least:
+            np.add(self.w_prev, self.g_prev, out=w)
+            self.rows = self.slot = 0
+            self.paired = self.accelerated = False
+            return
+        self.least = min(self.least, r)
+        np.copyto(self.w_prev, w)
         self.step(g)
         w += self.dw
-
-    def watch(self, it: int, residual: float) -> None:
-        """Drop the memory once the check-step residual ||v - x|| has not
-        halved in ``_ANDERSON_PATIENCE`` iterations."""
-        if residual <= 0.5 * self.best:
-            self.best, self.best_it = residual, it
-        elif it - self.best_it >= _ANDERSON_PATIENCE:
-            self.rows = self.slot = 0
-            self.best, self.best_it = residual, it
 
 
 def _douglas_rachford(f: Regularizer, proj: _BallProjector,
@@ -371,40 +355,39 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
     projector and the prox return fresh arrays, so x and v never alias
     them.
 
-    At eta = 0, from iteration ``_ANDERSON_START`` (1,000) on, the plain
-    update w <- w + (v - x) becomes a damped type-II Anderson step over the
-    last ``_ANDERSON_MEMORY`` (10) steps (``_Anderson``), and the memory is
-    dropped whenever the check-step residual ||v - x|| has not halved in
-    ``_ANDERSON_PATIENCE`` (1,000) iterations.  Before that iteration the
-    loop is the plain one bit for bit.  Most cells converge before it, so
-    they do not change; the slow ones are the sub-threshold l1 cells and
-    near-threshold PhaseLift cells.  Measured at the 20,000-iteration
-    default:
+    From iteration ``start`` on -- ``_ANDERSON_START`` (1,000) at eta = 0,
+    the first at eta > 0 -- the plain update w <- w + (v - x) becomes a
+    damped type-II Anderson step over the last ``_ANDERSON_MEMORY`` (10)
+    steps (``_Anderson``), guarded: an accelerated step after which
+    ||v - x|| exceeds ``_ANDERSON_GUARD`` (2) times the smallest residual
+    of the solve so far is rejected, w goes back to the previous point
+    plus its plain step, and the memory starts empty (a residual safeguard
+    after Zhang, O'Donoghue and Boyd, 2020, who guard a type-I step).
+    Before ``start`` the loop is the plain one bit for bit.  Measured at
+    the 20,000-iteration default, against the plain step and against the
+    unguarded step that instead dropped its memory whenever ||v - x|| had
+    not halved in 1,000 iterations:
 
-    - l1 d = 128, s = 4 (the acceptance-01 grid, 60 trials, seeds 1-5):
-      6,204,810 DR iterations became 1,321,590 and 116 capped cells 3,
-      all three capped by the plain step too; every success verdict held.
-      Rows m = 8-24 at seeds 1-20: 24.3M iterations became 4.27M and 502
-      capped cells 15, none of which the plain step converges.
-    - PhaseLift d = 16, m = 24-40 (seed 3, 20 trials): successes
-      0/1/14/17/19 became 2/7/16/20/20, and capped cells 46 became 10;
-      at 80,000 iterations every row reads the same.
-    - The restart changes little on these cells: without it the l1 rows
-      above took 4,270,490 iterations against 4,267,070, capping 15
-      cells either way, and PhaseLift capped 11 against 10.
-
-    At eta > 0, where the set is a ball, not affine, the Anderson step
-    starts at iteration ``_ANDERSON_NOISY_START`` (1) and is guarded: an
-    accelerated step after which ||v - x|| exceeds ``_ANDERSON_GUARD`` (2)
-    times the smallest residual of the solve so far is rejected, w goes
-    back to the previous point plus its plain step, and the memory starts
-    empty (a residual safeguard after Zhang, O'Donoghue and Boyd, 2020,
-    who guard a type-I step).  Measured against the plain step:
-
+    - l1 d = 128, s = 4, eta = 0 (the acceptance-01 grid, 60 trials, seeds
+      1-5): 6,204,810 plain DR iterations became 1,294,740 (unguarded
+      1,321,590), and 116 capped cells 3, all three capped by the plain
+      step too; every success verdict held.  Rows m = 8-24 at seeds 1-20:
+      24.3M iterations became 4.18M (unguarded 4.27M), and 502 capped cells
+      15 (unguarded 15), with the same verdicts.
+    - PhaseLift d = 16, m = 24-40, eta = 0 (seed 3, 20 trials): successes
+      0/1/14/17/19 became 2/7/16/20/20, and capped cells 46 became 11
+      (unguarded 10).  At seeds 1 and 2, m = 32 reads one success fewer
+      than unguarded (13 and 16 of 20), rows whose verdicts depend on the
+      budget either way.
+    - Starting the eta = 0 step at iteration 1 as well cut the seed-1
+      l1 sweep's DR iterations from 261,880 to 172,160 with the same
+      verdicts but, as each Anderson step costs more than a plain one,
+      raised its time from 3.3-3.4 s to 4.0-4.2 s (three alternated runs,
+      one BLAS thread, 2 cores).
     - l1 d = 128 at m = 30 and 54 and Schatten-1 8 x 8 rank 1 at m = 30
       and 55, eta in {1e-3, 1e-2, 0.1, 1}, 10 trials at each of seeds 5
-      and 6 (320 cells): 1,214,410 DR iterations became 364,910 and 27
-      capped cells none; 14 cells took 2,130 more iterations in all, and
+      and 6 (320 cells): 1,214,410 plain DR iterations became 364,910 and
+      27 capped cells none; 14 cells took 2,130 more iterations in all, and
       the converged objectives agree to 2.9e-7 relative.
     - PhaseLift d = 16, m = 96, eta = 1e-3 (8 cells): the plain step capped
       all 8, the guarded one converged all 8 in 8,880 iterations.
@@ -427,8 +410,7 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
     reason = "max_iters"
     it = 0
     gate = opts.tol * proj.scale
-    start, guard = ((_ANDERSON_START, math.inf) if proj.eta == 0.0
-                    else (_ANDERSON_NOISY_START, _ANDERSON_GUARD))
+    start = _ANDERSON_START if proj.eta == 0.0 else 1
     accel = None
     for it in range(1, opts.max_iters + 1):
         x = proj(w)
@@ -439,16 +421,13 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
         if it < start:
             w += step
         else:
-            accel = accel or _Anderson(n, guard)
+            accel = accel or _Anderson(n)
             accel.advance(w, step)
-        if it % 10 == 0 or it == opts.max_iters:
-            residual = np.linalg.norm(step)
-            if (residual <= gate
-                    and proj.misfit(v) - proj.eta <= gate):
-                reason = "converged"
-                break
-            if accel is not None:
-                accel.watch(it, residual)
+        if ((it % 10 == 0 or it == opts.max_iters)
+                and np.linalg.norm(step) <= gate
+                and proj.misfit(v) - proj.eta <= gate):
+            reason = "converged"
+            break
     return x, v, it, "infeasible" if proj.infeasible else reason
 
 

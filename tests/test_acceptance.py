@@ -84,11 +84,11 @@ def test_criterion_01_sparse_phase_transition(capsys, sparse_sweep):
 # (m, successes, nonconverged, mean_solve_iters, mean_rel_error) of each
 # sparse_sweep row, recorded with the eta = 0 projection taken through the
 # Gram eigenbasis (Phi, Q^t, Q, Phi^t per DR step); rows m <= 24 re-recorded
-# with the Anderson step
+# with the Anderson step behind the residual guard
 SPARSE_SWEEP_ROWS = [
-    (8, 0, 0, 1708.8, 1.065366453327358),
-    (16, 2, 0, 1459.2, 0.8396896437671085),
-    (24, 23, 0, 618.4, 0.06276026609854718),
+    (8, 0, 0, 1560.4, 1.0653664532250209),
+    (16, 2, 0, 1458.4, 0.839689643206213),
+    (24, 23, 0, 624.0, 0.06276026631010281),
     (32, 25, 0, 235.2, 1.2639661479511457e-08),
     (40, 25, 0, 157.2, 9.649596020611571e-09),
     (48, 25, 0, 120.0, 1.0257259857151689e-08),

@@ -604,6 +604,11 @@ class TestProblemConfig:
         (("smallball", "--d", "20", "--subspace-dim", "-2"), "1 <= k <= d"),
         (("smallball", "--d", "-3"), "must be at least 1"),
         (("smallball", "--d", "0"), "must be at least 1"),
+        # unrefused, --xi nan printed bound nan and --t inf bound -inf
+        (("smallball", "--d", "8", "--m", "10", "--trials", "50", "--xi",
+          "nan"), "nonnegative and finite"),
+        (("smallball", "--d", "8", "--m", "10", "--trials", "50", "--t",
+          "inf"), "nonnegative and finite"),
     ])
     def test_out_of_range_field_exits_1(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

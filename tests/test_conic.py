@@ -11,6 +11,7 @@ from scipy.optimize import nnls
 from conicrecovery import measure, solve
 from conicrecovery.conic import (
     DescentCone,
+    LambdaMinResult,
     Subspace,
     deterministic_error_bound,
     lambda_min_empirical,
@@ -76,6 +77,13 @@ class TestExactModes:
         res = lambda_min_empirical(op, cone)
         assert (res.value, res.mode, res.certified) == (0.0, "exact", True)
         assert deterministic_error_bound(0.1, res.value) == float("inf")
+
+    def test_certified_follows_mode(self):
+        # one field for one fact: a certified heuristic cannot be built
+        assert LambdaMinResult(1.0, "exact").certified
+        assert not LambdaMinResult(1.0, "upper-bound (heuristic)").certified
+        with pytest.raises(TypeError):
+            LambdaMinResult(1.0, "upper-bound (heuristic)", True)
 
     def test_square_restricted_matrix_uses_svd(self):
         op = gaussian_ensemble(5, 10, seed=0)

@@ -123,6 +123,12 @@ class TestMarginalTail:
         with pytest.raises(ValueError):
             estimate_marginal_tail(gaussian_row_sampler(3), bad, 0.5)
 
+    @pytest.mark.parametrize("xi", [-0.5, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_threshold(self, xi):
+        # unchecked, a NaN threshold counted no exceedance and read q = 0
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            estimate_marginal_tail(gaussian_row_sampler(3), sphere_dirs(3), xi)
+
     def test_deterministic(self):
         a = estimate_marginal_tail(gaussian_row_sampler(3), sphere_dirs(3),
                                    0.5, seed=11)
@@ -209,6 +215,15 @@ class TestBoundAssembly:
         with pytest.raises(ValueError):
             small_ball_lower_bound(-0.1, 10, 0.5, 1.0, 1.0)
 
+    @pytest.mark.parametrize("slot", range(5))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_small_ball_rejects_non_finite(self, slot, bad):
+        # unchecked, a NaN passed through and t = inf gave -inf
+        args = [0.5, 100, 0.8, 1.0, 1.0]
+        args[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            small_ball_lower_bound(*args)
+
     def test_paley_zygmund_values(self):
         assert paley_zygmund_tail(1.0, 1.0, 1.0 / 6.0) == pytest.approx(1.0 / 9.0)
         assert paley_zygmund_tail(2.0, 1.0, 0.0) == 1.0  # clipped at 1
@@ -219,6 +234,14 @@ class TestBoundAssembly:
             paley_zygmund_tail(1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             paley_zygmund_tail(-1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1.0, 0.1), (math.inf, 1.0, 0.1), (1.0, math.nan, 0.1),
+        (1.0, math.inf, 0.1), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)])
+    def test_paley_zygmund_rejects_non_finite(self, args):
+        # unchecked, alpha = NaN gave min(1, NaN) = 1.0
+        with pytest.raises(ValueError, match="finite"):
+            paley_zygmund_tail(*args)
 
 
 
