@@ -86,6 +86,7 @@ def _cmd_width(args):
 
 def _cmd_smallball(args):
     d, m, xi, t = args.d, args.m, args.xi, args.t
+    smallball.small_ball_lower_bound(xi, m, 0.0, 0.0, t)  # before any draw
     k = d if args.subspace_dim is None else args.subspace_dim
     phi = measure.gaussian_row_sampler(d)
     basis = _axes(d, k)

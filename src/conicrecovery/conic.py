@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import MeasurementOperator, OperatorKind, check_eta
+from .measure import MeasurementOperator, OperatorKind, as_int, check_eta
 from .reg import Regularizer, level_threshold
 from .rng import generator
 
@@ -116,7 +116,12 @@ def lambda_min_empirical(op: MeasurementOperator, cone: ConeDescriptor,
                          restarts: int = 32,
                          iters: int = 500,
                          seed: int = 0) -> LambdaMinResult:
-    """Minimum conic singular value of the operator with respect to a cone."""
+    """Minimum conic singular value of the operator with respect to a cone;
+    a descent cone's search runs ``restarts`` >= 1 starts of ``iters`` >= 0
+    steps (other values are refused for every cone)."""
+    restarts, iters = as_int(restarts, "restarts"), as_int(iters, "iters")
+    if restarts < 1 or iters < 0:
+        raise ValueError("need restarts >= 1 and iters >= 0")
     mat = _dense_matrix(op)
     if isinstance(cone, Subspace):
         dim = cone.basis.shape[0]

@@ -166,9 +166,9 @@ def bowling_width_descent(f: Regularizer, phi_sampler: RowSampler,
 def small_ball_lower_bound(xi: float, m: int, q: float, w: float,
                            t: float) -> float:
     """xi*sqrt(m)*q - 2w - xi*t, a lower bound holding with confidence
-    1 - exp(-t^2/2); a negative or non-finite input is refused."""
-    if not all(0 <= a < math.inf for a in (xi, m, q, w, t)):
-        raise ValueError("inputs must be nonnegative and finite")
+    1 - exp(-t^2/2); a negative or non-finite input, or m < 1, is refused."""
+    if not (all(0 <= a < math.inf for a in (xi, m, q, w, t)) and m >= 1):
+        raise ValueError("inputs must be nonnegative and finite, and m >= 1")
     return xi * math.sqrt(m) * q - 2.0 * w - xi * t
 
 

@@ -28,11 +28,11 @@ the spectrum.  Both routes factor G = Phi Phi^*, so both square the
 condition number of Phi.  A PhaseLift DR step applies Phi and Phi^* once
 each and the PSD prox, which computes only the eigenpairs above the step
 (``reg.TracePSD``): near the rank-one solution that is one pair of the
-d x d iterate, not a full eigendecomposition.  At eta > 0 both programs
-take the prox step 0.2 * eta, a fixed fraction of the noise level; at
-eta = 0 norm minimization takes 1 (see ``recover_constrained``) and trace
-minimization 0.3 * mean(y), a fixed fraction of the trace that the data
-imply (see ``phase_retrieval_sdp``).
+d x d iterate, not a full eigendecomposition.  Every DR solve takes its
+prox step by one rule, chosen by the loop (``_douglas_rachford``):
+gamma = 0.2 * eta at eta > 0, and 0.3 * mean|y_i| at eta = 0 (1 when
+y = 0), a fixed fraction of a length the data carry, so a solve takes the
+same iterations at every data scale.
 
 The projector owns a solve's data y and eta; ||y|| scales the stopping gate
 and ||Phi x - y|| is the residual.  It refuses a non-finite y before any
@@ -45,15 +45,10 @@ and the prox return fresh arrays and never their input, so an in-place
 update cannot reach the x and v they returned.
 
 A DR solve takes a damped type-II Anderson step over its last 10 steps,
-under one rule at every eta (``_douglas_rachford``): an accelerated step
-after which the residual ||v - x|| exceeds twice the solve's smallest is
-undone, to the previous point's plain step, and the memory is emptied.
-Only the start depends on eta.  At eta = 0, where the data set is affine,
-the step starts at iteration 1,000, so only the slow solves take it, the
-sub-threshold l1 cells and near-threshold PhaseLift cells; the rest
-converge first and keep the plain step bit for bit.  An eta > 0 solve,
-over a ball, takes it from its first iteration; unguarded, the step
-diverged there.
+guarded against a residual growth (``_douglas_rachford``): from iteration
+1,000 at eta = 0, so only the slow solves take it and the rest keep the
+plain step bit for bit, and from the first at eta > 0, over a ball, where
+the unguarded step diverged.
 """
 
 from __future__ import annotations
@@ -127,10 +122,10 @@ _ANDERSON_START = 1_000
 _ANDERSON_MEMORY = 10
 _ANDERSON_DAMPING = 1e-5
 _ANDERSON_GUARD = 2.0
-# PhaseLift's DR prox step, as a fraction of the trace scale mean(y)
-_TRACE_STEP = 0.3
-# the norm problems' DR prox step at eta > 0, as a fraction of eta
+# every DR solve's prox step: _BALL_STEP * eta at eta > 0, and
+# _DATA_STEP * mean|y_i| at eta = 0; see _douglas_rachford
 _BALL_STEP = 0.2
+_DATA_STEP = 0.3
 
 
 def _gram_inverse(g: np.ndarray) -> np.ndarray | None:
@@ -340,11 +335,11 @@ class _Anderson:
 
 
 def _douglas_rachford(f: Regularizer, proj: _BallProjector,
-                      opts: SolverOptions | None, gamma: float):
+                      opts: SolverOptions | None):
     """DR iteration on gamma * f + indicator(C) over flat signals of shape
-    ``proj.op.signal_shape``, with prox step gamma > 0 and ``opts`` by
-    default ``SolverOptions()``; returns (x_feas, v_prox, iters, reason),
-    the reason "infeasible" when C is empty, else "converged" or "max_iters".
+    ``proj.op.signal_shape``, with ``opts`` by default ``SolverOptions()``;
+    returns (x_feas, v_prox, iters, reason), the reason "infeasible" when C
+    is empty, else "converged" or "max_iters".
 
     It stops once the primal residual ||v - x|| and the prox iterate's
     constraint violation ``proj.misfit(v) - proj.eta`` are both at most
@@ -355,35 +350,60 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
     projector and the prox return fresh arrays, so x and v never alias
     them.
 
-    From iteration ``start`` on -- ``_ANDERSON_START`` (1,000) at eta = 0,
-    the first at eta > 0 -- the plain update w <- w + (v - x) becomes a
-    damped type-II Anderson step over the last ``_ANDERSON_MEMORY`` (10)
-    steps (``_Anderson``), guarded: an accelerated step after which
-    ||v - x|| exceeds ``_ANDERSON_GUARD`` (2) times the smallest residual
-    of the solve so far is rejected, w goes back to the previous point
-    plus its plain step, and the memory starts empty (a residual safeguard
-    after Zhang, O'Donoghue and Boyd, 2020, who guard a type-I step).
-    Before ``start`` the loop is the plain one bit for bit.  Measured at
-    the 20,000-iteration default, against the plain step and against the
-    unguarded step that instead dropped its memory whenever ||v - x|| had
-    not halved in 1,000 iterations:
+    One rule, read from the projector, sets the prox step gamma and the
+    Anderson start for all three programs: at eta > 0, gamma = 0.2 * eta
+    (``_BALL_STEP``) from iteration 1; at eta = 0, gamma = 0.3 * mean|y_i|
+    (``_DATA_STEP``; 1 when y = 0) from ``_ANDERSON_START`` (1,000).  f is
+    positively homogeneous (a norm, or the trace on the PSD cone), so
+    prox_{gamma f}(c z) = c prox_{(gamma / c) f}(z) for c > 0: scaling
+    (y, eta) by c scales gamma and, by induction from w = 0, every DR
+    iterate by c, and the gate follows ||y||, so a solve takes the same
+    iterations at every data scale.  For PhaseLift, mean(y) estimates
+    trace(X) (E[y_i] = ||x||^2 for Gaussian psi_i), and its y_i are
+    magnitudes, so mean|y_i| = mean(y_i).  Measured:
 
-    - l1 d = 128, s = 4, eta = 0 (the acceptance-01 grid, 60 trials, seeds
+    - eta > 0, the 60 cells of the Schatten-1 8 x 8 rank-1 error curve at
+      m = 55, eta in {0.1, 0.3, 1.0} (seed 1, plain step), against a
+      solve at tol 1e-13: gamma = 1 took 90,570 DR iterations (deviation
+      9.0e-8 ||x||), 0.1 * eta 9,390 (2.5e-7), 0.2 * eta 7,730 (8.0e-8)
+      and 0.5 * eta 11,900 (8.8e-8).
+    - PhaseLift at eta = 0, unit signals: 0.2 to 0.5 of mean(y) took 2 to
+      2.6 times fewer DR iterations than gamma = 1 at d = 48, m = 6d-8d;
+      0.3 took the fewest at d = 8, m = 14-20, and was within 10% of the
+      fewest (0.4) at d = 48.
+    - l1 d = 128, s = 4, eta = 0 (acceptance-01 grid, 60 trials, seeds
+      1-5): the former gamma = 1 took 1,294,740 DR iterations, this rule
+      1,171,310, with every success verdict unchanged; 0.5 ||y|| / sqrt(m)
+      took 251,650 at seed 1 against 243,700.  The l1 cell s = 4, d = 64,
+      m = 40 with y scaled by 1, 1e-3 and 1e-6 took 50, 1,890 and 20,000
+      (capped) iterations at gamma = 1, and 50 at each scale here.
+
+    From ``start`` on, the plain update w <- w + (v - x) becomes a damped
+    type-II Anderson step over the last ``_ANDERSON_MEMORY`` (10) steps
+    (``_Anderson``), guarded: an accelerated step after which ||v - x||
+    exceeds ``_ANDERSON_GUARD`` (2) times the smallest residual of the
+    solve so far is rejected, w goes back to the previous point plus its
+    plain step, and the memory starts empty (a residual safeguard after
+    Zhang, O'Donoghue and Boyd, 2020, who guard a type-I step).  Before
+    ``start`` the loop is the plain one bit for bit.  Measured at the
+    20,000-iteration default, against the plain step and against an
+    unguarded step that dropped its memory whenever ||v - x|| had not
+    halved in 1,000 iterations (the l1 eta = 0 cells with gamma = 1):
+
+    - l1 d = 128, s = 4, eta = 0 (acceptance-01 grid, 60 trials, seeds
       1-5): 6,204,810 plain DR iterations became 1,294,740 (unguarded
-      1,321,590), and 116 capped cells 3, all three capped by the plain
-      step too; every success verdict held.  Rows m = 8-24 at seeds 1-20:
-      24.3M iterations became 4.18M (unguarded 4.27M), and 502 capped cells
-      15 (unguarded 15), with the same verdicts.
+      1,321,590), and 116 capped cells 3, all capped by the plain step
+      too; every success verdict held.  Rows m = 8-24 at seeds 1-20: 24.3M
+      iterations became 4.18M (unguarded 4.27M), and 502 capped cells 15.
     - PhaseLift d = 16, m = 24-40, eta = 0 (seed 3, 20 trials): successes
       0/1/14/17/19 became 2/7/16/20/20, and capped cells 46 became 11
       (unguarded 10).  At seeds 1 and 2, m = 32 reads one success fewer
       than unguarded (13 and 16 of 20), rows whose verdicts depend on the
       budget either way.
-    - Starting the eta = 0 step at iteration 1 as well cut the seed-1
-      l1 sweep's DR iterations from 261,880 to 172,160 with the same
-      verdicts but, as each Anderson step costs more than a plain one,
-      raised its time from 3.3-3.4 s to 4.0-4.2 s (three alternated runs,
-      one BLAS thread, 2 cores).
+    - Starting the eta = 0 step at iteration 1 cut the seed-1 l1 sweep's
+      DR iterations from 261,880 to 172,160 with the same verdicts but,
+      as an Anderson step costs more than a plain one, raised its time
+      from 3.3-3.4 s to 4.0-4.2 s (one BLAS thread, 2 cores).
     - l1 d = 128 at m = 30 and 54 and Schatten-1 8 x 8 rank 1 at m = 30
       and 55, eta in {1e-3, 1e-2, 0.1, 1}, 10 trials at each of seeds 5
       and 6 (320 cells): 1,214,410 plain DR iterations became 364,910 and
@@ -394,12 +414,12 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
     - Unguarded, the l1 6 x 12 cell x = e_3, eta = 0.1 of the tests ran to
       the cap at objective 2,421 against ||x||_1 = 1; guarded, it
       converges in 60 iterations after 4 rejections.  On the 320 cells a
-      guard against the previous residual, not the smallest, took 419,840
-      iterations and capped an l1 cell at m = 30, eta = 1e-3; keeping the
-      memory after a rejection took 1,038,220 and capped 24.
+      guard against the previous residual took 419,840 iterations and
+      capped one cell; keeping the memory after a rejection took 1,038,220
+      and capped 24.
     - At eta = 1e-5 (l1 d = 128, m = 54 and Schatten-1 at m = 55, 8 cells
-      each) both loops cap all 16 cells; each guarded iteration costs
-      more, so those cells take about 1.3-1.5 times as long.
+      each) both loops cap all 16 cells, the guarded one 1.3-1.5 times
+      slower.
     """
     opts = opts or SolverOptions()
     shape = proj.op.signal_shape
@@ -410,7 +430,11 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
     reason = "max_iters"
     it = 0
     gate = opts.tol * proj.scale
-    start = _ANDERSON_START if proj.eta == 0.0 else 1
+    if proj.eta > 0.0:
+        start, gamma = 1, _BALL_STEP * proj.eta
+    else:
+        start = _ANDERSON_START
+        gamma = _DATA_STEP * float(np.mean(np.abs(proj.y))) or 1.0
     accel = None
     for it in range(1, opts.max_iters + 1):
         x = proj(w)
@@ -436,34 +460,15 @@ def recover_constrained(f: Regularizer, op: MeasurementOperator,
                         opts: SolverOptions | None = None) -> RecoveryResult:
     """Minimize f(x) subject to ||Phi x - y|| <= eta.
 
-    For eta > 0, DR runs on gamma * f + indicator(ball) with
-    gamma = 0.2 * eta; at eta = 0 it keeps gamma = 1.  f is a norm, so
-    prox_{gamma f}(c z) = c prox_{(gamma / c) f}(z) for c > 0: scaling
-    (y, eta) by c scales the ball, the solution, the step and, by
-    induction from w = 0, every DR iterate by c, and the stopping gate
-    scales with ||y||, so an eta > 0 solve takes the same iterations at
-    every data scale.  A fixed gamma = 1 is a different step relative to
-    the data at each scale.  Measured on the 60 cells of the Schatten-1
-    8 x 8 rank-1 error curve at m = 55, eta in {0.1, 0.3, 1.0} (seed 1),
-    against a reference solve at tol 1e-13:
-
-        step           DR iterations   max deviation / ||x||
-        gamma = 1             90,570   9.0e-8
-        0.1 * eta              9,390   2.5e-7
-        0.2 * eta              7,730   8.0e-8
-        0.5 * eta             11,900   8.8e-8
-
-    Too small a step (0.1 * eta) stops farther from the solution at the
-    same tolerance.  At eta = 0 the set is affine, with no length scale
-    of its own; gamma = 1 is kept there, so the eta = 0 iteration count
-    still depends on the scale of y.
+    DR runs on gamma * f + indicator(ball), with the step gamma that
+    ``_douglas_rachford`` reads from (y, eta); a solve takes the same
+    iterations at every data scale.
     """
     if op.kind is not OperatorKind.DENSE:
         raise ValueError("constrained recovery needs a dense operator; "
                          "use phase_retrieval_sdp for lifted ensembles")
     proj = _BallProjector(op, y, eta)
-    gamma = _BALL_STEP * eta if eta > 0 else 1.0
-    x, v, iters, reason = _douglas_rachford(f, proj, opts, gamma)
+    x, v, iters, reason = _douglas_rachford(f, proj, opts)
     estimate = x.reshape(op.signal_shape)  # projection output: feasible
     return RecoveryResult(estimate, f.value(estimate), proj.misfit(estimate),
                           iters, reason)
@@ -477,19 +482,9 @@ def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray, eta: float,
     violation ||Phi(X) - y||.  The y_i are magnitudes up to the noise: a
     y_i < -eta (less 1e-10 ||y||) is refused.
 
-    At eta > 0 DR takes the norm programs' step gamma = 0.2 * eta; the
-    trace and the PSD cone are positively homogeneous, so scaling (y, eta)
-    by c scales every DR iterate by c (see ``recover_constrained``).  At
-    eta = 0 it takes gamma = 0.3 * mean(y) (1 when y = 0, whose solution
-    X = 0 is reached at once), in units of trace(X) as the prox shifts the
-    spectrum down by gamma, so again the iterations do not depend on the
-    signal's norm.  For Gaussian sampling vectors
-    E[y_i] = E[(psi_i^t x)^2] = ||x||^2 = trace(x x^t), so mean(y) is the
-    data's estimate of trace(X).  Measured on unit signals, fractions 0.2
-    to 0.5 of mean(y) take 2 to 2.6 times fewer DR iterations than
-    gamma = 1 at d = 48, m = 6d to 8d, and converge in more near-threshold
-    cells at d = 8 and 16; 0.3 took the fewest iterations in the d = 8 rows
-    at m = 14 to 20 and was within 10% of the fewest (0.4) at d = 48.
+    DR takes the step gamma of ``_douglas_rachford``: at eta = 0 it is
+    0.3 * mean(y), a fixed fraction of the trace that the data imply (1
+    when y = 0, whose solution X = 0 is reached at once).
     """
     if op.kind is not OperatorKind.LIFTED:
         raise ValueError("phase retrieval needs a lifted rank-one operator")
@@ -497,10 +492,7 @@ def phase_retrieval_sdp(op: MeasurementOperator, y: np.ndarray, eta: float,
     if np.any(proj.y < -eta - 1e-10 * proj.scale):
         raise ValueError("phase retrieval measurements are magnitudes "
                          "(y_i >= -eta)")
-    mean_y = float(np.mean(proj.y))
-    gamma = (_BALL_STEP * eta if eta > 0
-             else _TRACE_STEP * mean_y if mean_y > 0 else 1.0)
-    x, v, iters, reason = _douglas_rachford(TracePSD(), proj, opts, gamma)
+    x, v, iters, reason = _douglas_rachford(TracePSD(), proj, opts)
     estimate = v.reshape(op.signal_shape)   # prox output: PSD by construction
     estimate = 0.5 * (estimate + estimate.T)
     return RecoveryResult(estimate, float(np.trace(estimate)),

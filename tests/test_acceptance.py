@@ -84,20 +84,21 @@ def test_criterion_01_sparse_phase_transition(capsys, sparse_sweep):
 # (m, successes, nonconverged, mean_solve_iters, mean_rel_error) of each
 # sparse_sweep row, recorded with the eta = 0 projection taken through the
 # Gram eigenbasis (Phi, Q^t, Q, Phi^t per DR step); rows m <= 24 re-recorded
-# with the Anderson step behind the residual guard
+# with the Anderson step behind the residual guard, and every row with the
+# eta = 0 prox step 0.3 mean|y_i| in place of 1
 SPARSE_SWEEP_ROWS = [
-    (8, 0, 0, 1560.4, 1.0653664532250209),
-    (16, 2, 0, 1458.4, 0.839689643206213),
-    (24, 23, 0, 624.0, 0.06276026631010281),
-    (32, 25, 0, 235.2, 1.2639661479511457e-08),
-    (40, 25, 0, 157.2, 9.649596020611571e-09),
-    (48, 25, 0, 120.0, 1.0257259857151689e-08),
-    (54, 25, 0, 102.0, 7.34713937192463e-09),
-    (64, 25, 0, 72.8, 1.016460403205946e-08),
-    (72, 25, 0, 65.2, 4.214005719040085e-09),
-    (80, 25, 0, 56.4, 4.602831877654505e-09),
-    (88, 25, 0, 45.2, 2.901781268125335e-09),
-    (96, 25, 0, 39.6, 1.8830361565282634e-09),
+    (8, 0, 0, 1102.4, 1.0653664527951654),
+    (16, 2, 0, 1124.8, 0.8396896385773737),
+    (24, 23, 0, 535.6, 0.06276026624609204),
+    (32, 25, 0, 229.2, 1.2395135712190873e-08),
+    (40, 25, 0, 151.6, 1.343201461029378e-08),
+    (48, 25, 0, 118.4, 5.810663872934608e-09),
+    (54, 25, 0, 101.2, 4.707310637624995e-09),
+    (64, 25, 0, 73.2, 4.909552038682677e-09),
+    (72, 25, 0, 65.2, 4.3071285956057856e-09),
+    (80, 25, 0, 54.4, 6.522655634158626e-09),
+    (88, 25, 0, 44.4, 5.263820369756887e-09),
+    (96, 25, 0, 37.6, 4.24156940093519e-09),
 ]
 
 
@@ -105,8 +106,9 @@ def test_criterion_01_rows_pinned(sparse_sweep):
     # not a criterion of its own: a change of solver arithmetic must leave
     # every verdict and iteration count of the sweep as recorded.  Rows
     # m <= 24 run past iteration 1,000, where eta = 0 solves take Anderson
-    # steps; with the plain step they read (0, 5, 9318.8), (2, 5, 11136.0)
-    # and (23, 1, 1736.4) in (successes, nonconverged, mean_solve_iters)
+    # steps; with the plain step and the former eta = 0 prox step 1 they
+    # read (0, 5, 9318.8), (2, 5, 11136.0) and (23, 1, 1736.4) in
+    # (successes, nonconverged, mean_solve_iters)
     rows = sparse_sweep.rows
     assert [(r.m, r.successes, r.nonconverged, r.mean_solve_iters)
             for r in rows] == [pin[:4] for pin in SPARSE_SWEEP_ROWS]

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import conicrecovery
-from conicrecovery import __version__, harness, solve
+from conicrecovery import __version__, harness, smallball, solve
 from conicrecovery.cli import _parse_problem, build_parser, main, write_records
 
 SMALL_SWEEP = {"problem": {"kind": "sparse", "s": 1, "d": 8},
@@ -24,8 +24,8 @@ SMALL_SWEEP = {"problem": {"kind": "sparse", "s": 1, "d": 8},
 SMALL_SWEEP_CSV = """\
 # config_digest=2e8afecdebd9521b seed=3 predicted_width_sq=6.158883 predicted_m=14
 m,successes,trials,success_rate,mean_rel_error,mean_solve_iters,nonconverged
-4,2,2,1.000000,2.853082e-09,65.0,0
-8,2,2,1.000000,2.624479e-12,10.0,0
+4,2,2,1.000000,3.786646e-09,60.0,0
+8,2,2,1.000000,7.507024e-13,10.0,0
 """
 SMALL_CURVE = {"problem": {"kind": "sparse", "s": 1, "d": 8},
                "eta_grid": [0.0, 0.1], "m": 8, "trials": 2, "seed": 3}
@@ -516,6 +516,11 @@ class TestProblemConfig:
         ("recover", {"s": 1.9}),
         ("recover", {"s": True}),
         ("recover", {"seed": 0.5}),
+        # a config that is not an object, a problem without a kind, and an
+        # error curve without m
+        ("sweep", [SMALL_SWEEP]),
+        ("sweep", {**SMALL_SWEEP, "problem": {"s": 1, "d": 8}}),
+        ("error-curve", {k: v for k, v in SMALL_CURVE.items() if k != "m"}),
     ])
     def test_wrong_json_type_exits_1(self, capsys, tmp_path, command, cfg):
         # null or a list where a number belongs, or a fraction or a bool
@@ -591,6 +596,22 @@ class TestProblemConfig:
         code, out, err = run(capsys, command, "--config",
                              config_path(tmp_path, cfg))
         assert (code, out, err) == (1, "", f"error: eta must be {message}\n")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("t", "inf"), ("t", "nan"), ("t", "-1"), ("xi", "nan"), ("m", "0")])
+    def test_smallball_input_exits_1_before_any_draw(self, capsys,
+                                                     monkeypatch, flag, value):
+        # checked only by the bound, --t inf would exit 1 after both
+        # estimators had run
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an estimator ran")
+
+        for name in ("estimate_marginal_tail", "estimate_mean_empirical_width"):
+            monkeypatch.setattr(smallball, name, no_draw)
+        code, out, err = run(capsys, "smallball", "--d", "8", f"--{flag}",
+                             value)
+        assert (code, out) == (1, "")
+        assert "nonnegative and finite, and m >= 1" in err
 
     @pytest.mark.parametrize("argv, message", [
         (("recover", "--s", "0", "--d", "16", "--m", "8"), "1 <= s <= d"),

@@ -111,6 +111,10 @@ class TestExactModes:
         with pytest.raises(ValueError):
             lambda_min_empirical(op, Subspace(np.eye(4)))
 
+    def test_unsupported_cone_rejected(self):
+        with pytest.raises(TypeError, match="unsupported cone descriptor"):
+            lambda_min_empirical(dense_op(np.eye(4)), np.eye(4))
+
 
 class TestHeuristicMode:
     def test_bracketed_by_member_and_full_space(self):
@@ -127,6 +131,19 @@ class TestHeuristicMode:
         full = np.linalg.svd(op.rows, compute_uv=False)[-1]
         member = float(np.linalg.norm(op.rows @ (-x)))
         assert full - 1e-9 <= res.value <= member + 1e-9
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"restarts": 0}, "restarts >= 1"), ({"restarts": -3}, "restarts >= 1"),
+        ({"iters": -1}, "iters >= 0"), ({"restarts": True}, "integer"),
+        ({"restarts": 2.5}, "integer"), ({"iters": False}, "integer"),
+        ({"iters": 0.5}, "integer")])
+    def test_rejects_an_empty_search(self, kwargs, message):
+        # unchecked, restarts = 0 returns value inf and iters = -1 runs no
+        # step
+        op = gaussian_ensemble(8, 4, seed=2)
+        f = L1Norm(np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match=message):
+            lambda_min_empirical(op, DescentCone(f), **kwargs)
 
     def test_deterministic_in_seed(self):
         op = gaussian_ensemble(8, 4, seed=2)

@@ -173,6 +173,11 @@ class TestSweep:
         res = SweepResult(rows, "x", 0, 10.0, 20)
         assert res.fifty_percent_m() == pytest.approx(15.0)
 
+    def test_fifty_percent_at_first_row_when_already_crossed(self):
+        rows = (SweepRow(10, 6, 10, 0.6, 0.5, 10.0, 0),
+                SweepRow(20, 9, 10, 0.9, 0.1, 10.0, 0))
+        assert SweepResult(rows, "x", 0, 10.0, 20).fifty_percent_m() == 10.0
+
     def test_fifty_percent_none_when_never_crossed(self):
         rows = (SweepRow(10, 1, 10, 0.1, 0.5, 10.0, 0),)
         assert SweepResult(rows, "x", 0, 10.0, 20).fifty_percent_m() is None

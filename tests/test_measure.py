@@ -171,6 +171,12 @@ class TestLiftedEnsemble:
         with pytest.raises(ValueError, match="m vectors of length d"):
             MeasurementOperator(OperatorKind.LIFTED, 2, (2, 2),
                                 vectors=np.ones((3, 2)))
+        with pytest.raises(ValueError, match="symmetric d x d"):
+            MeasurementOperator(OperatorKind.LIFTED, 2, (2, 3),
+                                vectors=np.ones((2, 2)))
+        with pytest.raises(ValueError, match="rows of shape"):
+            MeasurementOperator(OperatorKind.DENSE, 2, (3,),
+                                rows=np.ones((2, 4)))
 
 
 def assert_gram_matches_columns(op):

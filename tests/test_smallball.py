@@ -123,6 +123,11 @@ class TestMarginalTail:
         with pytest.raises(ValueError):
             estimate_marginal_tail(gaussian_row_sampler(3), bad, 0.5)
 
+    def test_rejects_no_directions(self):
+        with pytest.raises(ValueError, match="n_dirs >= 1"):
+            estimate_marginal_tail(gaussian_row_sampler(3), sphere_dirs(3),
+                                   0.5, n_dirs=0)
+
     @pytest.mark.parametrize("xi", [-0.5, math.nan, math.inf])
     def test_rejects_negative_or_non_finite_threshold(self, xi):
         # unchecked, a NaN threshold counted no exceedance and read q = 0
@@ -214,6 +219,11 @@ class TestBoundAssembly:
     def test_small_ball_rejects_negative(self):
         with pytest.raises(ValueError):
             small_ball_lower_bound(-0.1, 10, 0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("m", [0, 0.5])
+    def test_small_ball_rejects_fewer_than_one_measurement(self, m):
+        with pytest.raises(ValueError, match="m >= 1"):
+            small_ball_lower_bound(0.5, m, 0.5, 1.0, 1.0)
 
     @pytest.mark.parametrize("slot", range(5))
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

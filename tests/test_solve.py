@@ -453,10 +453,12 @@ class TestSecularSolve:
             assert res.stop_reason == "infeasible"
 
 
-def reference_douglas_rachford(f, proj, opts, gamma, accelerate=True):
+def reference_douglas_rachford(f, proj, opts, accelerate=True):
     """The DR loop written with a fresh array for every intermediate, the
     l1 prox as sign(z) (|z| - t)_+ and Phi^+ applied with ``@``: the
     arithmetic that the solver's in-place loop must reproduce bit for bit.
+    Its prox step is 0.2 eta at eta > 0 and 0.3 mean|y_i| at eta = 0 (1
+    when y = 0).
     At eta = 0 from iteration 1,000 on, and at eta > 0 from the first, it
     takes the Anderson step over lists of 10 row slots, stacked afresh for
     every product, with the solver's slot order and ridge.  An accelerated
@@ -477,6 +479,8 @@ def reference_douglas_rachford(f, proj, opts, gamma, accelerate=True):
         return proj(p)
 
     start = (1_000 if proj.eta == 0.0 else 1) if accelerate else math.inf
+    gamma = (0.2 * proj.eta if proj.eta > 0.0
+             else 0.3 * float(np.mean(np.abs(proj.y))) or 1.0)
     size = 10
     n = math.prod(shape)
     dg_rows, df_rows = [np.zeros(n)] * size, [np.zeros(n)] * size
@@ -534,14 +538,15 @@ def reference_douglas_rachford(f, proj, opts, gamma, accelerate=True):
 
 # (problem, m, eta, trial): the l1 cells at m = 16 and 54 take the Phi^+
 # branch, the low-rank ones the secular solve (eta = 0.3) and the
-# inside-ball branch (eta = 3 ||y||).  The l1 m = 16, t = 4 and t = 12
-# cells take Anderson steps past iteration 1,000, and the guard rejects one
-# step in each (at 1,117 and 1,338).  The eta > 0 cells take Anderson steps
-# from the first iteration; ``rejecting_cell`` below is one more, whose
-# guard rejects steps.
+# inside-ball branch (eta = 3 ||y||).  The l1 m = 16 cells t = 4 and 12
+# take Anderson steps past iteration 1,000 (to 1,480 and 2,260); in t = 26
+# and 32 (to 3,020 and 8,210) the guard also rejects 3 steps and 1 step.
+# The eta > 0 cells take Anderson steps from the first iteration;
+# ``rejecting_cell`` below is one more, whose guard rejects steps.
 REFERENCE_CELLS = (
     [(SparseL1(4, 128), m, 0.0, t) for m in (16, 54) for t in range(6)]
-    + [(SparseL1(4, 128), 16, 0.0, 12), (SparseL1(4, 128), 54, 1e-3, 0)]
+    + [(SparseL1(4, 128), 16, 0.0, t) for t in (12, 26, 32)]
+    + [(SparseL1(4, 128), 54, 1e-3, 0)]
     + [(LowRankS1(1, 8, 8), 55, eta, t) for eta in (0.3, "3|y|")
        for t in range(3)]
     + [(PhaseRetrieval(8), 24, 0.0, t) for t in range(3)])
@@ -602,7 +607,7 @@ class TestInPlaceDrStep:
                 rejected.append(not self.paired)
 
         monkeypatch.setattr(solve, "_Anderson", Counting)
-        for m, trial in ((16, 4), (16, 12)):
+        for m, trial in ((16, 26), (16, 32)):
             rejected.clear()
             res = solve_reference_cell(SparseL1(4, 128), m, 0.0, trial)
             assert res.converged
@@ -874,6 +879,29 @@ class TestConstrainedRecovery:
         res_c = problem.recover(op, c * y, c * eta, SolverOptions())
         assert res.converged and res_c.converged
         assert res_c.iterations == res.iterations
+        np.testing.assert_allclose(
+            res_c.estimate / c, res.estimate,
+            rtol=0, atol=1e-12 * np.linalg.norm(res.estimate))
+
+    @pytest.mark.parametrize("c", [1e-3, 1e-6])
+    @pytest.mark.parametrize("problem, m", [
+        (SparseL1(4, 64), 40), (LowRankS1(1, 8, 8), 55),
+        (PhaseRetrieval(8), 30)], ids=["l1", "s1", "phase"])
+    def test_exact_solve_scale_covariant(self, problem, m, c):
+        # the eta = 0 prox step is 0.3 mean|y_i|, so scaling y by c scales
+        # every DR iterate by c.  A fixed step of 1 takes the l1 cell 50,
+        # 1,890 and 20,000 (capped, at 0.60 relative error) iterations at
+        # c = 1, 1e-3 and 1e-6
+        x = problem.draw(generator(7))
+        op = problem.operator(m, 8)
+        y = apply(op, x)
+        res = problem.recover(op, y, 0.0, SolverOptions())
+        res_c = problem.recover(op, c * y, 0.0, SolverOptions())
+        assert res.converged and res_c.converged
+        assert res_c.iterations == res.iterations
+        rel, rel_c = (np.linalg.norm(est - x) / np.linalg.norm(x)
+                      for est in (res.estimate, res_c.estimate / c))
+        assert rel < 1e-6 and abs(rel_c - rel) <= 1e-6
         np.testing.assert_allclose(
             res_c.estimate / c, res.estimate,
             rtol=0, atol=1e-12 * np.linalg.norm(res.estimate))

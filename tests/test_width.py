@@ -82,6 +82,11 @@ class TestGordonAndSampleComplexity:
         assert sample_complexity_gaussian(0, 3) == 0
         assert sample_complexity_gaussian(math.sqrt(sparse_width_bound(4, 128)), 3) == 54
 
+    @pytest.mark.parametrize("w, margin", [(-1.0, 3.0), (6.0, -1.0)])
+    def test_sample_complexity_rejects_negative(self, w, margin):
+        with pytest.raises(ValueError, match="nonnegative w and margin"):
+            sample_complexity_gaussian(w, margin)
+
 
 class TestMcDescent:
     def test_below_closed_form_sparse(self):
@@ -170,6 +175,10 @@ class TestSubspaceSandwich:
     def test_rejects_nonpositive_trials(self, k, trials):
         with pytest.raises(ValueError):
             mc_subspace_width_sq(k, trials=trials)
+
+    def test_rejects_negative_dimension(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            mc_subspace_width_sq(-1, trials=10)
 
     def test_single_trial_has_zero_std_error(self):
         with warnings.catch_warnings():
