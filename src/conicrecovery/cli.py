@@ -7,8 +7,8 @@ All subcommands honor --seed: identical invocations give identical bytes.
 Each subcommand formats its own records, and ``write_records`` writes them
 as CSV or JSON lines.
 
-Exit codes: 0 success, 1 invalid config or usage, 2 solver
-non-convergence under --strict.
+Exit codes: 0 success, 1 invalid config or usage, 2 under --strict when a
+solve stopped without a verdict (at max_iters, or on infeasible data).
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ def _load_config(path: str | None) -> dict:
 # ---------------------------------------------------------------------------
 # Each command reads its parsed flags and ``args.config``, the loaded config;
 # it returns (records, meta, nonconverged) for ``main`` or raises ValueError.
+
+# stop reasons that settle a cell's verdict; --strict exits 2 on any other
+_VERDICTS = ("converged", "certified_fail")
 
 _PROBLEMS = {"sparse": harness.SparseL1, "lowrank": harness.LowRankS1,
              "phase": harness.PhaseRetrieval}
@@ -120,18 +123,19 @@ def _cmd_lambda_min(args):
 
 def _cmd_solve(args):
     """recover or phaselift: solve the instance that a sweep cell seeded
-    with --seed solves."""
+    with --seed solves, at the sweeps' default success threshold."""
     if args.command == "recover":
         problem, eta = harness.SparseL1(args.s, args.d), args.eta
     else:
         problem, eta = harness.PhaseRetrieval(args.d), 0.0
-    res, rel = harness.solve_instance(problem, args.m, args.seed, eta,
-                                      solve.SolverOptions())
+    res, rel = harness.solve_instance(
+        problem, args.m, args.seed, eta, solve.SolverOptions(),
+        harness.ExperimentConfig.success_threshold)
     rec = {"objective": f"{res.objective:.6e}",
            "residual": f"{res.residual_norm:.3e}",
            "iterations": res.iterations, "converged": res.converged,
-           "rel_error": f"{rel:.3e}"}
-    return [rec], None, not res.converged
+           "rel_error": f"{rel:.3e}", "stop_reason": res.stop_reason}
+    return [rec], None, res.stop_reason not in _VERDICTS
 
 
 def _parse_problem(cfg: dict) -> harness.Problem:
@@ -179,8 +183,10 @@ def _cmd_sweep(args):
              "success_rate": f"{r.success_rate:.6f}",
              "mean_rel_error": f"{r.mean_rel_error:.6e}",
              "mean_solve_iters": f"{r.mean_solve_iters:.1f}",
-             "nonconverged": r.nonconverged} for r in result.rows]
-    return recs, meta, any(r.nonconverged for r in result.rows)
+             "nonconverged": r.nonconverged,
+             "certified_fail": r.certified_fail} for r in result.rows]
+    return recs, meta, any(r.nonconverged > r.certified_fail
+                           for r in result.rows)
 
 
 def _cmd_error_curve(args):
@@ -280,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=choices[0] if choices else None)
         if command.strict:
             p.add_argument("--strict", action="store_true",
-                           help="exit 2 on solver non-convergence")
+                           help="exit 2 when a solve stops without a verdict")
         p.add_argument("--format", choices=["csv", "json-lines"],
                        default="csv")
     return parser

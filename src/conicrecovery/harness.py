@@ -26,6 +26,20 @@ from .rng import generator
 # problem table: signal, operator, width bound and program of each class
 
 class _GaussianRows:
+    """A norm program over Gaussian rows: ``norm`` is its regularizer and
+    ``lipschitz()`` the norm's Lipschitz constant in the Frobenius norm."""
+
+    def recover(self, op, y, eta, opts,
+                floor: float = -math.inf) -> solve.RecoveryResult:
+        return solve.recover_constrained(self.norm(), op, y, eta, opts, floor)
+
+    def failure_floor(self, x: np.ndarray, thr: float) -> float:
+        """f(x) - L thr ||x||.  f is L-Lipschitz, so a feasible point with f
+        below this floor puts every minimizer more than thr ||x|| from x:
+        the solve cannot succeed at threshold thr."""
+        return (self.norm().value(x)
+                - self.lipschitz() * thr * float(np.linalg.norm(x)))
+
     def noise_lambda(self, m: int) -> float:
         """Gordon's prediction sqrt(m-1) - w - 2 of the minimum conic
         singular value, w the closed-form width bound, clipped at 0."""
@@ -39,9 +53,13 @@ class SparseL1(_GaussianRows):
 
     s: int
     d: int
+    norm = L1Norm
 
     def __post_init__(self):
         self.width_sq()  # rejects s outside 1..d
+
+    def lipschitz(self) -> float:
+        return math.sqrt(self.d)
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         x = np.zeros(self.d)
@@ -61,9 +79,6 @@ class SparseL1(_GaussianRows):
     def operator(self, m: int, seed: int) -> measure.MeasurementOperator:
         return measure.gaussian_ensemble(m, self.d, seed=seed)
 
-    def recover(self, op, y, eta, opts) -> solve.RecoveryResult:
-        return solve.recover_constrained(L1Norm(), op, y, eta, opts)
-
 
 @dataclass(frozen=True)
 class LowRankS1(_GaussianRows):
@@ -72,9 +87,13 @@ class LowRankS1(_GaussianRows):
     r: int
     d1: int
     d2: int
+    norm = Schatten1Norm
 
     def __post_init__(self):
         self.width_sq()  # rejects r outside 1..min(d1, d2)
+
+    def lipschitz(self) -> float:
+        return math.sqrt(min(self.d1, self.d2))
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         g1 = rng.standard_normal((self.d1, self.r))
@@ -92,9 +111,6 @@ class LowRankS1(_GaussianRows):
 
     def operator(self, m: int, seed: int) -> measure.MeasurementOperator:
         return measure.gaussian_matrix_ensemble(m, self.d1, self.d2, seed=seed)
-
-    def recover(self, op, y, eta, opts) -> solve.RecoveryResult:
-        return solve.recover_constrained(Schatten1Norm(), op, y, eta, opts)
 
 
 @dataclass(frozen=True)
@@ -133,10 +149,15 @@ MARGIN = 3.0  # C in the sample-complexity threshold ceil(w^2 + C w)
 
 
 def solve_instance(problem: Problem, m: int, seed: int, eta: float,
-                   opts: solve.SolverOptions):
+                   opts: solve.SolverOptions, thr: float | None = None):
     """Draw from ``generator(seed)`` the signal x, then the operator seed,
     then the noise seed; measure x with m draws of the problem's ensemble
     plus noise of norm eta, and recover it with the problem's program.
+
+    Given a sweep's success threshold ``thr``, a norm program stops as
+    ``"certified_fail"`` once a feasible iterate falls below
+    ``problem.failure_floor(x, thr)``.  PhaseLift takes no floor: its
+    feasible iterate is not PSD.
 
     Returns (result, ||x_hat - x|| / ||x||), Frobenius for matrix signals.
     """
@@ -145,7 +166,10 @@ def solve_instance(problem: Problem, m: int, seed: int, eta: float,
     op = problem.operator(m, int(rng.integers(0, 2 ** 62)))
     y = measure.measure_with_noise(op, x, noise_norm=eta,
                                    seed=int(rng.integers(0, 2 ** 62)))
-    res = problem.recover(op, y, eta, opts)
+    if thr is None or isinstance(problem, PhaseRetrieval):
+        res = problem.recover(op, y, eta, opts)
+    else:
+        res = problem.recover(op, y, eta, opts, problem.failure_floor(x, thr))
     return res, float(np.linalg.norm(res.estimate - x) / np.linalg.norm(x))
 
 
@@ -203,7 +227,8 @@ class SweepRow:
     success_rate: float
     mean_rel_error: float
     mean_solve_iters: float
-    nonconverged: int
+    nonconverged: int  # every cell that did not converge
+    certified_fail: int = 0  # of those, the ones proven to fail
 
     def __post_init__(self):
         if self.successes > self.trials or not 0 <= self.success_rate <= 1:
@@ -241,7 +266,8 @@ def _cell_seed(root: int, m_index: int, trial: int) -> int:
     return int.from_bytes(h[:8], "little")
 
 
-def _run_grid(config: ExperimentConfig, points, index0: int = 0):
+def _run_grid(config: ExperimentConfig, points, index0: int = 0,
+              thr: float | None = None):
     """Run ``config.trials`` cells at each (m, eta) point, trial t of point
     i seeded ``_cell_seed(config.seed, index0 + i, t)``; returns, per point,
     the cells' ``solve_instance`` (result, rel_error) pairs in trial order.
@@ -251,23 +277,28 @@ def _run_grid(config: ExperimentConfig, points, index0: int = 0):
         measure.check_eta(eta)
     return [[solve_instance(config.problem, m,
                             _cell_seed(config.seed, index0 + i, trial), eta,
-                            config.solver)
+                            config.solver, thr)
              for trial in range(config.trials)]
             for i, (m, eta) in enumerate(points)]
 
 
 def run_phase_transition(config: ExperimentConfig) -> SweepResult:
-    """Sweep the measurement count and tally recovery successes per m."""
-    grid = _run_grid(config, [(m, config.eta) for m in config.m_grid])
-    rows = []
+    """Sweep the measurement count and tally recovery successes per m.  A
+    cell succeeds when it converges within ``success_threshold`` of x; a
+    norm program's cell stops early once it is certain to fail
+    (``solve_instance``)."""
     thr = config.success_threshold
+    grid = _run_grid(config, [(m, config.eta) for m in config.m_grid], thr=thr)
+    rows = []
     for m, cells in zip(config.m_grid, grid):
         results, rels = zip(*cells)
         ok = sum(res.converged and rel <= thr for res, rel in cells)
         rows.append(SweepRow(m, ok, config.trials, ok / config.trials,
                              float(np.mean(rels)),
                              float(np.mean([r.iterations for r in results])),
-                             sum(not r.converged for r in results)))
+                             sum(not r.converged for r in results),
+                             sum(r.stop_reason == "certified_fail"
+                                 for r in results)))
     w_sq = config.problem.width_sq()
     m_pred = width.sample_complexity_gaussian(math.sqrt(w_sq), MARGIN)
     return SweepResult(tuple(rows), config.digest(), config.seed, w_sq, m_pred)

@@ -91,7 +91,9 @@ class SolverOptions:
 @dataclass(frozen=True)
 class RecoveryResult:
     """``stop_reason`` says why the solve stopped: ``"infeasible"`` (the
-    data-consistency set is empty), ``"converged"`` or ``"max_iters"``."""
+    data-consistency set is empty), ``"converged"``, ``"certified_fail"``
+    (a feasible iterate fell below the caller's floor on f) or
+    ``"max_iters"``."""
 
     estimate: np.ndarray
     objective: float
@@ -335,20 +337,27 @@ class _Anderson:
 
 
 def _douglas_rachford(f: Regularizer, proj: _BallProjector,
-                      opts: SolverOptions | None):
+                      opts: SolverOptions | None, floor: float = -math.inf):
     """DR iteration on gamma * f + indicator(C) over flat signals of shape
     ``proj.op.signal_shape``, with ``opts`` by default ``SolverOptions()``;
-    returns (x_feas, v_prox, iters, reason), the reason "infeasible" when C
-    is empty, else "converged" or "max_iters".
+    returns (x_feas, v_prox, iters, reason).
 
-    It stops once the primal residual ||v - x|| and the prox iterate's
-    constraint violation ``proj.misfit(v) - proj.eta`` are both at most
-    ``opts.tol * proj.scale``.
+    Every 10th iteration (and the last) it checks, in order:
 
-    The loop owns the DR point w, the reflection z = 2x - w and the step
-    v - x: it allocates them once and updates them in place.  The
-    projector and the prox return fresh arrays, so x and v never alias
-    them.
+    - ``"converged"``: the primal residual ||v - x|| and the prox iterate's
+      constraint violation ``proj.misfit(v) - proj.eta`` are both at most
+      ``opts.tol * proj.scale``;
+    - ``"certified_fail"``: f(x) of the projected, feasible iterate x is
+      below ``floor``.  A caller that knows the true signal sets the floor
+      so that this proves every minimizer lies too far from it for the
+      solve to succeed, whatever the budget; the default, -inf, never
+      stops.
+
+    Otherwise it runs to ``"max_iters"``; any reason reads ``"infeasible"``
+    when C is empty.  The loop owns the DR point w, the reflection
+    z = 2x - w and the step v - x: it allocates them once and updates them
+    in place.  The projector and the prox return fresh arrays, so x and v
+    never alias them.
 
     One rule, read from the projector, sets the prox step gamma and the
     Anderson start for all three programs: at eta > 0, gamma = 0.2 * eta
@@ -360,23 +369,7 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
     iterate by c, and the gate follows ||y||, so a solve takes the same
     iterations at every data scale.  For PhaseLift, mean(y) estimates
     trace(X) (E[y_i] = ||x||^2 for Gaussian psi_i), and its y_i are
-    magnitudes, so mean|y_i| = mean(y_i).  Measured:
-
-    - eta > 0, the 60 cells of the Schatten-1 8 x 8 rank-1 error curve at
-      m = 55, eta in {0.1, 0.3, 1.0} (seed 1, plain step), against a
-      solve at tol 1e-13: gamma = 1 took 90,570 DR iterations (deviation
-      9.0e-8 ||x||), 0.1 * eta 9,390 (2.5e-7), 0.2 * eta 7,730 (8.0e-8)
-      and 0.5 * eta 11,900 (8.8e-8).
-    - PhaseLift at eta = 0, unit signals: 0.2 to 0.5 of mean(y) took 2 to
-      2.6 times fewer DR iterations than gamma = 1 at d = 48, m = 6d-8d;
-      0.3 took the fewest at d = 8, m = 14-20, and was within 10% of the
-      fewest (0.4) at d = 48.
-    - l1 d = 128, s = 4, eta = 0 (acceptance-01 grid, 60 trials, seeds
-      1-5): the former gamma = 1 took 1,294,740 DR iterations, this rule
-      1,171,310, with every success verdict unchanged; 0.5 ||y|| / sqrt(m)
-      took 251,650 at seed 1 against 243,700.  The l1 cell s = 4, d = 64,
-      m = 40 with y scaled by 1, 1e-3 and 1e-6 took 50, 1,890 and 20,000
-      (capped) iterations at gamma = 1, and 50 at each scale here.
+    magnitudes, so mean|y_i| = mean(y_i).
 
     From ``start`` on, the plain update w <- w + (v - x) becomes a damped
     type-II Anderson step over the last ``_ANDERSON_MEMORY`` (10) steps
@@ -385,41 +378,7 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
     solve so far is rejected, w goes back to the previous point plus its
     plain step, and the memory starts empty (a residual safeguard after
     Zhang, O'Donoghue and Boyd, 2020, who guard a type-I step).  Before
-    ``start`` the loop is the plain one bit for bit.  Measured at the
-    20,000-iteration default, against the plain step and against an
-    unguarded step that dropped its memory whenever ||v - x|| had not
-    halved in 1,000 iterations (the l1 eta = 0 cells with gamma = 1):
-
-    - l1 d = 128, s = 4, eta = 0 (acceptance-01 grid, 60 trials, seeds
-      1-5): 6,204,810 plain DR iterations became 1,294,740 (unguarded
-      1,321,590), and 116 capped cells 3, all capped by the plain step
-      too; every success verdict held.  Rows m = 8-24 at seeds 1-20: 24.3M
-      iterations became 4.18M (unguarded 4.27M), and 502 capped cells 15.
-    - PhaseLift d = 16, m = 24-40, eta = 0 (seed 3, 20 trials): successes
-      0/1/14/17/19 became 2/7/16/20/20, and capped cells 46 became 11
-      (unguarded 10).  At seeds 1 and 2, m = 32 reads one success fewer
-      than unguarded (13 and 16 of 20), rows whose verdicts depend on the
-      budget either way.
-    - Starting the eta = 0 step at iteration 1 cut the seed-1 l1 sweep's
-      DR iterations from 261,880 to 172,160 with the same verdicts but,
-      as an Anderson step costs more than a plain one, raised its time
-      from 3.3-3.4 s to 4.0-4.2 s (one BLAS thread, 2 cores).
-    - l1 d = 128 at m = 30 and 54 and Schatten-1 8 x 8 rank 1 at m = 30
-      and 55, eta in {1e-3, 1e-2, 0.1, 1}, 10 trials at each of seeds 5
-      and 6 (320 cells): 1,214,410 plain DR iterations became 364,910 and
-      27 capped cells none; 14 cells took 2,130 more iterations in all, and
-      the converged objectives agree to 2.9e-7 relative.
-    - PhaseLift d = 16, m = 96, eta = 1e-3 (8 cells): the plain step capped
-      all 8, the guarded one converged all 8 in 8,880 iterations.
-    - Unguarded, the l1 6 x 12 cell x = e_3, eta = 0.1 of the tests ran to
-      the cap at objective 2,421 against ||x||_1 = 1; guarded, it
-      converges in 60 iterations after 4 rejections.  On the 320 cells a
-      guard against the previous residual took 419,840 iterations and
-      capped one cell; keeping the memory after a rejection took 1,038,220
-      and capped 24.
-    - At eta = 1e-5 (l1 d = 128, m = 54 and Schatten-1 at m = 55, 8 cells
-      each) both loops cap all 16 cells, the guarded one 1.3-1.5 times
-      slower.
+    ``start`` the loop is the plain one bit for bit.
     """
     opts = opts or SolverOptions()
     shape = proj.op.signal_shape
@@ -447,28 +406,34 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
         else:
             accel = accel or _Anderson(n)
             accel.advance(w, step)
-        if ((it % 10 == 0 or it == opts.max_iters)
-                and np.linalg.norm(step) <= gate
+        if it % 10 and it != opts.max_iters:
+            continue
+        if (np.linalg.norm(step) <= gate
                 and proj.misfit(v) - proj.eta <= gate):
             reason = "converged"
+            break
+        if floor > -math.inf and f.value(x.reshape(shape)) < floor:
+            reason = "certified_fail"
             break
     return x, v, it, "infeasible" if proj.infeasible else reason
 
 
 def recover_constrained(f: Regularizer, op: MeasurementOperator,
                         y: np.ndarray, eta: float,
-                        opts: SolverOptions | None = None) -> RecoveryResult:
+                        opts: SolverOptions | None = None,
+                        floor: float = -math.inf) -> RecoveryResult:
     """Minimize f(x) subject to ||Phi x - y|| <= eta.
 
     DR runs on gamma * f + indicator(ball), with the step gamma that
     ``_douglas_rachford`` reads from (y, eta); a solve takes the same
-    iterations at every data scale.
+    iterations at every data scale.  A feasible iterate with f below
+    ``floor`` stops it as ``"certified_fail"``.
     """
     if op.kind is not OperatorKind.DENSE:
         raise ValueError("constrained recovery needs a dense operator; "
                          "use phase_retrieval_sdp for lifted ensembles")
     proj = _BallProjector(op, y, eta)
-    x, v, iters, reason = _douglas_rachford(f, proj, opts)
+    x, v, iters, reason = _douglas_rachford(f, proj, opts, floor=floor)
     estimate = x.reshape(op.signal_shape)  # projection output: feasible
     return RecoveryResult(estimate, f.value(estimate), proj.misfit(estimate),
                           iters, reason)

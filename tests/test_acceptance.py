@@ -84,12 +84,16 @@ def test_criterion_01_sparse_phase_transition(capsys, sparse_sweep):
 # (m, successes, nonconverged, mean_solve_iters, mean_rel_error) of each
 # sparse_sweep row, recorded with the eta = 0 projection taken through the
 # Gram eigenbasis (Phi, Q^t, Q, Phi^t per DR step); rows m <= 24 re-recorded
-# with the Anderson step behind the residual guard, and every row with the
-# eta = 0 prox step 0.3 mean|y_i| in place of 1
+# with the Anderson step behind the residual guard, every row with the
+# eta = 0 prox step 0.3 mean|y_i| in place of 1, and rows m <= 24 with the
+# sweep's certified-failure floor, which stops 25, 23 and 2 of their cells
+# early (they read 0 nonconverged, 1102.4, 1124.8 and 535.6 mean iterations
+# and 1.0653664527951654, 0.8396896385773737 and 0.06276026624609204 mean
+# errors without it)
 SPARSE_SWEEP_ROWS = [
-    (8, 0, 0, 1102.4, 1.0653664527951654),
-    (16, 2, 0, 1124.8, 0.8396896385773737),
-    (24, 23, 0, 535.6, 0.06276026624609204),
+    (8, 0, 25, 14.8, 1.0684456491745662),
+    (16, 2, 23, 92.8, 0.8425443612108992),
+    (24, 23, 2, 318.4, 0.061922604932908326),
     (32, 25, 0, 229.2, 1.2395135712190873e-08),
     (40, 25, 0, 151.6, 1.343201461029378e-08),
     (48, 25, 0, 118.4, 5.810663872934608e-09),
@@ -104,14 +108,16 @@ SPARSE_SWEEP_ROWS = [
 
 def test_criterion_01_rows_pinned(sparse_sweep):
     # not a criterion of its own: a change of solver arithmetic must leave
-    # every verdict and iteration count of the sweep as recorded.  Rows
-    # m <= 24 run past iteration 1,000, where eta = 0 solves take Anderson
-    # steps; with the plain step and the former eta = 0 prox step 1 they
-    # read (0, 5, 9318.8), (2, 5, 11136.0) and (23, 1, 1736.4) in
-    # (successes, nonconverged, mean_solve_iters)
+    # every verdict and iteration count of the sweep as recorded.  Without
+    # the floor, rows m <= 24 run past iteration 1,000, where eta = 0
+    # solves take Anderson steps; with the plain step and the former eta = 0
+    # prox step 1 they read (0, 5, 9318.8), (2, 5, 11136.0) and
+    # (23, 1, 1736.4) in (successes, nonconverged, mean_solve_iters).  Every
+    # cell that does not converge here is a certified failure
     rows = sparse_sweep.rows
     assert [(r.m, r.successes, r.nonconverged, r.mean_solve_iters)
             for r in rows] == [pin[:4] for pin in SPARSE_SWEEP_ROWS]
+    assert [r.certified_fail for r in rows] == [r.nonconverged for r in rows]
     np.testing.assert_allclose([r.mean_rel_error for r in rows],
                                [pin[4] for pin in SPARSE_SWEEP_ROWS],
                                rtol=1e-6, atol=0)

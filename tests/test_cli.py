@@ -23,9 +23,9 @@ SMALL_SWEEP = {"problem": {"kind": "sparse", "s": 1, "d": 8},
 # the bytes `sweep --config` prints for SMALL_SWEEP
 SMALL_SWEEP_CSV = """\
 # config_digest=2e8afecdebd9521b seed=3 predicted_width_sq=6.158883 predicted_m=14
-m,successes,trials,success_rate,mean_rel_error,mean_solve_iters,nonconverged
-4,2,2,1.000000,3.786646e-09,60.0,0
-8,2,2,1.000000,7.507024e-13,10.0,0
+m,successes,trials,success_rate,mean_rel_error,mean_solve_iters,nonconverged,certified_fail
+4,2,2,1.000000,3.786646e-09,60.0,0,0
+8,2,2,1.000000,7.507024e-13,10.0,0,0
 """
 SMALL_CURVE = {"problem": {"kind": "sparse", "s": 1, "d": 8},
                "eta_grid": [0.0, 0.1], "m": 8, "trials": 2, "seed": 3}
@@ -209,6 +209,24 @@ class TestCellReplay:
         assert rec["iterations"] == res.iterations
         assert rec["rel_error"] == f"{rel:.3e}"
 
+    def test_seed_replays_certified_cell(self, capsys):
+        # a sub-threshold l1 cell that the sweep stops as certain to fail:
+        # recover --seed takes the same floor and stops at the same check
+        problem, m = harness.SparseL1(4, 128), 8
+        row = harness.run_phase_transition(harness.ExperimentConfig(
+            problem, (m,), trials=1, seed=3)).rows[0]
+        assert (row.successes, row.nonconverged,
+                row.certified_fail) == (0, 1, 1)
+        code, out, _ = run(capsys, "recover", "--s", "4", "--d", "128",
+                           "--m", str(m), "--seed",
+                           str(harness._cell_seed(3, 0, 0)),
+                           "--format", "json-lines", "--strict")
+        rec = json.loads(out)
+        assert code == 0  # a certified failure is a verdict, not a stall
+        assert rec["stop_reason"] == "certified_fail"
+        assert rec["iterations"] == row.mean_solve_iters
+        assert rec["rel_error"] == f"{row.mean_rel_error:.3e}"
+
 
 class TestOneShotConfig:
     @pytest.mark.parametrize("command", list(ONE_SHOT))
@@ -339,6 +357,33 @@ class TestSweepCommand:
         assert code == 0
         assert out.strip().split("\n")[1].endswith(",2")
         code, _, _ = run(capsys, "error-curve", "--config", path, "--strict")
+        assert code == 2
+
+    def test_sweep_strict_exits_2_only_without_a_verdict(self, capsys,
+                                                          tmp_path,
+                                                          monkeypatch):
+        # the m = 8 cells stop as certified failures, which do not depend on
+        # the budget; capped at 5 iterations, the m = 96 cells stop at
+        # max_iters, whose verdicts do
+        path = config_path(tmp_path, {
+            "problem": {"kind": "sparse", "s": 4, "d": 128},
+            "m_grid": [8, 96], "trials": 2, "seed": 1})
+        code, out, _ = run(capsys, "sweep", "--config", path, "--strict")
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        assert code == 0
+        assert [(r["nonconverged"], r["certified_fail"]) for r in rows] == [
+            ("2", "2"), ("0", "0")]
+        run_sweep = harness.run_phase_transition
+
+        def capped(config):
+            return run_sweep(dataclasses.replace(
+                config, solver=solve.SolverOptions(max_iters=5)))
+
+        monkeypatch.setattr(harness, "run_phase_transition", capped)
+        code, out, _ = run(capsys, "sweep", "--config", path, "--strict")
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        assert rows[1]["nonconverged"] == "2"
+        assert rows[1]["certified_fail"] == "0"
         assert code == 2
 
 

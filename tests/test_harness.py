@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from conicrecovery.harness import (
     ErrorCurveRow,
@@ -20,6 +21,7 @@ from conicrecovery.harness import (
 )
 from conicrecovery import harness, solve
 from conicrecovery.cli import write_records
+from conicrecovery.measure import measure_with_noise
 from conicrecovery.rng import generator
 from conicrecovery.solve import SolverOptions
 
@@ -200,6 +202,94 @@ class TestSweep:
             solver=SolverOptions(max_iters=2_000))
         m50 = run_phase_transition(cfg).fifty_percent_m()
         assert m50 is not None and 1.5 <= m50 / d <= 2.5
+
+
+def draw_cell(problem, m, seed, eta):
+    """(x, op, y) of the cell that ``solve_instance`` seeds with ``seed``."""
+    rng = generator(seed)
+    x = problem.draw(rng)
+    op = problem.operator(m, int(rng.integers(0, 2 ** 62)))
+    y = measure_with_noise(op, x, noise_norm=eta,
+                           seed=int(rng.integers(0, 2 ** 62)))
+    return x, op, y
+
+
+class TestCertifiedFailure:
+    THR = 1e-4
+    # 20 sub-threshold cells, trial t of each row seeded _cell_seed(1, m, t)
+    CELLS = ([(SparseL1(4, 128), m, 0.0) for m in (8, 16, 24)]
+             + [(SparseL1(4, 128), 16, 0.1), (LowRankS1(1, 8, 8), 20, 0.0)])
+    TRIALS = 4
+
+    def cells(self):
+        for problem, m, eta in self.CELLS:
+            for t in range(self.TRIALS):
+                yield problem, m, eta, harness._cell_seed(1, m, t)
+
+    def test_verdicts_equal_with_and_without_the_floor(self):
+        certified = []
+        for problem, m, eta, seed in self.cells():
+            (res, rel), (free, free_rel) = (
+                harness.solve_instance(problem, m, seed, eta, SolverOptions(),
+                                       thr)
+                for thr in (self.THR, None))
+            assert free.stop_reason == "converged"
+            assert ((res.converged and rel <= self.THR)
+                    == (free_rel <= self.THR))
+            if res.stop_reason == "certified_fail":
+                certified.append((type(problem).__name__, m, eta))
+                assert res.iterations < free.iterations
+            else:  # the floor never fires: the same solve, bit for bit
+                assert res.stop_reason == "converged"
+                assert res.estimate.tobytes() == free.estimate.tobytes()
+        assert len(certified) == 15
+        assert {c[0] for c in certified} == {"SparseL1", "LowRankS1"}
+        assert ("SparseL1", 16, 0.1) in certified
+
+    def test_certified_l1_cells_fail_at_the_lp_minimizer(self):
+        # soundness against HiGHS: the floor is ||x||_1 - sqrt(d) thr ||x||,
+        # and a certified cell's LP minimizer lies more than thr ||x|| from x
+        checked = 0
+        for problem, m, eta, seed in self.cells():
+            if not (isinstance(problem, SparseL1) and eta == 0.0):
+                continue
+            res, _ = harness.solve_instance(problem, m, seed, eta,
+                                            SolverOptions(), self.THR)
+            if res.stop_reason != "certified_fail":
+                continue
+            x, op, y = draw_cell(problem, m, seed, eta)
+            floor = (np.abs(x).sum()
+                     - math.sqrt(problem.d) * self.THR * np.linalg.norm(x))
+            assert problem.failure_floor(x, self.THR) == pytest.approx(
+                floor, rel=1e-15)
+            assert res.objective < floor
+            n = problem.d
+            lp = linprog(np.ones(2 * n), A_eq=np.hstack([op.rows, -op.rows]),
+                         b_eq=y, bounds=(0, None), method="highs")
+            assert lp.status == 0
+            x_lp = lp.x[:n] - lp.x[n:]
+            assert np.linalg.norm(x_lp - x) > self.THR * np.linalg.norm(x)
+            assert np.abs(x_lp).sum() <= res.objective * (1 + 1e-6)
+            checked += 1
+        assert checked == 7
+
+    def test_only_norm_program_sweeps_take_a_floor(self, monkeypatch):
+        floors = []
+        loop = solve._douglas_rachford
+
+        def spy(*args, floor=-math.inf):
+            floors.append(floor)
+            return loop(*args, floor=floor)
+
+        monkeypatch.setattr(solve, "_douglas_rachford", spy)
+        config = ExperimentConfig(problem=SparseL1(4, 128), m_grid=(16,),
+                                  trials=2, seed=1)
+        run_error_curve(config, [0.1], m=16)
+        run_phase_transition(dataclasses.replace(
+            config, problem=PhaseRetrieval(4)))
+        assert floors == [-math.inf] * 4
+        run_phase_transition(config)
+        assert all(math.isfinite(f) for f in floors[4:]) and len(floors) == 6
 
 
 class TestErrorCurve:

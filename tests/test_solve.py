@@ -453,7 +453,8 @@ class TestSecularSolve:
             assert res.stop_reason == "infeasible"
 
 
-def reference_douglas_rachford(f, proj, opts, accelerate=True):
+def reference_douglas_rachford(f, proj, opts, accelerate=True,
+                               floor=-math.inf):
     """The DR loop written with a fresh array for every intermediate, the
     l1 prox as sign(z) (|z| - t)_+ and Phi^+ applied with ``@``: the
     arithmetic that the solver's in-place loop must reproduce bit for bit.
@@ -464,7 +465,9 @@ def reference_douglas_rachford(f, proj, opts, accelerate=True):
     every product, with the solver's slot order and ridge.  An accelerated
     step whose next residual exceeds twice the smallest so far is undone:
     w becomes the previous point plus its residual, and the memory starts
-    empty.  ``accelerate=False`` gives the plain loop."""
+    empty.  ``accelerate=False`` gives the plain loop.  At a check that
+    does not converge, f of the projected iterate below ``floor`` stops it
+    as ``certified_fail``."""
     opts = opts or SolverOptions()
     shape = proj.op.signal_shape
 
@@ -533,6 +536,10 @@ def reference_douglas_rachford(f, proj, opts, accelerate=True):
                 and proj.misfit(v) - proj.eta <= gate):
             reason = "converged"
             break
+        if ((it % 10 == 0 or it == opts.max_iters)
+                and f.value(x.reshape(shape)) < floor):
+            reason = "certified_fail"
+            break
     return x, v, it, "infeasible" if proj.infeasible else reason
 
 
@@ -593,6 +600,16 @@ class TestInPlaceDrStep:
 
     def test_rejecting_cell_bit_identical(self, monkeypatch):
         assert_matches_reference(monkeypatch, rejecting_cell)
+
+    def test_certified_cell_bit_identical(self, monkeypatch):
+        # an l1 sweep cell that the floor stops at its 11th check
+        def run():
+            return solve_instance(SparseL1(4, 128), 16, _cell_seed(1, 16, 0),
+                                  0.0, SolverOptions(), 1e-4)[0]
+
+        res = run()
+        assert (res.stop_reason, res.iterations) == ("certified_fail", 110)
+        assert_matches_reference(monkeypatch, run)
 
     def test_reference_cells_reach_the_anderson_start(self, monkeypatch):
         # the cells above that pin the accelerated step at eta = 0 past
