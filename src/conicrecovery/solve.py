@@ -6,33 +6,24 @@ Douglas-Rachford splitting between the regularizer's prox and an exact
 projection onto the data-consistency set.  In the eigenbasis of the Gram
 matrix G = Phi Phi^*, the ball projection's Lagrange multiplier solves a
 trust-region secular equation, which warm-started Newton solves in a few
-steps.  Newton stops at a relative step of 1e-10: it converges
-quadratically, so the error it leaves is of order the step squared, inside
-the 1e-12 that the tests check against brentq.  The affine (eta = 0)
-projection is the pseudo-inverse correction.  It needs only Phi, Phi^* and
-G, so both operator kinds share it.  A dense operator at eta = 0 applies
-the pseudo-inverse Phi^+ as one n x m matrix, built once from the same
-eigendecomposition of G (about 1 ms at the sweeps' sizes); at eta > 0 it
-stores Q^t Phi (Q the eigenvectors of G), k x n and so no larger than Phi,
-and applies the ball correction with one matrix-vector product.  A lifted
-operator never forms either (Phi^+ would be the m x d^2 design), so its
-projector keeps O(md) memory.  At eta = 0 a lifted projector needs G^-1,
-not the spectrum, so it inverts G by Cholesky (LAPACK dpotrf, then
-dpotri; 2.5-6 ms against 12-24 ms for eigh at m = 288-384, one BLAS
-thread) and applies it with one symmetric product per step.  It does
-so only where dpocon's reciprocal condition estimate exceeds the eigh cut
-``_EIG_CUT * m``, that is where eigh would keep every eigenvalue; a
-singular or ill-conditioned G (lifted m > d(d+1)/2 among them) keeps the
-eigenbasis, as does every eta > 0 projector, whose secular equation needs
-the spectrum.  Both routes factor G = Phi Phi^*, so both square the
-condition number of Phi.  A PhaseLift DR step applies Phi and Phi^* once
-each and the PSD prox, which computes only the eigenpairs above the step
-(``reg.TracePSD``): near the rank-one solution that is one pair of the
-d x d iterate, not a full eigendecomposition.  Every DR solve takes its
-prox step by one rule, chosen by the loop (``_douglas_rachford``):
+steps.  The affine (eta = 0) projection is the pseudo-inverse correction
+p - Phi^* G^-1 (Phi p - y).  It needs G^-1, not the spectrum, so for both
+operator kinds it factors G by Cholesky (LAPACK dpotrf), wherever dpocon's
+reciprocal condition estimate exceeds the eigh cut ``_EIG_CUT * m``, that
+is where eigh would keep every eigenvalue.  A dense operator then builds
+Phi^+ = (G^-1 Phi)^t once (dpotrs), an n x m matrix the size of Phi,
+applied with one matrix-vector product; a lifted one never forms Phi^+
+(it would be the m x d^2 design), keeps G^-1 (dpotri) and O(md) memory.
+A singular or ill-conditioned G (m > n, or lifted m > d(d+1)/2, among
+them) takes the eigenbasis of G instead, as does every eta > 0 projector,
+whose secular equation needs the spectrum.  Both routes factor G, so both
+square the condition number of Phi.  A PhaseLift DR step applies Phi and
+Phi^* once each and the PSD prox, which computes only the eigenpairs above
+the step (``reg.TracePSD``): near the rank-one solution that is one pair
+of the d x d iterate, not a full eigendecomposition.  Every DR solve takes
+its prox step by one rule, chosen by the loop (``_douglas_rachford``):
 gamma = 0.2 * eta at eta > 0, and 0.3 * mean|y_i| at eta = 0 (1 when
-y = 0), a fixed fraction of a length the data carry, so a solve takes the
-same iterations at every data scale.
+y = 0), so a solve takes the same iterations at every data scale.
 
 The projector owns a solve's data y and eta; ||y|| scales the stopping gate
 and ||Phi x - y|| is the residual.  It refuses a non-finite y before any
@@ -130,47 +121,44 @@ _BALL_STEP = 0.2
 _DATA_STEP = 0.3
 
 
-def _gram_inverse(g: np.ndarray) -> np.ndarray | None:
-    """G^-1 by Cholesky, in the lower triangle of one Fortran-ordered m x m
-    array (the upper one is left over); None unless G is positive definite
+def _gram_factor(g: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of G, in one Fortran-ordered m x m array
+    (the upper triangle is left over); None unless G is positive definite
     with LAPACK's reciprocal condition estimate above the eigh cut, where
     eigh would have kept every eigenvalue."""
     chol, info = lapack.dpotrf(g, lower=1, clean=0)  # a Fortran-ordered copy
     if info != 0:
         return None
     rcond, info = lapack.dpocon(chol, float(np.linalg.norm(g, 1)), uplo="L")
-    if info != 0 or not rcond > _EIG_CUT * g.shape[0]:
-        return None
-    inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
-    return inv if info == 0 else None
+    return chol if info == 0 and rcond > _EIG_CUT * g.shape[0] else None
 
 
 class _BallProjector:
-    """Exact Euclidean projection onto {x : ||Phi x - y|| <= eta}: with
-    G = Q diag(lam) Q^t and c = Q^t (Phi p - y), it is
-    p - Phi^*(Q (mu c / (1 + mu lam))) for the multiplier mu >= 0.
+    """Exact Euclidean projection onto {x : ||Phi x - y|| <= eta}.
 
-    mu solves the trust-region secular equation ||r(mu)|| = delta, with
-    r(mu) = c / (1 + mu lam) and delta^2 = eta^2 - ||y_perp||^2 (More and
-    Sorensen, 1983).  psi(mu) = 1/||r(mu)|| - 1/delta is concave and
-    increasing, so Newton on psi, clamped at 0, steps from the right of the
-    root to its left and from there rises to it monotonically.  Each call
-    starts from the previous call's multiplier; the projector lives for one
-    solve, so solves stay deterministic.  When delta^2 <= 0 (eta = 0, or an
-    empty set) the projection is the mu -> infinity limit, the
-    pseudo-inverse correction p - Phi^+ (Phi p - y) with
-    Phi^+ = Phi^* Q diag(1/lam) Q^t.  For a dense operator Phi^+ is built
-    once here, an n x m matrix the size of Phi, from the same eigenvectors
-    and keep mask, so a projection costs two matrix-vector products.  At
-    delta^2 > 0 a dense projector stores B = Q^t Phi instead, k x n, and
-    applies the correction as p - B^t (mu c / (1 + mu lam)): one product in
-    place of Q then Phi^*, while c is still Q^t (Phi p - y).  A
-    lifted operator at eta = 0 with a well-conditioned G (``_gram_inverse``)
-    skips the eigendecomposition: Phi^+ = Phi^* G^-1, and a projection
+    At eta = 0, wherever ``_gram_factor`` factors G, the data are always
+    consistent and the projection is p - Phi^+ (Phi p - y) with
+    Phi^+ = Phi^* G^-1: a dense projector stores Phi^+ = (G^-1 Phi)^t,
+    n x m, and applies it with one matrix-vector product; a lifted one
     applies Phi, G^-1 (one ``dsymv`` on the lower triangle that LAPACK
-    returns) and Phi^*; the data are then always consistent.  Any other
-    lifted projector applies Phi, Q^t, Q and Phi^* in turn.  ``misfit(v)``
-    is ||Phi v - y||; ``scale`` = ||y||, or 1 when y = 0, sets the gate.
+    returns) and Phi^*.
+
+    Otherwise, with G = Q diag(lam) Q^t over the eigenvalues above the cut
+    and c = Q^t (Phi p - y), it is p - Phi^*(Q (mu c / (1 + mu lam))) for
+    the multiplier mu >= 0, which solves the trust-region secular equation
+    ||r(mu)|| = delta, with r(mu) = c / (1 + mu lam) and
+    delta^2 = eta^2 - ||y_perp||^2 (More and Sorensen, 1983).
+    psi(mu) = 1/||r(mu)|| - 1/delta is concave and increasing, so Newton on
+    psi, clamped at 0, steps from the right of the root to its left and
+    from there rises to it monotonically.  Each call starts from the
+    previous call's multiplier; the projector lives for one solve, so
+    solves stay deterministic.  When delta^2 <= 0 (eta = 0, or an empty
+    set) the projection is the mu -> infinity limit, with
+    Phi^+ = Phi^* Q diag(1/lam) Q^t, which a dense projector builds once.
+    At delta^2 > 0 a dense projector stores B = Q^t Phi instead, k x n, and
+    applies the correction as p - B^t (mu c / (1 + mu lam)).  A lifted
+    projector applies Phi, Q^t, Q and Phi^* in turn.  ``misfit(v)`` is
+    ||Phi v - y||; ``scale`` = ||y||, or 1 when y = 0, sets the gate.
     """
 
     def __init__(self, op: MeasurementOperator, y: np.ndarray, eta: float):
@@ -185,10 +173,13 @@ class _BallProjector:
         self.mu = 0.0  # warm start for the next secular solve
         self.pinv = self.ginv = self.qt_rows = None
         g = gram(op)
-        if eta == 0.0 and op.kind is OperatorKind.LIFTED:
-            self.ginv = _gram_inverse(g)  # factors a copy: g stays intact
-        if self.ginv is not None:  # G is invertible: range(Phi) is all of R^m
+        chol = _gram_factor(g) if eta == 0.0 else None  # g stays intact
+        if chol is not None:  # G is invertible: range(Phi) is all of R^m
             self.infeasible, self.delta_sq = False, 0.0
+            if op.kind is OperatorKind.DENSE:  # Phi^+ = (G^-1 Phi)^t
+                self.pinv = lapack.dpotrs(chol, op.rows, lower=1)[0].T
+            else:  # dpotrf succeeded, so dpotri cannot fail
+                self.ginv = lapack.dpotri(chol, lower=1, overwrite_c=1)[0]
             return
         lam, q = np.linalg.eigh(g)
         keep = lam > _EIG_CUT * op.m * np.max(lam, initial=0.0)
@@ -268,10 +259,7 @@ class _Anderson:
     DR drifts with an almost constant residual, the undamped step fits
     dg at 1e-4 of ||g|| with weights ||gamma|| ~ 1e4, jumps 1,000 times
     farther than the plain step and can stall there, residual constant,
-    until the budget runs out.  Over the rows m = 8-24 of the l1 d = 128
-    sweep (60 trials, seeds 1-20, 3,600 cells) the undamped step capped 6
-    cells that the plain step converges; damped at 1e-5 it capped none
-    (both without the guard of ``advance``).
+    until the budget runs out.
     """
 
     def __init__(self, n: int):

@@ -25,7 +25,7 @@ SMALL_SWEEP_CSV = """\
 # config_digest=2e8afecdebd9521b seed=3 predicted_width_sq=6.158883 predicted_m=14
 m,successes,trials,success_rate,mean_rel_error,mean_solve_iters,nonconverged,certified_fail
 4,2,2,1.000000,3.786646e-09,60.0,0,0
-8,2,2,1.000000,7.507024e-13,10.0,0,0
+8,2,2,1.000000,3.086852e-13,10.0,0,0
 """
 SMALL_CURVE = {"problem": {"kind": "sparse", "s": 1, "d": 8},
                "eta_grid": [0.0, 0.1], "m": 8, "trials": 2, "seed": 3}

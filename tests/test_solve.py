@@ -13,10 +13,12 @@ from scipy.optimize import brentq
 
 from conicrecovery import solve
 from conicrecovery.harness import (
+    ExperimentConfig,
     LowRankS1,
     PhaseRetrieval,
     SparseL1,
     _cell_seed,
+    run_phase_transition,
     solve_instance,
 )
 from conicrecovery.measure import (
@@ -157,6 +159,15 @@ def faint_vector_op(m, d, scale, seed):
     return MeasurementOperator(OperatorKind.LIFTED, m, (d, d), vectors=psi)
 
 
+def eigh_calls(monkeypatch):
+    """The list to which every later np.linalg.eigh call appends the shape
+    of its matrix."""
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda g: calls.append(g.shape) or eigh(g))
+    return calls
+
+
 def ill_conditioned_op(m, n, cond, seed):
     """Dense m x n operator (m <= n) with singular values log-spaced from
     1 down to 1/cond."""
@@ -197,8 +208,9 @@ PROJECTOR_CASES = {
 }
 SINGULAR_CASES = ["dense-12x5", "dense-40x8", "lifted-d2-m4", "lifted-d4-m30"]
 DENSE_CASES = [c for c in PROJECTOR_CASES if c.startswith("dense")]
-# lifted operators whose eta = 0 projector inverts G by Cholesky
+# operators whose eta = 0 projector factors G by Cholesky
 CHOLESKY_CASES = ["lifted-d5-m12", "lifted-d8-m34"]
+DENSE_CHOLESKY_CASES = ["dense-6x10", "dense-matrix-10x(3x4)", "dense-cond-1e3"]
 
 
 class TestBallProjector:
@@ -241,19 +253,20 @@ class TestBallProjector:
 
     @pytest.mark.parametrize("case", DENSE_CASES)
     def test_dense_eta_zero_matches_gram_correction(self, case):
-        # a dense operator at eta = 0 applies Phi^+ as one n x m matrix; it
-        # agrees with the correction taken through the Gram eigenbasis
+        # the correction p - Phi^+ (Phi p - y) against the SVD pseudo-inverse
+        # of the design, whichever route the projector takes; both routes
+        # factor G = Phi Phi^t, so the error may grow like eps kappa(G)
         op, x = PROJECTOR_CASES[case]()
         a = explicit_design(op)
         y = apply(op, x)
         proj = _BallProjector(op, y, 0.0)
-        assert proj.pinv.shape == (a.shape[1], op.m)
+        pinv = np.linalg.pinv(a)
+        tol = max(1e-12, 4.0 * np.finfo(float).eps * np.linalg.cond(a) ** 2)
         rng = generator(48)
         for _ in range(5):
             p = 3.0 * rng.standard_normal(a.shape[1])
-            want = p - a.T @ (proj.q @ ((proj.q.T @ (a @ p - y)) / proj.lam))
-            np.testing.assert_allclose(proj(p), want, rtol=0,
-                                       atol=1e-12 * max(1.0, np.linalg.norm(p)))
+            np.testing.assert_allclose(proj(p), p - pinv @ (a @ p - y), rtol=0,
+                                       atol=tol * max(1.0, np.linalg.norm(p)))
 
     @pytest.mark.parametrize("case", DENSE_CASES)
     def test_dense_eta_positive_matches_gram_correction(self, case):
@@ -308,13 +321,49 @@ class TestBallProjector:
         # below _EIG_CUT * m, so the projector falls back to eigh
         op, x = PROJECTOR_CASES["lifted-faint"]()
         assert solve.lapack.dpotrf(gram(op), lower=1)[1] == 0
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh",
-                            lambda g: calls.append(g.shape) or eigh(g))
+        calls = eigh_calls(monkeypatch)
         proj = _BallProjector(op, apply(op, x), 0.0)
         assert proj.ginv is None and calls == [(op.m, op.m)]
         assert proj.lam.size == op.m - 1 and not proj.infeasible
+
+    @pytest.mark.parametrize("case", DENSE_CHOLESKY_CASES)
+    def test_positive_definite_dense_gram_skips_eigh(self, monkeypatch, case):
+        op, x = PROJECTOR_CASES[case]()
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        y = apply(op, x)
+        proj = _BallProjector(op, y, 0.0)
+        assert not proj.infeasible
+        got = proj(generator(49).standard_normal(op.signal_shape).ravel())
+        assert (np.linalg.norm(apply(op, got.reshape(op.signal_shape)) - y)
+                <= 1e-10 * np.linalg.norm(y))
+
+    @pytest.mark.parametrize("case", ["dense-12x5", "dense-cond-1e7"])
+    def test_dense_gram_fallback_takes_eigenbasis(self, monkeypatch, case):
+        # m > n leaves G singular; at kappa(Phi) = 1e7 dpotrf factors G, but
+        # dpocon's estimate is below _EIG_CUT * m, and eigh then drops the
+        # smallest eigenvalue, so consistent data read infeasible (the known
+        # limit of a Gram projector)
+        if case == "dense-cond-1e7":
+            op = ill_conditioned_op(6, 10, 1e7, seed=29)
+            x = generator(28).standard_normal(10)
+            assert solve.lapack.dpotrf(gram(op), lower=1)[1] == 0
+        else:
+            op, x = PROJECTOR_CASES[case]()
+        calls = eigh_calls(monkeypatch)
+        proj = _BallProjector(op, apply(op, x), 0.0)
+        assert calls == [(op.m, op.m)]
+        assert proj.infeasible == (case == "dense-cond-1e7")
+
+    def test_l1_sweep_takes_no_eigh(self, monkeypatch):
+        # every cell of an m < d sweep has a well-conditioned G
+        calls = eigh_calls(monkeypatch)
+        result = run_phase_transition(
+            ExperimentConfig(SparseL1(2, 32), (8, 16, 24), trials=3, seed=1))
+        assert len(result.rows) == 3 and calls == []
 
     @pytest.mark.parametrize("case", SINGULAR_CASES)
     def test_singular_gram_consistent_data(self, case):
