@@ -35,11 +35,9 @@ it allocates them once per solve and updates them in place.  The projector
 and the prox return fresh arrays and never their input, so an in-place
 update cannot reach the x and v they returned.
 
-A DR solve takes a damped type-II Anderson step over its last 10 steps,
-guarded against a residual growth (``_douglas_rachford``): from iteration
-1,000 at eta = 0, so only the slow solves take it and the rest keep the
-plain step bit for bit, and from the first at eta > 0, over a ball, where
-the unguarded step diverged.
+Every DR solve, at every eta, takes a damped type-II Anderson step over
+its last 10 steps from its first iteration, guarded against a residual
+growth (``_douglas_rachford``): over a ball the unguarded step diverged.
 """
 
 from __future__ import annotations
@@ -106,12 +104,11 @@ _NEWTON_MAX_STEPS = 100
 # Newton stops once its step is at most this times max(mu, 1); see
 # _BallProjector._secular_root
 _NEWTON_STOP = 1e-10
-# eta = 0 DR solves take Anderson steps from this iteration on (eta > 0
-# ones from the first), over the differences of the last _ANDERSON_MEMORY
-# steps, damped by _ANDERSON_DAMPING ||g||^2, and reject one whose next
-# residual exceeds _ANDERSON_GUARD times the solve's smallest; see _Anderson
-# and _douglas_rachford
-_ANDERSON_START = 1_000
+# every DR solve takes Anderson steps from its first iteration, over the
+# differences of the last _ANDERSON_MEMORY steps, damped by
+# _ANDERSON_DAMPING ||g||^2, and rejects one whose next residual exceeds
+# _ANDERSON_GUARD times the solve's smallest; see _Anderson and
+# _douglas_rachford
 _ANDERSON_MEMORY = 10
 _ANDERSON_DAMPING = 1e-5
 _ANDERSON_GUARD = 2.0
@@ -347,10 +344,9 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
     in place.  The projector and the prox return fresh arrays, so x and v
     never alias them.
 
-    One rule, read from the projector, sets the prox step gamma and the
-    Anderson start for all three programs: at eta > 0, gamma = 0.2 * eta
-    (``_BALL_STEP``) from iteration 1; at eta = 0, gamma = 0.3 * mean|y_i|
-    (``_DATA_STEP``; 1 when y = 0) from ``_ANDERSON_START`` (1,000).  f is
+    One rule, read from the projector, sets the prox step gamma for all
+    three programs: at eta > 0, gamma = 0.2 * eta (``_BALL_STEP``); at
+    eta = 0, gamma = 0.3 * mean|y_i| (``_DATA_STEP``; 1 when y = 0).  f is
     positively homogeneous (a norm, or the trace on the PSD cone), so
     prox_{gamma f}(c z) = c prox_{(gamma / c) f}(z) for c > 0: scaling
     (y, eta) by c scales gamma and, by induction from w = 0, every DR
@@ -359,14 +355,15 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
     trace(X) (E[y_i] = ||x||^2 for Gaussian psi_i), and its y_i are
     magnitudes, so mean|y_i| = mean(y_i).
 
-    From ``start`` on, the plain update w <- w + (v - x) becomes a damped
-    type-II Anderson step over the last ``_ANDERSON_MEMORY`` (10) steps
-    (``_Anderson``), guarded: an accelerated step after which ||v - x||
-    exceeds ``_ANDERSON_GUARD`` (2) times the smallest residual of the
-    solve so far is rejected, w goes back to the previous point plus its
-    plain step, and the memory starts empty (a residual safeguard after
-    Zhang, O'Donoghue and Boyd, 2020, who guard a type-I step).  Before
-    ``start`` the loop is the plain one bit for bit.
+    At every eta, from the first iteration, the plain update
+    w <- w + (v - x) becomes a damped type-II Anderson step over the last
+    ``_ANDERSON_MEMORY`` (10) steps (``_Anderson``; with an empty memory,
+    as at iteration 1, it is the plain step), guarded: an accelerated step
+    after which ||v - x|| exceeds ``_ANDERSON_GUARD`` (2) times the
+    smallest residual of the solve so far is rejected, w goes back to the
+    previous point plus its plain step, and the memory starts empty (a
+    residual safeguard after Zhang, O'Donoghue and Boyd, 2020, who guard a
+    type-I step).
     """
     opts = opts or SolverOptions()
     shape = proj.op.signal_shape
@@ -378,22 +375,17 @@ def _douglas_rachford(f: Regularizer, proj: _BallProjector,
     it = 0
     gate = opts.tol * proj.scale
     if proj.eta > 0.0:
-        start, gamma = 1, _BALL_STEP * proj.eta
+        gamma = _BALL_STEP * proj.eta
     else:
-        start = _ANDERSON_START
         gamma = _DATA_STEP * float(np.mean(np.abs(proj.y))) or 1.0
-    accel = None
+    accel = _Anderson(n)
     for it in range(1, opts.max_iters + 1):
         x = proj(w)
         np.multiply(x, 2.0, out=z)
         z -= w
         v = f.prox(z_signal, gamma).ravel()
         np.subtract(v, x, out=step)
-        if it < start:
-            w += step
-        else:
-            accel = accel or _Anderson(n)
-            accel.advance(w, step)
+        accel.advance(w, step)
         if it % 10 and it != opts.max_iters:
             continue
         if (np.linalg.norm(step) <= gate

@@ -89,31 +89,35 @@ def test_criterion_01_sparse_phase_transition(capsys, sparse_sweep):
 # sweep's certified-failure floor, which stops 25, 23 and 2 of their cells
 # early (they read 0 nonconverged, 1102.4, 1124.8 and 535.6 mean iterations
 # and 1.0653664527951654, 0.8396896385773737 and 0.06276026624609204 mean
-# errors without it)
+# errors without it), and every row with the Anderson step from iteration 1
+# at eta = 0, not 1,000: mean iterations were 14.8 / 92.8 / 318.4 / 229.2 /
+# 151.6 / 118.4 / 101.2 / 73.2 / 65.2 / 54.4 / 44.4 / 37.6, with the same
+# successes and nonconverged counts, and mean errors 1.0684456491745662,
+# 0.8425443612108992, 0.061922604932908326 for rows m <= 24 and 4.2e-09 to
+# 1.3e-08 above
 SPARSE_SWEEP_ROWS = [
-    (8, 0, 25, 14.8, 1.0684456491745662),
-    (16, 2, 23, 92.8, 0.8425443612108992),
-    (24, 23, 2, 318.4, 0.061922604932908326),
-    (32, 25, 0, 229.2, 1.2395135712190873e-08),
-    (40, 25, 0, 151.6, 1.343201461029378e-08),
-    (48, 25, 0, 118.4, 5.810663872934608e-09),
-    (54, 25, 0, 101.2, 4.707310637624995e-09),
-    (64, 25, 0, 73.2, 4.909552038682677e-09),
-    (72, 25, 0, 65.2, 4.3071285956057856e-09),
-    (80, 25, 0, 54.4, 6.522655634158626e-09),
-    (88, 25, 0, 44.4, 5.263820369756887e-09),
-    (96, 25, 0, 37.6, 4.24156940093519e-09),
+    (8, 0, 25, 10.8, 1.0131875286206702),
+    (16, 2, 23, 34.8, 0.8379790151770066),
+    (24, 23, 2, 54.4, 0.062038107925297535),
+    (32, 25, 0, 31.6, 3.387024419842338e-10),
+    (40, 25, 0, 24.8, 6.827149338271713e-10),
+    (48, 25, 0, 23.6, 1.2770455544460672e-10),
+    (54, 25, 0, 21.2, 1.1434553439738927e-09),
+    (64, 25, 0, 20.0, 3.074413307105893e-10),
+    (72, 25, 0, 20.0, 8.572512038737261e-11),
+    (80, 25, 0, 20.0, 1.19549586575871e-11),
+    (88, 25, 0, 19.6, 9.073790407106963e-10),
+    (96, 25, 0, 20.0, 1.0574111579513674e-12),
 ]
 
 
 def test_criterion_01_rows_pinned(sparse_sweep):
     # not a criterion of its own: a change of solver arithmetic must leave
     # every verdict and iteration count of the sweep as recorded.  Without
-    # the floor, rows m <= 24 run past iteration 1,000, where eta = 0
-    # solves take Anderson steps; with the plain step and the former eta = 0
-    # prox step 1 they read (0, 5, 9318.8), (2, 5, 11136.0) and
-    # (23, 1, 1736.4) in (successes, nonconverged, mean_solve_iters).  Every
-    # cell that does not converge here is a certified failure
+    # the floor and with the plain step and the former eta = 0 prox step 1,
+    # rows m <= 24 read (0, 5, 9318.8), (2, 5, 11136.0) and (23, 1, 1736.4)
+    # in (successes, nonconverged, mean_solve_iters).  Every cell that does
+    # not converge here is a certified failure
     rows = sparse_sweep.rows
     assert [(r.m, r.successes, r.nonconverged, r.mean_solve_iters)
             for r in rows] == [pin[:4] for pin in SPARSE_SWEEP_ROWS]
@@ -163,11 +167,13 @@ def test_criterion_03_phase_retrieval(capsys, phase_sweep):
 def test_criterion_03_row_pinned(phase_sweep):
     # not a criterion of its own: a change of solver arithmetic (the DR
     # step, the PSD prox, the projector) must leave the verdicts, the
-    # iteration count and the mean error as recorded
+    # iteration count and the mean error as recorded; with the Anderson
+    # step from iteration 1,000 at eta = 0 they were (50, 0, 25.8) and
+    # 2.565344e-09
     row = phase_sweep.rows[0]
     assert (row.successes, row.nonconverged, row.mean_solve_iters) == \
-        (50, 0, 25.8)
-    np.testing.assert_allclose(row.mean_rel_error, 2.565344e-09,
+        (50, 0, 20.0)
+    np.testing.assert_allclose(row.mean_rel_error, 3.612803e-12,
                                rtol=1e-6, atol=0)
 
 

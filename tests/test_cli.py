@@ -20,11 +20,13 @@ from conicrecovery.cli import _parse_problem, build_parser, main, write_records
 
 SMALL_SWEEP = {"problem": {"kind": "sparse", "s": 1, "d": 8},
                "m_grid": [4, 8], "trials": 2, "seed": 3}
-# the bytes `sweep --config` prints for SMALL_SWEEP
+# the bytes `sweep --config` prints for SMALL_SWEEP; with the Anderson
+# step from iteration 1,000 at eta = 0, the m = 4 row read
+# 3.786646e-09,60.0 for its error and iterations
 SMALL_SWEEP_CSV = """\
 # config_digest=2e8afecdebd9521b seed=3 predicted_width_sq=6.158883 predicted_m=14
 m,successes,trials,success_rate,mean_rel_error,mean_solve_iters,nonconverged,certified_fail
-4,2,2,1.000000,3.786646e-09,60.0,0,0
+4,2,2,1.000000,4.238551e-17,25.0,0,0
 8,2,2,1.000000,3.086852e-13,10.0,0,0
 """
 SMALL_CURVE = {"problem": {"kind": "sparse", "s": 1, "d": 8},
